@@ -1,7 +1,7 @@
 // Runtime control-plane microbenchmarks: alias-table sampling (the
 // per-task dispatch cost), warm re-solves through the controller's
-// persistent workspace, the failover path (topology change, cold
-// bracket), and the end-to-end reference failure trace. Runs through
+// persistent workspace, the failover path (topology change, warm from
+// the last split), and the end-to-end reference failure trace. Runs through
 // bench_obs_main, so an instrumented build exports
 // BENCH_bench_runtime_controller.json; CI ratios
 // numerics.erlang_c_evals per runtime.resolves and runtime.shed_tasks
@@ -61,7 +61,8 @@ void BM_ControllerResolve(benchmark::State& state) {
 BENCHMARK(BM_ControllerResolve);
 
 // Failover round-trip: a full-server loss and its recovery, each forcing
-// a cold-bracket solve over a mutated topology plus two publications.
+// a re-solve over a mutated topology, started warm from the last split
+// mapped onto the new alive set, plus two publications.
 void BM_ControllerFailover(benchmark::State& state) {
   const auto cluster = model::paper_example_cluster();
   runtime::ControllerConfig cfg;

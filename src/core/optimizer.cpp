@@ -82,7 +82,17 @@ void SolverWorkspace::clear() {
   rates_lo_.clear();
   rates_hi_.clear();
   scratch_.clear();
+  warm_rates_.clear();
+  warm_slopes_.clear();
+  warm_phi_ = 0.0;
   seed_phi_ = -1.0;
+  seed_lambda_ = 0.0;
+}
+
+void SolverWorkspace::warm_start(std::span<const double> rates) {
+  if (!(seed_phi_ > 0.0)) return;  // no previous solve: stays cold
+  warm_rates_.assign(rates.begin(), rates.end());
+  warm_slopes_.assign(rates.size(), 0.0);
 }
 
 void SolverWorkspace::prepare(std::size_t n) {
@@ -219,6 +229,34 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
     }
     return f.value();
   };
+  // The warm F(phi) and F'(phi): the same bracket hints, but each inner
+  // solve starts at the first-order prediction rate + (phi - phi_p) *
+  // slope from the previous probe phi_p (from the previous solve's split
+  // on the first probe), and the probe becomes the next prediction base.
+  auto warm_at = [&](double phi, double& slope) -> double {
+    const bool use_lo = phi >= ws.br_.phi_lo;
+    const bool use_hi = ws.br_.phi_hi >= 0.0 && phi <= ws.br_.phi_hi;
+    num::KahanSum f;
+    num::KahanSum df;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double lo = use_lo ? ws.rates_lo_[i] - tol : 0.0;
+      const double hi = use_hi ? ws.rates_hi_[i] + tol : -1.0;
+      const double x0 = ws.warm_rates_[i] + (phi - ws.warm_phi_) * ws.warm_slopes_[i];
+      double s = 0.0;
+      auto r = detail::find_rate_from(opts_, obj, i, phi, lo, hi, x0, &inner_evals, budget, s);
+      if (!r) {
+        err = r.error();
+        return std::numeric_limits<double>::quiet_NaN();
+      }
+      ws.scratch_[i] = ws.warm_rates_[i] = r.value();
+      ws.warm_slopes_[i] = s;
+      f.add(r.value());
+      df.add(s);
+    }
+    ws.warm_phi_ = phi;
+    slope = df.value();
+    return f.value();
+  };
   // Fold an evaluation into the workspace bracket. Only monotone
   // improvements are kept (phi_lo only moves up, phi_hi only moves
   // down), so out-of-order evaluations cannot loosen an established end.
@@ -236,8 +274,20 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
     }
   };
 
-  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, ws.seed_phi_, ws.br_,
-                                       err, total_at, absorb);
+  // Warm when the workspace holds a previous solve. Its rates must match
+  // this instance's size to be read at all.
+  const double seed = detail::warm_seed(ws.seed_phi_, ws.seed_lambda_, lambda_total);
+  if (seed > 0.0 && ws.warm_rates_.size() != n) {
+    ws.warm_rates_.assign(n, std::numeric_limits<double>::quiet_NaN());
+    ws.warm_slopes_.assign(n, 0.0);
+  }
+  ws.warm_phi_ = seed;
+  auto restart = [&] {
+    ws.prepare(n);
+    budget = detail::SolveBudget::from(opts_);
+  };
+  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, seed, ws.br_, err,
+                                       warm_at, total_at, absorb, restart);
   if (!search) {
     BLADE_OBS_EVENT(SolveEnd, search.error().code, 0.0, 0.0, inner_evals);
     return search.error();
@@ -255,8 +305,11 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
   out.rates = ws.rates_hi_;
   detail::extract_rates(ws.br_, ws.rates_lo_, out.rates, lambda_total, opts_.rate_tolerance);
 
-  // Seed the next solve on this workspace from the converged multiplier.
+  // The next solve on this workspace starts from this one.
   ws.seed_phi_ = ws.br_.phi_hi;
+  ws.seed_lambda_ = lambda_total;
+  ws.warm_rates_ = out.rates;
+  ws.warm_slopes_.assign(n, 0.0);
 
   out.inner_evaluations = inner_evals;
   out.utilizations = obj.utilizations(out.rates);

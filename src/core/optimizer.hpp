@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,19 +115,34 @@ struct PhiBracket {
 ///     F_i(phi) is increasing, [rate_lo_i, rate_hi_i] brackets server i's
 ///     rate for ANY phi inside the outer bracket, so inner searches
 ///     warm-start from there instead of from [0, sup);
-///   * the converged phi of the previous solve on this workspace, used to
-///     seed the next solve's bracketing expansion (cross-solve warm start
-///     for sweeps over nearby lambda' values).
+///   * the previous solve on this workspace: its converged phi and its
+///     per-server rates. The next solve is then warm: it probes phi at
+///     that seed (rescaled to the new lambda'), steps by Newton on F, and
+///     starts every inner solve from the best known rate instead of from
+///     a bracket (see detail::run_phi_search). A stale start costs
+///     iterations, never correctness, and a warm attempt that fails
+///     falls back to the cold search inside the same call.
 ///
-/// A workspace is NOT thread-safe: use one per thread (optimize_many
-/// hands one to each pool task). A default-constructed workspace is
-/// valid for any instance size; optimize() resizes it as needed.
+/// A fresh or clear()ed workspace solves cold, bit for bit the solve the
+/// plain optimize() runs. A workspace is NOT thread-safe: use one per
+/// thread (optimize_many hands one to each pool task). A
+/// default-constructed workspace is valid for any instance size;
+/// optimize() resizes it as needed.
 class SolverWorkspace {
  public:
   SolverWorkspace() = default;
 
-  /// Drops every cached value, including the cross-solve phi seed.
+  /// Drops every cached value, including the previous solve's phi seed
+  /// and rates: the next solve runs cold.
   void clear();
+
+  /// Replaces the per-server rates the next solve starts from, one per
+  /// server of the cluster it will solve: the last split mapped onto a
+  /// changed topology, for instance. The phi seed stays the previous
+  /// solve's, so on a workspace without one (fresh or cleared) this is a
+  /// no-op and the next solve stays cold. Stale, wrong-length or
+  /// non-finite rates only cost evaluations.
+  void warm_start(std::span<const double> rates);
 
   /// The converged phi of the last solve on this workspace (< 0 when the
   /// workspace has not completed a solve yet). Exposed for tests.
@@ -142,7 +158,15 @@ class SolverWorkspace {
   std::vector<double> rates_lo_;  ///< rates at phi_lo
   std::vector<double> rates_hi_;  ///< rates at phi_hi
   std::vector<double> scratch_;   ///< rates at the phi being evaluated
+  /// Rates the next warm inner solve predicts from: the last solve's
+  /// split between solves, the previous probe's rates within a warm
+  /// solve. Their dlambda'_i/dphi (0 between solves) and the phi they
+  /// belong to.
+  std::vector<double> warm_rates_;
+  std::vector<double> warm_slopes_;
+  double warm_phi_ = 0.0;
   double seed_phi_ = -1.0;
+  double seed_lambda_ = 0.0;  ///< lambda' of the last solve
 };
 
 class LoadDistributionOptimizer {

@@ -72,7 +72,9 @@ void ShardOptions::validate() const {
 
 void ShardedWorkspace::clear() {
   cells_.clear();
+  warm_phi_ = 0.0;
   seed_phi_ = -1.0;
+  seed_lambda_ = 0.0;
 }
 
 ShardedOptimizer::ShardedOptimizer(model::Cluster cluster, queue::Discipline d,
@@ -274,13 +276,39 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
   // counts folding into a compensated cell total. Never throws —
   // failures park in the cell state and the caller turns the first one
   // (lowest cell index, deterministically) into the solve's error.
-  auto eval_cell = [&](std::size_t c, double phi, bool use_lo, bool use_hi) noexcept {
+  //
+  // A warm probe runs the flat solver's warm inner solve, class for class:
+  // started at the first-order prediction from the previous probe, and
+  // accumulating F_c'(phi) next to F_c.
+  auto eval_cell = [&](std::size_t c, double phi, bool use_lo, bool use_hi, bool warm) noexcept {
     const Cell& cell = cells_[c];
     auto& st = ws.cells_[c];
     try {
       const CellObjective obj(cell.queues, lambda_total);
       detail::SolveBudget inert;
       num::KahanSum f;
+      if (warm) {
+        num::KahanSum df;
+        for (std::size_t k = 0; k < cell.classes.size(); ++k) {
+          const double lo = use_lo ? st.rates_lo[k] - tol : 0.0;
+          const double hi = use_hi ? st.rates_hi[k] + tol : -1.0;
+          const double x0 = st.warm[k] + (phi - ws.warm_phi_) * st.slopes[k];
+          double s = 0.0;
+          auto r = detail::find_rate_from(opts_, obj, k, phi, lo, hi, x0, &st.evals, inert, s);
+          if (!r) {
+            st.err = r.error();
+            return;
+          }
+          st.scratch[k] = st.warm[k] = r.value();
+          st.slopes[k] = s;
+          const double members = static_cast<double>(cell.classes[k].members.size());
+          f.add(members * r.value());
+          df.add(members * s);
+        }
+        st.dtotal = df.value();
+        st.total = f.value();
+        return;
+      }
       for (std::size_t k = 0; k < cell.classes.size(); ++k) {
         const double lo = use_lo ? st.rates_lo[k] - tol : 0.0;
         const double hi = use_hi ? st.rates_hi[k] + tol : -1.0;
@@ -303,28 +331,29 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
 
   std::optional<Error> err;
   long inner_evals = 0;
-  auto total_at = [&](double phi) -> double {
+  long spent = 0;  // evaluations of a failed warm attempt, outside the cold budget
+  auto probe = [&](double phi, bool warm) -> double {
     const bool use_lo = phi >= br.phi_lo;
     const bool use_hi = br.phi_hi >= 0.0 && phi <= br.phi_hi;
     if (cell_count == 1) {
       // Inline on the calling thread: with one cell (and coalescing
       // off) the call sequence is bitwise the flat solver's.
-      eval_cell(0, phi, use_lo, use_hi);
+      eval_cell(0, phi, use_lo, use_hi, warm);
     } else {
       par::for_each_weighted_chunk(pool, cell_count, cell_chunk_, cell_cost_,
                                    [&](std::size_t lo_c, std::size_t hi_c) {
                                      for (std::size_t c = lo_c; c < hi_c; ++c) {
-                                       eval_cell(c, phi, use_lo, use_hi);
+                                       eval_cell(c, phi, use_lo, use_hi, warm);
                                      }
                                    });
     }
-    inner_evals = 0;
+    inner_evals = spent;
     for (std::size_t c = 0; c < cell_count; ++c) {
       if (ws.cells_[c].err.code != ErrorCode::Ok && !err) err = ws.cells_[c].err;
       inner_evals += ws.cells_[c].evals;
     }
     if (err) return std::numeric_limits<double>::quiet_NaN();
-    if (user_budget.max_evals > 0 && inner_evals > user_budget.max_evals) {
+    if (user_budget.max_evals > 0 && inner_evals - spent > user_budget.max_evals) {
       std::ostringstream os;
       os << "optimize: marginal-evaluation budget exceeded (max_marginal_evaluations="
          << user_budget.max_evals << ")";
@@ -342,6 +371,15 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
     for (std::size_t c = 0; c < cell_count; ++c) f.add(ws.cells_[c].total);
     return f.value();
   };
+  auto total_at = [&](double phi) { return probe(phi, false); };
+  auto warm_at = [&](double phi, double& slope) {
+    const double total = probe(phi, true);
+    num::KahanSum df;
+    for (std::size_t c = 0; c < cell_count; ++c) df.add(ws.cells_[c].dtotal);
+    slope = df.value();
+    ws.warm_phi_ = phi;
+    return total;
+  };
   auto absorb = [&](double phi, double total) {
     if (total < lambda_total) {
       if (phi >= br.phi_lo) {
@@ -356,8 +394,23 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
     }
   };
 
-  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, ws.seed_phi_, br, err,
-                                       total_at, absorb);
+  // Warm when the workspace holds a previous solve, as in the flat solver.
+  const double seed = detail::warm_seed(ws.seed_phi_, ws.seed_lambda_, lambda_total);
+  for (std::size_t c = 0; seed > 0.0 && c < cell_count; ++c) {
+    auto& st = ws.cells_[c];
+    const std::size_t k = cells_[c].classes.size();
+    if (st.warm.size() != k) {
+      st.warm.assign(k, std::numeric_limits<double>::quiet_NaN());
+      st.slopes.assign(k, 0.0);
+    }
+  }
+  ws.warm_phi_ = seed;
+  auto restart = [&] {
+    spent = inner_evals;
+    prepare_workspace(ws);
+  };
+  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, seed, br, err, warm_at,
+                                       total_at, absorb, restart);
   if (!search) {
     BLADE_OBS_EVENT(SolveEnd, search.error().code, 0.0, 0.0, inner_evals);
     return search.error();
@@ -380,7 +433,20 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
     }
   }
   detail::extract_rates(br, rates_lo, out.dist.rates, lambda_total, opts_.rate_tolerance);
+  // The next solve on this workspace starts from this one. Extraction
+  // keeps the members of a class equal, so the representative's rate is
+  // the class rate.
   ws.seed_phi_ = br.phi_hi;
+  ws.seed_lambda_ = lambda_total;
+  for (std::size_t c = 0; c < cell_count; ++c) {
+    auto& st = ws.cells_[c];
+    const auto& classes = cells_[c].classes;
+    st.warm.resize(classes.size());
+    for (std::size_t k = 0; k < classes.size(); ++k) {
+      st.warm[k] = out.dist.rates[classes[k].members.front()];
+    }
+    st.slopes.assign(classes.size(), 0.0);
+  }
 
   out.dist.phi = br.phi_hi;
   out.dist.outer_iterations = search.value();

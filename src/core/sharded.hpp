@@ -23,9 +23,10 @@
 //     special rate, discipline) share one inner solve per probe; a
 //     catalog fleet of 100,000 blades built from dozens of SKUs costs a
 //     few hundred inner solves per probe instead of 100,000;
-//   * per-cell warm brackets — the same monotone [rates_lo, rates_hi]
-//     state the flat workspace keeps, held per cell and reused across
-//     outer probes and across solves;
+//   * per-cell warm state — the same monotone [rates_lo, rates_hi]
+//     brackets the flat workspace keeps across outer probes, and the
+//     same cross-solve warm start (previous phi and per-class rates),
+//     held per cell;
 //   * pool parallelism — cells are evaluated concurrently over a
 //     ThreadPool with cost-weighted deterministic chunking
 //     (par::for_each_weighted_chunk), so chunk boundaries never depend
@@ -95,15 +96,17 @@ struct ShardedLoadDistribution {
 
 /// Per-cell warm-start state reused across outer probes and, when the
 /// caller keeps one alive, across solves — the sharded analogue of
-/// SolverWorkspace (same monotone-bracket caching, held per cell).
-/// NOT thread-safe: one workspace per concurrent solve. The solver
+/// SolverWorkspace (same monotone-bracket caching and the same warm
+/// start from the previous solve's phi and per-class rates, held per
+/// cell). NOT thread-safe: one workspace per concurrent solve. The solver
 /// resizes it as needed; a default-constructed workspace fits any
 /// instance.
 class ShardedWorkspace {
  public:
   ShardedWorkspace() = default;
 
-  /// Drops every cached value, including the cross-solve phi seed.
+  /// Drops every cached value, including the previous solve's phi seed
+  /// and rates: the next solve runs cold.
   void clear();
 
   /// The converged phi of the last solve on this workspace (< 0 when
@@ -117,13 +120,20 @@ class ShardedWorkspace {
     std::vector<double> rates_lo;  ///< per-class rates at phi_lo
     std::vector<double> rates_hi;  ///< per-class rates at phi_hi
     std::vector<double> scratch;   ///< per-class rates at the probe phi
+    /// Per-class rates the next warm probe predicts from (the previous
+    /// solve's, then the previous probe's) and their dlambda'/dphi.
+    std::vector<double> warm;
+    std::vector<double> slopes;
     double total = 0.0;            ///< F_c at the probe phi
+    double dtotal = 0.0;           ///< F_c' at the probe phi (warm probes)
     long evals = 0;                ///< marginal evaluations in this cell
     Error err{ErrorCode::Ok, {}};  ///< first inner failure, if any
   };
 
   std::vector<CellState> cells_;
+  double warm_phi_ = 0.0;     ///< the phi the cells' warm rates belong to
   double seed_phi_ = -1.0;
+  double seed_lambda_ = 0.0;  ///< lambda' of the last solve
 };
 
 /// Drop-in hierarchical counterpart of LoadDistributionOptimizer: same

@@ -1,11 +1,13 @@
 // Shared numeric core of the flat and sharded load-distribution solvers:
-// the inner rate solve (Fig. 2 with the rtsafe Newton loop), the outer
-// phi search (seeded doubling expansion + Brent + bisection polish), and
-// the bracket-end rate extraction. The flat LoadDistributionOptimizer
-// and the sharded hierarchical solver (core/sharded.hpp) both delegate
-// here, which is what makes "sharded with 1 cell" bitwise identical to
-// the flat path: there is exactly one implementation of every numeric
-// step, parameterized only by how F(phi) is assembled.
+// the inner rate solve (Fig. 2 with the rtsafe Newton loop, cold from a
+// bracket or warm from the best known rate), the outer phi search
+// (doubling expansion, or seeded Newton steps on F when warm, then Brent
+// + bisection polish), and the bracket-end rate extraction. The flat
+// LoadDistributionOptimizer and the sharded hierarchical solver
+// (core/sharded.hpp) both delegate here, which is what makes "sharded
+// with 1 cell" bitwise identical to the flat path: there is exactly one
+// implementation of every numeric step, parameterized only by how
+// F(phi) is assembled.
 //
 // Everything here is an implementation detail (namespace opt::detail);
 // the stable surfaces are LoadDistributionOptimizer and ShardedOptimizer.
@@ -109,6 +111,27 @@ struct SolveBudget {
   }
 };
 
+/// The inner solves' typed failures, shared by the cold and warm paths.
+inline Error non_finite_bound_error(std::size_t i) {
+  std::ostringstream os;
+  os << std::setprecision(10) << "find_rate: non-finite rate bound for server " << i;
+  return make_solver_error(ErrorCode::NonFinite, os.str());
+}
+
+inline Error non_finite_marginal_error(std::size_t i, double rate, double g) {
+  std::ostringstream os;
+  os << std::setprecision(10) << "find_rate: non-finite marginal g_" << i << "(" << rate
+     << ") = " << g;
+  return make_solver_error(ErrorCode::NonFinite, os.str());
+}
+
+inline Error non_convergence_error(std::size_t i, double width, int max_iterations) {
+  std::ostringstream os;
+  os << std::setprecision(10) << "find_rate: lambda'_" << i << " bracket still " << width
+     << " wide after max_iterations=" << max_iterations;
+  return make_solver_error(ErrorCode::NonConvergence, os.str());
+}
+
 /// The non-throwing inner solve (Fig. 2 with the rtsafe Newton loop).
 /// Identical numerics to the pre-resilience implementation; the failure
 /// exits (bracket exhaustion, NaN marginals, budget, strict
@@ -123,11 +146,7 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
                                 double phi, double lo, double hi, long* evals,
                                 SolveBudget& budget) {
   const double sup = obj.rate_bound(i);
-  if (!std::isfinite(sup)) {
-    std::ostringstream os;
-    os << std::setprecision(10) << "find_rate: non-finite rate bound for server " << i;
-    return make_solver_error(ErrorCode::NonFinite, os.str());
-  }
+  if (!std::isfinite(sup)) return non_finite_bound_error(i);
   const double hard_ub = (1.0 - opts.saturation_margin) * sup;
   const double tol = opts.rate_tolerance;
   lo = std::clamp(lo, 0.0, hard_ub);
@@ -150,10 +169,7 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
     if (evals) ++*evals;
     const double g = obj.marginal(i, lam);
     if (!std::isfinite(g)) {
-      std::ostringstream os;
-      os << std::setprecision(10) << "find_rate: non-finite marginal g_" << i << "(" << lam
-         << ") = " << g;
-      err = make_solver_error(ErrorCode::NonFinite, os.str());
+      err = non_finite_marginal_error(i, lam, g);
       return std::numeric_limits<double>::quiet_NaN();
     }
     return g;
@@ -228,12 +244,7 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
     if (auto e = budget.charge()) return std::move(*e);
     if (evals) ++*evals;
     const auto [gx, dgx] = obj.marginal_with_derivative(i, x);
-    if (!std::isfinite(gx)) {
-      std::ostringstream os;
-      os << std::setprecision(10) << "find_rate: non-finite marginal g_" << i << "(" << x
-         << ") = " << gx;
-      return make_solver_error(ErrorCode::NonFinite, os.str());
-    }
+    if (!std::isfinite(gx)) return non_finite_marginal_error(i, x, gx);
     const double fx = gx - phi;
     if (fx == 0.0) {
       result = x;
@@ -272,60 +283,183 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
   BLADE_OBS_COUNT("optimizer.find_rate_calls");
   BLADE_OBS_OBSERVE("optimizer.inner_iterations", it);
   if (!converged && opts.strict_convergence && hi - lo > tol) {
-    std::ostringstream os;
-    os << std::setprecision(10) << "find_rate: lambda'_" << i << " bracket still " << (hi - lo)
-       << " wide after max_iterations=" << opts.max_iterations;
-    return make_solver_error(ErrorCode::NonConvergence, os.str());
+    return non_convergence_error(i, hi - lo, opts.max_iterations);
   }
   return result;
 }
 
-/// The outer phi search shared by the flat and sharded solvers: seeded
-/// doubling expansion until F(phi) covers lambda', Brent on F - lambda'
-/// over the established bracket, then a bisection polish down to
-/// phi_tolerance (F is step-like around flat-marginal servers, and the
-/// extraction interpolates between the bracket ends, so the bracket
-/// itself must be tight).
+/// The warm inner solve: the same root of g_i = phi as find_rate_core,
+/// reached by the same safeguarded Newton iteration but started at `x0`,
+/// the best known rate (the previous solve's, or a first-order prediction
+/// from this solve's previous probe), instead of at a bracket midpoint.
+/// A non-finite `x0` starts at the lower end.
 ///
-/// `total_at(phi)` evaluates F(phi), parking any inner failure in `err`
-/// and returning NaN; `absorb(phi, total)` folds an evaluation into `br`
-/// (and whatever per-server/per-cell rate state the caller keeps at the
-/// bracket ends). Only monotone improvements may be kept: phi_lo only
-/// moves up, phi_hi only moves down. `seed_phi` is the previous solve's
-/// converged multiplier (< 0 or non-finite when there is none).
+/// [lo, hi] are the monotone hints find_rate_core takes (hi < 0: none,
+/// and the saturation guard stands in). find_rate_core evaluates both
+/// ends up front; here an end is evaluated only when an iterate would
+/// leave through it, or when the bracket closes onto an upper end no
+/// evaluation has confirmed, so a good start costs one or two kernel
+/// evaluations. Without an upper hint the iteration brackets outward by
+/// Newton-sized steps from `x0`. An upper end found to undershoot the
+/// root reopens the bracket up to the saturation guard, as the doubling
+/// resumes in find_rate_core.
 ///
-/// Returns the outer iteration count, or the search's typed error.
-template <class TotalAt, class Absorb>
-Expected<int> run_phi_search(const OptimizerOptions& opts, double lambda_total,
-                             double lambda_max, double seed_phi, PhiBracket& br,
-                             std::optional<Error>& err, TotalAt&& total_at, Absorb&& absorb) {
-  // Outer bracket (Fig. 3 lines (1)-(10)): start phi at the previous
-  // solve's converged multiplier when the workspace has one (cross-solve
-  // warm start -- for a sweep of nearby lambda' values the very first
-  // probe usually covers or nearly covers), otherwise small, and double
-  // until the induced total meets lambda'.
-  double phi_probe = (seed_phi > 0.0 && std::isfinite(seed_phi)) ? seed_phi : 1e-6;
-  int expansions = 0;
-  while (true) {
-    const double total = total_at(phi_probe);
+/// `slope` receives dlambda'_i/dphi = 1/g'_i at the last evaluation (0
+/// when the server is inactive, saturated or pinned by a collapsed
+/// bracket), the term this server contributes to F'(phi).
+template <class Obj>
+Expected<double> find_rate_from(const OptimizerOptions& opts, const Obj& obj, std::size_t i,
+                                double phi, double lo, double hi, double x0, long* evals,
+                                SolveBudget& budget, double& slope) {
+  slope = 0.0;
+  const double sup = obj.rate_bound(i);
+  if (!std::isfinite(sup)) return non_finite_bound_error(i);
+  const double hard_ub = (1.0 - opts.saturation_margin) * sup;
+  const double tol = opts.rate_tolerance;
+  lo = std::clamp(lo, 0.0, hard_ub);
+  const bool have_hi = hi >= 0.0;
+  hi = have_hi ? std::clamp(hi, lo, hard_ub) : hard_ub;
+  if (have_hi && hi - lo <= tol) {
+    BLADE_OBS_COUNT("optimizer.warm_bracket_hits");
+    return 0.5 * (lo + hi);
+  }
+
+  bool hi_sure = false;  // g(hi) >= phi confirmed by an evaluation
+  bool lo_sure = false;  // g(lo) < phi confirmed by an evaluation
+  double x = std::isfinite(x0) ? std::clamp(x0, lo, hi) : lo;
+  double dx_old = hi - lo;
+  double dx = dx_old;
+  double dg_last = 0.0;
+  double result = x;
+  bool converged = false;
+  int it = 0;
+  for (; it < opts.max_iterations; ++it) {
+    if (auto e = budget.charge()) return std::move(*e);
+    if (evals) ++*evals;
+    const auto [gx, dgx] = obj.marginal_with_derivative(i, x);
+    if (!std::isfinite(gx)) return non_finite_marginal_error(i, x, gx);
+    dg_last = dgx;
+    const double fx = gx - phi;
+    if (fx == 0.0) {
+      result = x;
+      converged = true;
+      break;
+    }
+    if (fx < 0.0) {
+      if (x >= hi) {
+        if (hi >= hard_ub) {
+          BLADE_OBS_COUNT("optimizer.saturation_clamps");
+          return hard_ub;  // saturated at this phi
+        }
+        hi = hard_ub;  // the upper hint undershot: reopen to the guard
+        hi_sure = false;
+      }
+      lo = x;
+      lo_sure = true;
+    } else {
+      if (x <= lo) return lo;  // root at or below the lower end: inactive when lo = 0
+      hi = x;
+      hi_sure = true;
+    }
+    if (hi - lo <= tol) {
+      if (!hi_sure) {
+        x = hi;  // closed onto an unconfirmed upper end: confirm it
+        continue;
+      }
+      result = 0.5 * (lo + hi);
+      converged = true;
+      break;
+    }
+    const bool newton_ok = dgx > 0.0 && std::isfinite(dgx);
+    const double newton = newton_ok ? x - fx / dgx : 0.0;
+    double next;
+    if (newton_ok && newton >= hi && !hi_sure) {
+      next = hi;  // leaving through an unconfirmed end: probe the end
+    } else if (newton_ok && newton <= lo && !lo_sure) {
+      next = lo;
+    } else if (!newton_ok || 2.0 * std::abs(fx) > std::abs(dx_old * dgx) ||
+               !(newton > lo && newton < hi)) {
+      next = 0.5 * (lo + hi);
+    } else {
+      next = newton;
+    }
+    dx_old = dx;
+    dx = std::abs(next - x);
+    result = next;
+    if (dx <= 0.5 * tol) {
+      ++it;
+      converged = true;
+      break;
+    }
+    x = next;
+  }
+  BLADE_OBS_COUNT("optimizer.find_rate_calls");
+  BLADE_OBS_OBSERVE("optimizer.inner_iterations", it);
+  if (!converged && opts.strict_convergence && hi - lo > tol) {
+    return non_convergence_error(i, hi - lo, opts.max_iterations);
+  }
+  if (dg_last > 0.0 && std::isfinite(1.0 / dg_last)) slope = 1.0 / dg_last;
+  return result;
+}
+
+/// The first probe of a warm solve: the previous solve's multiplier,
+/// rescaled by lambda'_prev / lambda' (every g_i carries a 1/lambda'
+/// factor, so the rescaled seed reproduces the previous split's
+/// marginals). -1, meaning cold, when the workspace holds no solve.
+inline double warm_seed(double seed_phi, double seed_lambda, double lambda_total) {
+  return seed_phi > 0.0 && seed_lambda > 0.0 ? seed_phi * seed_lambda / lambda_total : -1.0;
+}
+
+/// Seeded bracketing for a warm solve. Probes F at `seed_phi`, then steps
+/// phi by Newton on F, (lambda' - F)/F' with F' = sum_i 1/g'_i from the
+/// same probe. A step from below is stretched by a quarter so it tends
+/// to land just past the root: F is concave between activations, so the
+/// plain Newton step undershoots from below (and overshoots from above,
+/// which already crosses). A step is never shorter than half of
+/// phi_tolerance, so a seed that already sits on the root still gets
+/// its tight bracket, and it stays within a factor of two of the
+/// previous probe, which is also the fallback when F' gives no step
+/// (geometric halve/double), so phi stays positive however far the seed.
+/// Stops once probes of this solve lie on both sides of lambda'.
+///
+/// `warm_at(phi, slope)` evaluates F(phi) and stores F'(phi) in `slope`,
+/// parking any inner failure in `err` like total_at.
+template <class WarmAt, class Absorb>
+Expected<int> seeded_bracket(const OptimizerOptions& opts, double lambda_total, double seed_phi,
+                             PhiBracket& br, std::optional<Error>& err, WarmAt&& warm_at,
+                             Absorb&& absorb) {
+  double phi = seed_phi;
+  for (int probes = 0;; ++probes) {
+    double slope = 0.0;
+    const double total = warm_at(phi, slope);
     if (err) return std::move(*err);
-    const bool covered = total >= lambda_total;
-    absorb(phi_probe, total);
-    if (covered) break;
-    phi_probe *= 2.0;
-    if (++expansions > 200) {
+    absorb(phi, total);
+    if (br.phi_lo > 0.0 && br.phi_hi >= 0.0) return probes;
+    if (probes >= 200) {
       std::ostringstream os;
-      os << std::setprecision(10) << "optimize: failed to bracket phi (lambda'=" << lambda_total
-         << ", lambda'_max=" << lambda_max << ", phi_ub=" << phi_probe << " after " << expansions
-         << " doublings)";
+      os << std::setprecision(10) << "optimize: seeded phi search failed to bracket lambda'="
+         << lambda_total << " from phi=" << seed_phi << " after " << probes << " probes";
       return make_solver_error(ErrorCode::BracketNotFound, os.str());
     }
+    const bool below = total < lambda_total;
+    const double step = std::abs(lambda_total - total) / slope;
+    double next = below ? 2.0 * phi : 0.5 * phi;
+    if (slope > 0.0 && std::isfinite(step)) {
+      const double reach = std::max((below ? 1.25 : 1.0) * step, 0.5 * opts.phi_tolerance);
+      next = std::clamp(below ? phi + reach : phi - reach, 0.5 * phi, 2.0 * phi);
+    }
+    phi = next;
   }
-  BLADE_OBS_COUNT_N("optimizer.phi_expansions", expansions);
+}
 
+/// Brent plus the bisection polish over an established bracket, shared
+/// by the cold and warm searches; returns the outer iteration count.
+template <class TotalAt, class Absorb>
+Expected<int> refine_phi(const OptimizerOptions& opts, double lambda_total, PhiBracket& br,
+                         std::optional<Error>& err, TotalAt&& total_at, Absorb&& absorb) {
   // Outer refinement (replacing the bisection of lines (11)-(27)): Brent
   // on F(phi) - lambda' over the established bracket. The endpoint
-  // values are already known from the expansion, so nothing is
+  // values are already known from the bracketing probes, so nothing is
   // re-evaluated; every new evaluation is absorbed into the workspace, so
   // the inner warm brackets tighten as the outer iteration converges.
   // The bracket-width trace is the solver's convergence signature.
@@ -425,6 +559,74 @@ Expected<int> run_phi_search(const OptimizerOptions& opts, double lambda_total,
     }
   }
   return outer_it;
+}
+
+/// The outer phi search shared by the flat and sharded solvers.
+///
+/// Cold (`seed_phi` <= 0 or non-finite: the workspace holds no previous
+/// solve): Fig. 3's doubling expansion from phi = 1e-6 until F(phi)
+/// covers lambda', then refine_phi. Every inner solve is find_rate_core.
+///
+/// Warm (`seed_phi` > 0: the previous solve's multiplier, rescaled to
+/// this lambda'): seeded_bracket, then refine_phi, with every inner solve
+/// started from the best known rate (find_rate_from, inside `warm_at`).
+/// Monotonicity of F makes any seed safe: a stale one costs probes,
+/// never correctness. Should the warm attempt fail anyway, `restart()`
+/// re-arms the caller's per-solve state and the cold search runs inside
+/// the same call, so a warm start never returns an error the cold path
+/// would not.
+///
+/// `total_at(phi)` evaluates F(phi) cold, parking any inner failure in
+/// `err` and returning NaN; `absorb(phi, total)` folds an evaluation into
+/// `br` (and whatever per-server/per-cell rate state the caller keeps at
+/// the bracket ends). Only monotone improvements may be kept: phi_lo
+/// only moves up, phi_hi only moves down.
+///
+/// Returns the outer iteration count, or the search's typed error.
+template <class WarmAt, class TotalAt, class Absorb, class Restart>
+Expected<int> run_phi_search(const OptimizerOptions& opts, double lambda_total,
+                             double lambda_max, double seed_phi, PhiBracket& br,
+                             std::optional<Error>& err, WarmAt&& warm_at, TotalAt&& total_at,
+                             Absorb&& absorb, Restart&& restart) {
+  if (seed_phi > 0.0 && std::isfinite(seed_phi)) {
+    BLADE_OBS_COUNT("optimizer.warm_starts");
+    auto warm = seeded_bracket(opts, lambda_total, seed_phi, br, err, warm_at, absorb);
+    if (warm) {
+      BLADE_OBS_COUNT_N("optimizer.phi_expansions", warm.value());
+      auto warm_total = [&](double phi) {
+        double slope = 0.0;
+        return warm_at(phi, slope);
+      };
+      warm = refine_phi(opts, lambda_total, br, err, warm_total, absorb);
+      if (warm) return warm;
+    }
+    BLADE_OBS_COUNT("optimizer.warm_fallbacks");
+    err.reset();
+    br = PhiBracket{};
+    restart();
+  }
+
+  // Outer bracket (Fig. 3 lines (1)-(10)): start phi small and double
+  // until the induced total meets lambda'.
+  double phi_probe = 1e-6;
+  int expansions = 0;
+  while (true) {
+    const double total = total_at(phi_probe);
+    if (err) return std::move(*err);
+    const bool covered = total >= lambda_total;
+    absorb(phi_probe, total);
+    if (covered) break;
+    phi_probe *= 2.0;
+    if (++expansions > 200) {
+      std::ostringstream os;
+      os << std::setprecision(10) << "optimize: failed to bracket phi (lambda'=" << lambda_total
+         << ", lambda'_max=" << lambda_max << ", phi_ub=" << phi_probe << " after " << expansions
+         << " doublings)";
+      return make_solver_error(ErrorCode::BracketNotFound, os.str());
+    }
+  }
+  BLADE_OBS_COUNT_N("optimizer.phi_expansions", expansions);
+  return refine_phi(opts, lambda_total, br, err, total_at, absorb);
 }
 
 /// Extracts the final rates from BOTH bracket ends — `rates` enters as a

@@ -221,9 +221,9 @@ void Controller::on_failure(double t, std::size_t i, unsigned blades) {
   // carries the outage, so stale health state must not double-penalize
   // the blade when it returns.
   if (health_) health_->reset_server(i, t);
-  // The cached phi bracket belongs to the old topology; only the seed
-  // would survive prepare(), and even that is stale now.
-  ws_.clear();
+  // The flat re-solve starts warm from the last split mapped onto the
+  // survivors (see resolve). The sharded workspace's per-class state
+  // belongs to the old cell partition, so that path restarts cold.
   sws_.clear();
   BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Failure, 0.0, cfg_.drift_threshold, t);
   resolve(t);
@@ -239,8 +239,7 @@ void Controller::on_recovery(double t, std::size_t i, unsigned blades) {
   avail_[i] = blades == 0 ? full : std::min(full, avail_[i] + blades);
   BLADE_OBS_EVENT(BladeRecover, i, avail_[i], avail_[i] - before, t);
   if (health_) health_->reset_server(i, t);
-  ws_.clear();
-  sws_.clear();
+  sws_.clear();  // as on_failure: the flat re-solve starts warm
   BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Recovery, 0.0, cfg_.drift_threshold, t);
   resolve(t);
 }
@@ -319,9 +318,9 @@ void Controller::evaluate_health(double t) {
   BLADE_OBS_GAUGE_SET("runtime.health.quarantined",
                       static_cast<double>(health_->quarantined_count()));
   if (need_resolve) {
-    // The effective topology changed (a blade's solver speed moved), so
-    // the cached bracket/seed are stale — same treatment as fail/recover.
-    ws_.clear();
+    // The effective topology changed (a blade's solver speed moved, the
+    // alive set may differ): same treatment as fail/recover — the flat
+    // re-solve starts warm from the last split, the sharded one cold.
     sws_.clear();
     BLADE_OBS_EVENT(ResolveTrigger, cause, 0.0, cfg_.drift_threshold, t);
     resolve(t);
@@ -377,6 +376,11 @@ HealthState Controller::health_state(std::size_t i) const {
 double Controller::health_score(std::size_t i) const {
   if (i >= cluster_.size()) throw std::invalid_argument("Controller: server index out of range");
   return health_ ? health_->score(i) : 1.0;
+}
+
+double Controller::health_speed_factor(std::size_t i) const {
+  if (i >= cluster_.size()) throw std::invalid_argument("Controller: server index out of range");
+  return health_factor(i);
 }
 
 void Controller::check_drift(double t) {
@@ -746,6 +750,15 @@ void Controller::resolve(double t) {
       auto res = solver.try_optimize(target, par::global_pool(), sws_);
       if (!res) return res.error();
       return std::move(res).value().dist;
+    }
+    // Start from the last successful split over the servers this solve
+    // sees: after a failover or a quarantine the workspace's own rates
+    // are indexed by the previous alive set. A no-op on a workspace with
+    // no previous solve (boot, checkpoint restore), which stays cold.
+    if (lkg_.valid) {
+      std::vector<double> start(alive.size());
+      for (std::size_t k = 0; k < alive.size(); ++k) start[k] = lkg_.weights[alive[k]];
+      ws_.warm_start(start);
     }
     const opt::LoadDistributionOptimizer solver(std::move(surviving), cfg_.discipline,
                                                 cfg_.solver);

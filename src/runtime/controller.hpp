@@ -8,8 +8,10 @@
 //   re-solve     the optimal split through a persistent SolverWorkspace
 //                with hysteresis — a drift check every check_interval
 //                arrivals, a re-solve only when the estimates moved past
-//                drift_threshold, and the previous phi seeding the next
-//                solve (see SolverWorkspace);
+//                drift_threshold. Every flat re-solve, failovers and
+//                health-driven ones included, starts warm from the last
+//                successful split mapped onto the servers it sees and from
+//                the previous phi (see SolverWorkspace::warm_start);
 //   publish      routing weights as an O(1) alias-table sampler swapped
 //                through an atomic slot, so dispatch threads keep
 //                sampling while the control path reconverges;
@@ -279,6 +281,12 @@ class Controller {
   /// The offered-rate estimate consumed by the last solve (< 0 before
   /// the first estimate-driven solve).
   [[nodiscard]] double last_solved_lambda() const noexcept { return solved_lambda_; }
+  /// The special rates lambda''_i the last solve assumed, full-cluster
+  /// indexed; < 0 for the servers it left out (dark, or quarantined while
+  /// a healthy alternative was up), so all < 0 before the first solve.
+  [[nodiscard]] const std::vector<double>& last_solved_special_rates() const noexcept {
+    return solved_special_;
+  }
   [[nodiscard]] const ControllerStats& stats() const noexcept { return stats_; }
   /// Surrogate-cache internals (builds, invalidations, hits) for the
   /// marginal_drift mode; all-zero when the mode is off.
@@ -292,6 +300,10 @@ class Controller {
   [[nodiscard]] bool health_enabled() const noexcept { return health_ != nullptr; }
   [[nodiscard]] HealthState health_state(std::size_t i) const;
   [[nodiscard]] double health_score(std::size_t i) const;
+  /// The effective-speed multiplier re-solves apply to server i: the
+  /// frozen degraded estimate while Quarantined or on Probation, 1
+  /// otherwise and whenever health is disabled.
+  [[nodiscard]] double health_speed_factor(std::size_t i) const;
 
   // --- resilience (control thread only) ---
 

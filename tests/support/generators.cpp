@@ -3,6 +3,7 @@
 #include <random>
 
 #include "model/random_cluster.hpp"
+#include "sim/rng.hpp"
 
 namespace blade::testsupport {
 
@@ -108,6 +109,19 @@ std::vector<Instance> instance_corpus(std::size_t per_regime, queue::Discipline 
     }
   }
   return out;
+}
+
+model::Cluster churn_cluster() {
+  constexpr std::size_t n = 64;
+  std::vector<unsigned> sizes(n);
+  std::vector<double> speeds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sizes[i] = 1 + static_cast<unsigned>(i % 8);
+    speeds[i] = 0.5 + 2.0 * (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+  }
+  sim::RngStream pairing(0, 3000017);  // servebench's shape stream
+  for (std::size_t i = n; i > 1; --i) std::swap(speeds[i - 1], speeds[pairing.below(i)]);
+  return model::make_cluster(sizes, speeds, 1.0, 0.2);
 }
 
 }  // namespace blade::testsupport

@@ -49,4 +49,9 @@ struct Instance {
 /// under the given discipline.
 [[nodiscard]] std::vector<Instance> instance_corpus(std::size_t per_regime, queue::Discipline d);
 
+/// servebench's serve-churn cluster: 64 servers with blade counts 1-8
+/// (eight of each) paired by a fixed shuffle with speeds spread over
+/// [0.5, 2.5], rbar 1 and a 20% special preload.
+[[nodiscard]] model::Cluster churn_cluster();
+
 }  // namespace blade::testsupport

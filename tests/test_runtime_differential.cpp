@@ -222,10 +222,18 @@ TEST(RuntimeDifferential, ReferenceTraceReconvergesWithinFiveHalfLives) {
           EXPECT_LE(obj.value(rates), 1.01 * sol.response_time) << "segment " << seg;
         } else {
           EXPECT_EQ(shed, 0.0) << "segment " << seg;
-          EXPECT_GT(f[biggest], 0.0) << "segment " << seg;
-          // Within 1% of the static optimum at the regime's true rate.
           const auto sol = opt::LoadDistributionOptimizer(cluster, queue::Discipline::Fcfs)
                                .optimize(lambda);
+          // The biggest (and slowest) server is back in rotation exactly
+          // where the static optimum routes to it. At 35% load its empty
+          // marginal g_6(0) sits ~1% above phi*, so the optimum gives it
+          // nothing, up to a rounding crumb of the rate extraction.
+          if (sol.rates[biggest] > 1e-6 * lambda) {
+            EXPECT_GT(f[biggest], 0.0) << "segment " << seg;
+          } else {
+            EXPECT_LT(f[biggest], 1e-9) << "segment " << seg;
+          }
+          // Within 1% of the static optimum at the regime's true rate.
           std::vector<double> rates(n);
           for (std::size_t i = 0; i < n; ++i) rates[i] = lambda * f[i];
           const opt::ResponseTimeObjective obj(cluster, queue::Discipline::Fcfs, lambda);

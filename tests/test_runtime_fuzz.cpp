@@ -1,14 +1,17 @@
 // Randomized controller battery: hundreds of seeded failure / recovery /
 // load-swing sequences against small random clusters, with structural
 // invariants checked after every event and a reconvergence check at the
-// end of each sequence, plus the dispatch-policy churn corpus (every
+// end of each sequence, a per-re-solve closure battery (every warm
+// re-solve, failovers and health-driven ones included, against a cold
+// solve of its instance), plus the dispatch-policy churn corpus (every
 // policy kind through drain / outage / recovery windows). Runs in every
-// sanitizer tier (labels: fast, policy).
+// sanitizer tier (labels: fast, chaos, policy).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -290,6 +293,173 @@ TEST(RuntimeFuzz, ShardedControllerSequencesAtFleetScale) {
   // ~60 sequences: enough to cover every event-kind interleaving at this
   // length while staying inside the sanitizer-tier time budget.
   for (std::uint64_t seed = 1; seed <= 60; ++seed) run_sharded_sequence(seed);
+}
+
+// ---------------------------------------------------------------------------
+// Per-re-solve closure: every flat re-solve starts warm from the previous
+// split, failovers and health-driven re-solves included, so a warm start
+// that went wrong after a topology change would publish a wrong split
+// that a later re-solve then papers over. Instead of one closure per
+// sequence, check every re-solve that publishes Mode::Optimal against an
+// independent cold optimize() of the exact instance it consumed.
+
+/// Re-solves checked, by what triggered them.
+struct ClosureCounts {
+  std::uint64_t drift = 0;
+  std::uint64_t quarantine_drift = 0;  ///< drift with a quarantine shrinking the alive set
+  std::uint64_t failover = 0;
+  std::uint64_t recovery = 0;
+  std::uint64_t probation = 0;
+  std::uint64_t health_recovery = 0;
+};
+
+/// Rebuilds the instance the controller's last re-solve consumed (its
+/// alive set and special rates, the blade counts and health speed factors
+/// it saw, the admitted target) and compares the published split with a
+/// cold solve of it: T' to 1e-9 relative, every fraction to 1e-7.
+void expect_cold_optimum(const runtime::Controller& ctrl, const runtime::ControllerConfig& cfg,
+                         const std::string& what) {
+  const model::Cluster& cluster = ctrl.cluster();
+  const auto& special = ctrl.last_solved_special_rates();
+  std::vector<std::size_t> alive;
+  std::vector<model::BladeServer> servers;
+  double lambda_max = 0.0;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    if (special[i] < 0.0) continue;
+    alive.push_back(i);
+    const unsigned blades = ctrl.available_blades(i);
+    const double factor = ctrl.health_speed_factor(i);
+    lambda_max += static_cast<double>(blades) * cluster.server(i).speed() * factor /
+                      cluster.rbar() -
+                  special[i];
+    servers.emplace_back(blades, cluster.server(i).speed() * factor, special[i]);
+  }
+  const double target =
+      std::min(ctrl.last_solved_lambda(), cfg.utilization_ceiling * lambda_max);
+  const model::Cluster solved(std::move(servers), cluster.rbar());
+  const auto cold =
+      opt::LoadDistributionOptimizer(solved, cfg.discipline, cfg.solver).optimize(target);
+
+  const auto f = ctrl.routing_fractions();
+  ASSERT_EQ(f.size(), cluster.size()) << what;
+  std::vector<double> published(alive.size());
+  double on_alive = 0.0;
+  for (std::size_t k = 0; k < alive.size(); ++k) {
+    published[k] = f[alive[k]] * target;
+    on_alive += f[alive[k]];
+    ASSERT_NEAR(f[alive[k]], cold.rates[k] / target, 1e-7) << what << " server " << alive[k];
+  }
+  ASSERT_NEAR(on_alive, 1.0, 1e-12) << what << ": weight outside the solved alive set";
+  const opt::ResponseTimeObjective obj(solved, cfg.discipline, target, cfg.solver.service_scv);
+  ASSERT_NEAR(obj.value(published), cold.response_time, 1e-9 * cold.response_time) << what;
+}
+
+void run_closure_sequence(std::uint64_t seed, ClosureCounts& counts) {
+  sim::RngStream rng(seed, 13);
+
+  // 3-6 servers, 1-4 blades each: big enough that a quarantine leaves a
+  // real alive set behind, small enough for every sanitizer tier.
+  const std::size_t n = 3 + rng.below(4);
+  std::vector<unsigned> sizes(n);
+  std::vector<double> speeds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sizes[i] = 1 + static_cast<unsigned>(rng.below(4));
+    speeds[i] = 0.5 + 1.5 * rng.uniform();
+  }
+  const double preload = 0.1 + 0.3 * rng.uniform();
+  const auto cluster = model::make_cluster(sizes, speeds, 1.0, preload);
+  const double lam_max = cluster.max_generic_rate();
+
+  runtime::ControllerConfig cfg;
+  cfg.half_life = 2.0;
+  cfg.check_interval = 4;
+  cfg.min_arrivals = 8;
+  cfg.initial_lambda = 0.5 * lam_max;
+  cfg.health.enabled = true;
+  cfg.health.suspect_dwell = 1.0;
+  cfg.health.quarantine_dwell = 3.0;
+  cfg.health.probation_dwell = 2.0;
+  Harness h(cluster, cfg, (0.3 + 0.5 * rng.uniform()) * lam_max);
+  std::vector<bool> sick(n, false);  // dispatches that never complete
+
+  // Runs one controller call; a re-solve that published Optimal must be
+  // the cold optimum of what it consumed.
+  auto observe = [&](auto&& call, std::uint64_t* bucket, const char* what) {
+    const auto before = h.ctrl.stats();
+    call();
+    const auto& after = h.ctrl.stats();
+    if (after.resolves == before.resolves || h.ctrl.mode() != runtime::Mode::Optimal) return;
+    std::uint64_t* count = bucket;
+    if (after.probations > before.probations) count = &counts.probation;
+    if (after.health_recoveries > before.health_recoveries) count = &counts.health_recovery;
+    if (count == &counts.drift) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (h.ctrl.health_state(i) == runtime::HealthState::Quarantined) {
+          count = &counts.quarantine_drift;
+        }
+      }
+    }
+    if (count != nullptr) ++*count;
+    expect_cold_optimum(h.ctrl, cfg,
+                        std::string(what) + " seed " + std::to_string(seed) + " t " +
+                            std::to_string(h.t));
+  };
+
+  // Ticks of 0.1: arrivals at the regime rate, then matched dispatch and
+  // completion on the healthy alive servers and dispatch only on the sick.
+  double next_arrival = 0.0;
+  auto run_ticks = [&](int ticks) {
+    for (int k = 0; k < ticks; ++k) {
+      const double tick_end = h.t + 0.1;
+      while (next_arrival < tick_end) {
+        h.t = std::max(h.t, next_arrival);
+        const double u = rng.uniform();
+        observe([&] { h.ctrl.on_generic_arrival(h.t, u); }, &counts.drift, "drift");
+        next_arrival = h.t + 1.0 / h.lambda;
+      }
+      h.t = tick_end;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (h.avail[i] == 0) continue;
+        observe([&] { h.ctrl.on_dispatch(h.t, i); }, nullptr, "health");
+        if (!sick[i]) observe([&] { h.ctrl.on_completion(h.t, i); }, nullptr, "health");
+      }
+    }
+  };
+
+  for (int step = 0; step < 12; ++step) {
+    const std::uint64_t kind = rng.below(5);
+    const std::size_t i = rng.below(n);
+    if (kind == 0) {
+      h.lambda = (0.2 + 0.7 * rng.uniform()) * lam_max;
+    } else if (kind == 1) {
+      const unsigned blades = static_cast<unsigned>(rng.below(sizes[i] + 1));  // 0 = all
+      observe([&] { h.ctrl.on_failure(h.t += 1e-3, i, blades); }, &counts.failover, "failure");
+      h.avail[i] -= blades == 0 ? h.avail[i] : std::min(h.avail[i], blades);
+      sick[i] = false;  // a hard failure resets the gray history
+    } else if (kind == 2) {
+      observe([&] { h.ctrl.on_recovery(h.t += 1e-3, i); }, &counts.recovery, "recovery");
+      h.avail[i] = sizes[i];
+      sick[i] = false;
+    } else {
+      sick[i] = kind == 3;  // a gray fault starts, or clears
+    }
+    run_ticks(40);
+    check_invariants(h, seed, step);
+  }
+}
+
+TEST(RuntimeFuzz, EveryReSolveIsTheColdOptimumOfItsInstance) {
+  ClosureCounts counts;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) run_closure_sequence(seed, counts);
+  // Every kind of warm re-solve the controller makes was exercised (at
+  // the time of writing: 453 drift, 401 quarantine-shrunk drift, 94
+  // failover, 93 recovery, 274 probation and 11 health-recovery checks).
+  EXPECT_GT(counts.drift, 0u);
+  EXPECT_GT(counts.quarantine_drift, 0u);
+  EXPECT_GT(counts.failover, 0u);
+  EXPECT_GT(counts.recovery, 0u);
+  EXPECT_GT(counts.probation, 0u);
+  EXPECT_GT(counts.health_recovery, 0u);
 }
 
 // ---------------------------------------------------------------------------

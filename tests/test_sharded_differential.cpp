@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -116,32 +117,50 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Metamorphic battery for the cell layer.
 
+void expect_bitwise(const opt::ShardedLoadDistribution& sol, const opt::LoadDistribution& flat,
+                    const std::string& what) {
+  EXPECT_EQ(sol.dist.response_time, flat.response_time) << what;
+  EXPECT_EQ(sol.dist.phi, flat.phi) << what;
+  EXPECT_EQ(sol.dist.outer_iterations, flat.outer_iterations) << what;
+  EXPECT_EQ(sol.dist.inner_evaluations, flat.inner_evaluations) << what;
+  ASSERT_EQ(sol.dist.rates.size(), flat.rates.size()) << what;
+  for (std::size_t i = 0; i < flat.rates.size(); ++i) {
+    EXPECT_EQ(sol.dist.rates[i], flat.rates[i]) << what << " rate " << i;
+    EXPECT_EQ(sol.dist.utilizations[i], flat.utilizations[i]) << what << " rho " << i;
+    EXPECT_EQ(sol.dist.response_times[i], flat.response_times[i]) << what << " T' " << i;
+  }
+}
+
 // One cell with coalescing disabled runs the flat solver's exact call
 // sequence through the shared numeric core — every reported quantity
-// must be bitwise identical, not merely close.
+// must be bitwise identical, not merely close. That holds for the warm
+// path too: solve, then move lambda' by 1% and perturb one server's
+// preload, and re-solve on the same workspaces.
 TEST(ShardedMetamorphic, OneCellIsFlatBitwise) {
   for (const Discipline d : {Discipline::Fcfs, Discipline::SpecialPriority}) {
     for (const Regime r : {Regime::Random, Regime::NearSaturation, Regime::SpeedExtremes}) {
       for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         const Instance inst = make_instance(r, seed, d);
-        const auto flat =
-            opt::LoadDistributionOptimizer(inst.cluster, inst.discipline).optimize(inst.lambda);
+        opt::SolverWorkspace flat_ws;
+        opt::ShardedWorkspace shard_ws;
+        const auto flat = opt::LoadDistributionOptimizer(inst.cluster, inst.discipline)
+                              .optimize(inst.lambda, flat_ws);
         const opt::ShardedOptimizer sharded(inst.cluster, inst.discipline, {},
                                             cells_opt(1, /*coalesce=*/false));
         ASSERT_EQ(sharded.cell_count(), 1u);
-        const auto sol = sharded.optimize(inst.lambda);
+        expect_bitwise(sharded.optimize(inst.lambda, shard_ws), flat, inst.name);
 
-        EXPECT_EQ(sol.dist.response_time, flat.response_time) << inst.name;
-        EXPECT_EQ(sol.dist.phi, flat.phi) << inst.name;
-        EXPECT_EQ(sol.dist.outer_iterations, flat.outer_iterations) << inst.name;
-        EXPECT_EQ(sol.dist.inner_evaluations, flat.inner_evaluations) << inst.name;
-        ASSERT_EQ(sol.dist.rates.size(), flat.rates.size());
-        for (std::size_t i = 0; i < flat.rates.size(); ++i) {
-          EXPECT_EQ(sol.dist.rates[i], flat.rates[i]) << inst.name << " rate " << i;
-          EXPECT_EQ(sol.dist.utilizations[i], flat.utilizations[i]) << inst.name << " rho " << i;
-          EXPECT_EQ(sol.dist.response_times[i], flat.response_times[i])
-              << inst.name << " T' " << i;
-        }
+        std::vector<model::BladeServer> servers = inst.cluster.servers();
+        const std::size_t k = seed % servers.size();
+        servers[k] = model::BladeServer(servers[k].size(), servers[k].speed(),
+                                        0.9 * servers[k].special_rate());
+        const model::Cluster moved(std::move(servers), inst.cluster.rbar());
+        const double lambda = std::min(1.01 * inst.lambda, 0.999 * moved.max_generic_rate());
+        const auto flat_warm = opt::LoadDistributionOptimizer(moved, inst.discipline)
+                                   .optimize(lambda, flat_ws);
+        const opt::ShardedOptimizer sharded_moved(moved, inst.discipline, {},
+                                                  cells_opt(1, /*coalesce=*/false));
+        expect_bitwise(sharded_moved.optimize(lambda, shard_ws), flat_warm, inst.name + " warm");
       }
     }
   }
@@ -293,18 +312,38 @@ TEST(ShardedMetamorphic, PruneSweepMonotoneWithinBound) {
 }
 
 // Workspace reuse (warm starts) must not move results beyond solver
-// tolerance, and the cross-solve seed must be armed after a solve.
+// tolerance, and the cross-solve seed must be armed after a solve. Far
+// jumps both ways and a descending sweep exercise every seeded-bracket
+// direction; 1% steps must cost less than a cold solve; clear() restores
+// the cold path bit for bit.
 TEST(ShardedMetamorphic, WarmStartedWorkspaceMatchesCold) {
-  const auto cluster = catalog_cluster(64, 6);
+  const auto cluster = catalog_cluster(256, 12);
   const double lambda_max = cluster.max_generic_rate();
   const opt::ShardedOptimizer sharded(cluster, Discipline::Fcfs, {}, cells_opt(4));
   opt::ShardedWorkspace ws;
   EXPECT_LT(ws.seed_phi(), 0.0);
   (void)sharded.optimize(0.4 * lambda_max, ws);
   EXPECT_GT(ws.seed_phi(), 0.0);
-  const auto warm = sharded.optimize(0.45 * lambda_max, ws);
-  const auto cold = sharded.optimize(0.45 * lambda_max);
-  EXPECT_LE(num::rel_diff(warm.dist.response_time, cold.dist.response_time), 1e-9);
+  for (const double frac : {0.404, 0.02, 0.98, 0.9, 0.7, 0.5, 0.3, 0.1, 0.101}) {
+    const auto warm = sharded.optimize(frac * lambda_max, ws);
+    const auto cold = sharded.optimize(frac * lambda_max);
+    const std::string what = "frac=" + std::to_string(frac);
+    EXPECT_LE(num::rel_diff(warm.dist.response_time, cold.dist.response_time), 1e-9) << what;
+    for (std::size_t i = 0; i < cold.dist.rates.size(); ++i) {
+      expect_close(warm.dist.rates[i], cold.dist.rates[i], 1e-9, 1e-9,
+                   what + " rate " + std::to_string(i));
+    }
+    if (frac == 0.404 || frac == 0.101) {
+      EXPECT_LT(warm.dist.inner_evaluations, cold.dist.inner_evaluations) << what;
+    }
+  }
+  ws.clear();
+  EXPECT_LT(ws.seed_phi(), 0.0);
+  const auto cleared = sharded.optimize(0.6 * lambda_max, ws);
+  const auto fresh = sharded.optimize(0.6 * lambda_max);
+  EXPECT_EQ(cleared.dist.phi, fresh.dist.phi);
+  EXPECT_EQ(cleared.dist.inner_evaluations, fresh.dist.inner_evaluations);
+  EXPECT_EQ(cleared.dist.rates, fresh.dist.rates);
 }
 
 // The error surface mirrors the flat solver's typed taxonomy.

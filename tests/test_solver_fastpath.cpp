@@ -1,13 +1,19 @@
 // Unit tests for the solver hot path: the derivative-returning Erlang
 // kernel, the analytic marginal derivative, the warm-bracketed Newton
-// inner solve, workspace-threaded outer solves, and the batched
+// inner solve, workspace-threaded outer solves, warm-started re-solves
+// (bad starting rates, far seeds, clear(), the evaluation-count gate on
+// serve-churn's cluster), and the batched
 // optimize_many/optimize_chain layer (including the determinism
 // contract: results never depend on the pool's thread count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -198,6 +204,199 @@ TEST(Workspace, ClearDropsTheSeed) {
   ASSERT_GT(ws.seed_phi(), 0.0);
   ws.clear();
   EXPECT_LT(ws.seed_phi(), 0.0);
+}
+
+// --- warm-started re-solves ----------------------------------------------
+
+/// The cold solve's answer to the solver tolerances: T' to 1e-9
+/// relative, every rate to 1e-9 relative-plus-absolute.
+void expect_matches_cold(const opt::LoadDistribution& warm, const opt::LoadDistribution& cold,
+                         const std::string& what) {
+  EXPECT_NEAR(warm.response_time, cold.response_time, 1e-9 * cold.response_time) << what;
+  ASSERT_EQ(warm.rates.size(), cold.rates.size()) << what;
+  for (std::size_t i = 0; i < cold.rates.size(); ++i) {
+    EXPECT_NEAR(warm.rates[i], cold.rates[i], 1e-9 * (1.0 + cold.rates[i]))
+        << what << " server " << i;
+  }
+}
+
+void expect_bitwise(const opt::LoadDistribution& a, const opt::LoadDistribution& b,
+                    const std::string& what) {
+  EXPECT_EQ(a.phi, b.phi) << what;
+  EXPECT_EQ(a.response_time, b.response_time) << what;
+  EXPECT_EQ(a.outer_iterations, b.outer_iterations) << what;
+  EXPECT_EQ(a.inner_evaluations, b.inner_evaluations) << what;
+  ASSERT_EQ(a.rates.size(), b.rates.size()) << what;
+  for (std::size_t i = 0; i < a.rates.size(); ++i) {
+    EXPECT_EQ(a.rates[i], b.rates[i]) << what << " server " << i;
+  }
+}
+
+TEST(WarmStart, BadStartingRatesOnlyCostEvaluations) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [name, cluster] :
+       {std::pair{"paper", model::paper_example_cluster()},
+        std::pair{"churn", testsupport::churn_cluster()}}) {
+    const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+    const std::size_t n = cluster.size();
+    const double lambda_max = cluster.max_generic_rate();
+    const opt::ResponseTimeObjective obj(cluster, Discipline::Fcfs, 0.5 * lambda_max);
+
+    const auto heavy = solver.optimize(0.9 * lambda_max);
+
+    std::vector<double> above(n);
+    std::vector<double> mixed(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      above[i] = 10.0 * obj.rate_bound(i);
+      mixed[i] = i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -1.0);
+    }
+    const std::vector<std::pair<std::string, std::vector<double>>> starts = {
+        {"stale", heavy.rates},
+        {"short", std::vector<double>(heavy.rates.begin(), heavy.rates.end() - 1)},
+        {"long", std::vector<double>(n + 3, 1.0)},
+        {"nan", std::vector<double>(n, nan)},
+        {"mixed-non-finite", mixed},
+        {"above-saturation", above},
+        {"zeros", std::vector<double>(n, 0.0)},
+    };
+    for (const double frac : {0.05, 0.5, 0.85}) {
+      const double lambda = frac * lambda_max;
+      const auto cold = solver.optimize(lambda);
+      for (const auto& [kind, start] : starts) {
+        opt::SolverWorkspace ws;
+        (void)solver.optimize(0.3 * lambda_max, ws);  // a previous solve: warm from here on
+        ws.warm_start(start);
+        const auto warm = solver.optimize(lambda, ws);
+        expect_matches_cold(warm, cold, std::string(name) + " " + kind + " frac=" +
+                                            std::to_string(frac));
+      }
+    }
+  }
+
+  // Every server starts loaded, though the light load idles the slowest:
+  // their rates fall back to zero, up to the inner rate tolerance.
+  const auto cluster = model::paper_example_cluster();
+  const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+  const double lambda = 0.05 * cluster.max_generic_rate();
+  const auto cold = solver.optimize(lambda);
+  ASSERT_LT(cold.active_servers(), cluster.size());
+  opt::SolverWorkspace ws;
+  (void)solver.optimize(0.9 * cluster.max_generic_rate(), ws);
+  const auto warm = solver.optimize(lambda, ws);
+  expect_matches_cold(warm, cold, "now-inactive");
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    if (cold.rates[i] == 0.0) {
+      EXPECT_LE(warm.rates[i], 1e-12) << "server " << i;
+    }
+  }
+}
+
+TEST(WarmStart, FarSeedsSolveInBothDirections) {
+  for (const auto& [name, cluster] :
+       {std::pair{"paper", model::paper_example_cluster()},
+        std::pair{"churn", testsupport::churn_cluster()}}) {
+    const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+    const double lambda_max = cluster.max_generic_rate();
+    opt::SolverWorkspace ws;
+    // Far jumps up and down from light to near-saturation load ...
+    for (const double frac : {0.02, 0.98, 0.02, 0.995, 0.3}) {
+      const auto warm = solver.optimize(frac * lambda_max, ws);
+      expect_matches_cold(warm, solver.optimize(frac * lambda_max),
+                          std::string(name) + " jump frac=" + std::to_string(frac));
+    }
+    // ... and a descending sweep, where each seed sits above the root.
+    for (double frac = 0.95; frac > 0.04; frac -= 0.05) {
+      const auto warm = solver.optimize(frac * lambda_max, ws);
+      expect_matches_cold(warm, solver.optimize(frac * lambda_max),
+                          std::string(name) + " sweep frac=" + std::to_string(frac));
+    }
+  }
+}
+
+TEST(WarmStart, WarmSweepMatchesColdAcrossRegimes) {
+  // The corpus regimes with well-conditioned rates; flat-marginal
+  // (LargeServers) rates are pinned only to the T' tolerance elsewhere.
+  for (const Regime r : {Regime::Random, Regime::NearSaturation, Regime::SingleBlade,
+                         Regime::SpeedExtremes, Regime::SizeExtremes}) {
+    for (const Discipline d : {Discipline::Fcfs, Discipline::SpecialPriority}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const Instance inst = make_instance(r, seed, d);
+        const opt::LoadDistributionOptimizer solver(inst.cluster, d);
+        opt::SolverWorkspace ws;
+        for (const double scale : {1.0, 1.01, 0.97, 0.6, 1.0}) {
+          const double lambda = std::min(scale * inst.lambda, 0.999 * inst.cluster.max_generic_rate());
+          const auto warm = solver.optimize(lambda, ws);
+          const auto cold = solver.optimize(lambda);
+          EXPECT_NEAR(warm.response_time, cold.response_time, 1e-9 * cold.response_time)
+              << inst.name << " scale=" << scale;
+          for (std::size_t i = 0; i < cold.rates.size(); ++i) {
+            EXPECT_NEAR(warm.rates[i], cold.rates[i], 1e-6 * (1.0 + cold.rates[i]))
+                << inst.name << " scale=" << scale << " server " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(WarmStart, ClearLeavesAWorkspaceThatSolvesLikeAFreshOne) {
+  for (const auto& cluster : {model::paper_example_cluster(), testsupport::churn_cluster()}) {
+    const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+    const double lambda = 0.55 * cluster.max_generic_rate();
+    opt::SolverWorkspace ws;
+    for (const double frac : {0.3, 0.7, 0.71}) (void)solver.optimize(frac * cluster.max_generic_rate(), ws);
+    ws.clear();
+    expect_bitwise(solver.optimize(lambda, ws), solver.optimize(lambda), "after clear()");
+
+    // Rates handed to a workspace with no previous solve are ignored.
+    opt::SolverWorkspace fresh;
+    fresh.warm_start(std::vector<double>(cluster.size(), 1.0));
+    expect_bitwise(solver.optimize(lambda, fresh), solver.optimize(lambda), "warm_start() on fresh");
+  }
+}
+
+// The counter gate behind CI's controller re-solve cost: on serve-churn's
+// cluster a warm re-solve after a 1% lambda' step, and one after a server
+// fails (started from the last split mapped onto the survivors, as the
+// controller does), each cost at most 60% of a cold solve's marginal
+// evaluations. Measured when this gate was set: 1,570 vs 5,315 for the
+// step and 2,126 vs 6,701 for the failure at 60% load.
+TEST(WarmStart, ChurnClusterReSolvesCostAtMostSixtyPercentOfCold) {
+  const auto cluster = testsupport::churn_cluster();
+  const std::size_t n = cluster.size();
+  const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+  for (const double frac : {0.35, 0.6, 0.8}) {
+    const double lambda = frac * cluster.max_generic_rate();
+    opt::SolverWorkspace ws;
+    (void)solver.optimize(lambda, ws);
+
+    const auto step = solver.optimize(1.01 * lambda, ws);
+    const auto step_cold = solver.optimize(1.01 * lambda);
+    expect_matches_cold(step, step_cold, "1% step frac=" + std::to_string(frac));
+    EXPECT_LE(step.inner_evaluations, (6 * step_cold.inner_evaluations) / 10)
+        << "1% step frac=" << frac << " cold=" << step_cold.inner_evaluations;
+
+    // The server carrying the most load fails.
+    const std::size_t lost = static_cast<std::size_t>(
+        std::max_element(step.rates.begin(), step.rates.end()) - step.rates.begin());
+    std::vector<model::BladeServer> survivors;
+    std::vector<double> start;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == lost) continue;
+      survivors.push_back(cluster.server(i));
+      start.push_back(step.rates[i]);
+    }
+    const opt::LoadDistributionOptimizer after(model::Cluster(survivors, cluster.rbar()),
+                                               Discipline::Fcfs);
+    const double lambda_after = std::min(1.01 * lambda, 0.95 * after.cluster().max_generic_rate());
+    ws.warm_start(start);
+    const auto failover = after.optimize(lambda_after, ws);
+    const auto failover_cold = after.optimize(lambda_after);
+    expect_matches_cold(failover, failover_cold, "failover frac=" + std::to_string(frac));
+    EXPECT_LE(failover.inner_evaluations, (6 * failover_cold.inner_evaluations) / 10)
+        << "failover frac=" << frac << " cold=" << failover_cold.inner_evaluations;
+  }
 }
 
 // --- batched solves ------------------------------------------------------
