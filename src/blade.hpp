@@ -5,6 +5,8 @@
 //   opt::LoadDistributionOptimizer           the paper's solver
 //   opt::closed_form_distribution            Theorems 1/3 (single-blade)
 //   sim::simulate_split / sim::replicate     discrete-event validation
+//   runtime::replay_policy / runtime::replay one routed generic stream
+//                                            (dispatch policy / controller)
 //   cloud::figure / cloud::example_table     the paper's experiments
 #pragma once
 
@@ -35,6 +37,7 @@
 #include "parallel/parallel_for.hpp"           // IWYU pragma: export
 #include "parallel/sweep.hpp"                  // IWYU pragma: export
 #include "parallel/thread_pool.hpp"            // IWYU pragma: export
+#include "policy/policy.hpp"                   // IWYU pragma: export
 #include "queueing/birth_death.hpp"            // IWYU pragma: export
 #include "queueing/blade_queue.hpp"            // IWYU pragma: export
 #include "queueing/ctmc.hpp"                   // IWYU pragma: export
@@ -44,8 +47,8 @@
 #include "queueing/mmmk.hpp"                   // IWYU pragma: export
 #include "queueing/priority_ctmc.hpp"          // IWYU pragma: export
 #include "queueing/waiting_distribution.hpp"   // IWYU pragma: export
+#include "runtime/replay.hpp"                  // IWYU pragma: export
 #include "sim/batch_means.hpp"                 // IWYU pragma: export
-#include "sim/dispatcher.hpp"                  // IWYU pragma: export
 #include "sim/service.hpp"                     // IWYU pragma: export
 #include "sim/simulation.hpp"                  // IWYU pragma: export
 #include "util/histogram.hpp"                  // IWYU pragma: export

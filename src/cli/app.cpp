@@ -24,7 +24,6 @@
 #include "queueing/waiting_distribution.hpp"
 #include "runtime/chaos.hpp"
 #include "runtime/replay.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/simulation.hpp"
 #include "util/fileio.hpp"
 #include "util/strings.hpp"
@@ -71,6 +70,48 @@ policy::PolicyConfig make_policy_config(const model::Cluster& cluster, double la
     for (const auto& s : cluster.servers()) cfg.speeds.push_back(s.speed());
   }
   return cfg;
+}
+
+/// "jsq-d (d = 2)": the policy name, with the probe depth where it applies.
+std::string describe_policy(const policy::PolicyConfig& cfg) {
+  std::string out = policy::to_string(cfg.kind);
+  if (policy::probes_queue_state(cfg.kind) && cfg.kind != policy::PolicyKind::Jsq) {
+    out += " (d = " + std::to_string(cfg.probe_d) + ")";
+  }
+  return out;
+}
+
+std::string measured_line(const sim::SimResult& res) {
+  std::ostringstream os;
+  os << "measured T'       " << util::fixed(res.generic_mean_response, 4) << " generic ("
+     << res.generic_samples << " tasks), " << util::fixed(res.special_mean_response, 4)
+     << " special (" << res.special_samples << " tasks)\n";
+  return os.str();
+}
+
+/// The measured-split and probe-cost lines both policy reports end with.
+std::string policy_tail(const runtime::PolicyReplayResult& res) {
+  const auto& c = res.counters;
+  std::ostringstream os;
+  os << "measured split    " << util::to_string(res.measured_fractions, 4) << '\n'
+     << "probe cost        " << c.probes << " probes / " << c.routed << " routed = "
+     << util::fixed(c.routed > 0 ? static_cast<double>(c.probes) /
+                                       static_cast<double>(c.routed)
+                                 : 0.0,
+                    3)
+     << " per task (" << c.redraws << " redraws, " << c.ties << " ties, " << c.herd_events
+     << " herd events, " << c.fallback_scans << " fallback scans)\n";
+  return os.str();
+}
+
+/// Flags that configure the controller, which `serve-replay --policy`
+/// does not run: that path rejects them instead of ignoring them.
+bool configures_controller(const std::string& flag) {
+  for (const char* prefix : {"--health", "--checkpoint-", "--slo-", "--recorder-"}) {
+    if (flag.rfind(prefix, 0) == 0) return true;
+  }
+  return flag == "--half-life" || flag == "--ceiling" || flag == "--drift" ||
+         flag == "--shards" || flag == "--prune-k";
 }
 
 }  // namespace
@@ -257,45 +298,24 @@ std::string run_sim(const model::Cluster& cluster, double lambda, std::uint64_t 
   check_lambda(cluster, lambda);
   const std::string name = opts.policy.empty() ? "opt-split" : opts.policy;
   const auto cfg = make_policy_config(cluster, lambda, name, seed, opts);
-  sim::PolicyDispatcher dispatcher(cfg, cluster.size());
 
-  sim::SimConfig scfg;
-  scfg.horizon = 40000.0;
-  scfg.warmup = 4000.0;
-  scfg.seed = seed;
-  scfg.service_scv = opts.service_scv;
-  const auto res = sim::simulate_dispatched(cluster, lambda, dispatcher,
-                                            sim::to_mode(opts.discipline), scfg);
-
+  runtime::ReplayTrace trace;
+  trace.horizon = 40000.0;
+  trace.seed = seed;
+  trace.events.push_back({.time = 0.0, .kind = runtime::ReplayEvent::Kind::Rate, .rate = lambda});
+  runtime::ReplayOptions ropts;
+  ropts.warmup = 4000.0;
+  ropts.service_scv = opts.service_scv;
+  const auto res = runtime::replay_policy(cluster, cfg, trace, ropts, opts.discipline);
   const auto optimum = make_solver(cluster, opts).optimize(lambda);
-  const auto& c = dispatcher.counters();
-  std::vector<double> fractions(cluster.size(), 0.0);
-  std::uint64_t total = 0;
-  for (const std::uint64_t k : dispatcher.routed_by_server()) total += k;
-  for (std::size_t i = 0; i < cluster.size() && total > 0; ++i) {
-    fractions[i] = static_cast<double>(dispatcher.routed_by_server()[i]) /
-                   static_cast<double>(total);
-  }
 
   std::ostringstream os;
   os << cluster.describe() << '\n'
-     << "policy " << dispatcher.name();
-  if (policy::probes_queue_state(cfg.kind) && cfg.kind != policy::PolicyKind::Jsq) {
-    os << " (d = " << cfg.probe_d << ")";
-  }
-  os << ", lambda' = " << lambda << ", seed " << seed << "\n\n"
-     << "measured T'       " << util::fixed(res.generic_mean_response, 4) << " generic ("
-     << res.generic_samples << " tasks), " << util::fixed(res.special_mean_response, 4)
-     << " special (" << res.special_samples << " tasks)\n"
-     << "optimal-split T'  " << util::fixed(optimum.response_time, 4) << " (analytic)\n"
-     << "measured split    " << util::to_string(fractions, 4) << '\n'
-     << "probe cost        " << c.probes << " probes / " << c.routed << " routed = "
-     << util::fixed(c.routed > 0 ? static_cast<double>(c.probes) /
-                                       static_cast<double>(c.routed)
-                                 : 0.0,
-                    3)
-     << " per task (" << c.redraws << " redraws, " << c.ties << " ties, " << c.herd_events
-     << " herd events, " << c.fallback_scans << " fallback scans)\n";
+     << "policy " << describe_policy(cfg) << ", lambda' = " << lambda << ", seed " << seed
+     << "\n\n"
+     << measured_line(res.sim) << "optimal-split T'  " << util::fixed(optimum.response_time, 4)
+     << " (analytic)\n"
+     << policy_tail(res);
   return os.str();
 }
 
@@ -326,37 +346,21 @@ std::string run_serve_replay_policy(const model::Cluster& cluster, const std::st
   if (serve.chaos_seed > 0) {
     runtime::FaultInjector chaos(serve.chaos_seed, profile.value());
     ropts.chaos = &chaos;
-    res = runtime::replay_policy(cluster, cfg, trace, ropts);
+    res = runtime::replay_policy(cluster, cfg, trace, ropts, opts.discipline);
     std::ostringstream cs;
     cs << "chaos             profile " << serve.chaos_profile << " (seed " << serve.chaos_seed
        << "): blade flaps merged into the failure schedule\n";
     chaos_line = cs.str();
   } else {
-    res = runtime::replay_policy(cluster, cfg, trace, ropts);
+    res = runtime::replay_policy(cluster, cfg, trace, ropts, opts.discipline);
   }
 
-  const auto& c = res.counters;
   std::ostringstream os;
   os << cluster.describe() << '\n'
      << "replayed horizon " << trace.horizon << " (seed " << trace.seed << ") through policy "
-     << policy::to_string(cfg.kind);
-  if (policy::probes_queue_state(cfg.kind) && cfg.kind != policy::PolicyKind::Jsq) {
-    os << " (d = " << cfg.probe_d << ")";
-  }
-  os << "\n\n"
-     << "generic arrivals  " << c.routed << " routed (no admission control)\n"
-     << chaos_line
-     << "measured T'       " << util::fixed(res.sim.generic_mean_response, 4) << " generic ("
-     << res.sim.generic_samples << " tasks), " << util::fixed(res.sim.special_mean_response, 4)
-     << " special (" << res.sim.special_samples << " tasks)\n"
-     << "measured split    " << util::to_string(res.measured_fractions, 4) << '\n'
-     << "probe cost        " << c.probes << " probes / " << c.routed << " routed = "
-     << util::fixed(c.routed > 0 ? static_cast<double>(c.probes) /
-                                       static_cast<double>(c.routed)
-                                 : 0.0,
-                    3)
-     << " per task (" << c.redraws << " redraws, " << c.ties << " ties, " << c.herd_events
-     << " herd events, " << c.fallback_scans << " fallback scans)\n";
+     << describe_policy(cfg) << "\n\n"
+     << "generic arrivals  " << res.counters.routed << " routed (no admission control)\n"
+     << chaos_line << measured_line(res.sim) << policy_tail(res);
   return os.str();
 }
 
@@ -495,9 +499,7 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
      << res.stats.lkg_publications << " served from LKG, " << res.stats.fallback_publications
      << " proportional), " << res.stats.rejected_observations
      << " rejected observations, final mode " << runtime::to_string(res.final_mode) << '\n'
-     << "measured T'       " << util::fixed(res.sim.generic_mean_response, 4) << " generic ("
-     << res.sim.generic_samples << " tasks), " << util::fixed(res.sim.special_mean_response, 4)
-     << " special (" << res.sim.special_samples << " tasks)\n"
+     << measured_line(res.sim)
      << "final split       " << util::to_string(res.final_fractions, 4) << " (shed prob "
      << util::fixed(res.final_shed_probability, 4) << ")\n"
      << health_line << checkpoint_line << recorder_line;
@@ -564,7 +566,9 @@ std::string usage() {
          "  --reps <n>        validate: replications (default 6)\n"
          "  --policy <name>   sim / serve-replay: dispatch policy (random,\n"
          "                    round-robin, jsq, jsq-d, sb-d, ha-jsq-d, wjsq-d,\n"
-         "                    opt-split); sim defaults to opt-split\n"
+         "                    opt-split); sim defaults to opt-split. With\n"
+         "                    serve-replay it replaces the controller, so the\n"
+         "                    controller's flags are rejected\n"
          "  --probe-d <k>     probes per arrival for d-choices policies (default 2)\n"
          "  --seed <n>        validate / serve-replay: base seed (default 1)\n"
          "  --half-life <t>   serve-replay: estimator half-life (default horizon/100)\n"
@@ -683,8 +687,10 @@ std::string run_cli(const std::vector<std::string>& args) {
   std::uint64_t seed = 1;
   std::string metrics_out;
   obs::ExportFormat metrics_format = obs::ExportFormat::Json;
+  std::string controller_flag;  // the first flag only the controller honours
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
+    if (controller_flag.empty() && configures_controller(a)) controller_flag = a;
     auto next = [&](const char* flag) -> std::string {
       if (i + 1 >= args.size()) throw std::invalid_argument(std::string(flag) + " needs a value");
       return args[++i];
@@ -773,6 +779,11 @@ std::string run_cli(const std::vector<std::string>& args) {
     }
   }
   if (pos.empty()) throw std::invalid_argument(usage());
+  if (pos[0] == "serve-replay" && !opts.policy.empty() && !controller_flag.empty()) {
+    throw std::invalid_argument(controller_flag +
+                                " configures the controller, which serve-replay --policy "
+                                "does not run");
+  }
   std::string out = dispatch(pos, opts, reps, seed, serve);
   // Export after the command so the file reflects the whole run. Workers
   // are idle here (every command drains its sweeps before returning), so

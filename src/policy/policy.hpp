@@ -43,7 +43,7 @@
 // Consistency contract: the StateView handed to route() must read LIVE
 // server state at the arrival instant. Cached or snapshot-based views
 // reintroduce the read-during-departure staleness bug class the policy
-// oracle tests pin down (see sim::PolicyDispatcher).
+// oracle tests pin down (see runtime::live_state_view).
 #pragma once
 
 #include <cstddef>

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "runtime/chaos.hpp"
-
 #include "sim/arrivals.hpp"
 #include "sim/engine.hpp"
 #include "sim/failures.hpp"
@@ -235,114 +237,325 @@ void append_sim_event(sim::FailureSchedule& sched, const ReplayEvent& e) {
   }
 }
 
-/// Variable-rate generic Poisson source feeding the controller for
-/// admission and the published alias table for routing. Rate changes
-/// cancel and re-draw the pending interarrival — valid because the
-/// exponential is memoryless.
-struct GenericDriver {
-  sim::Engine& engine;
-  Controller& controller;
-  const std::vector<sim::ServerSim*>& servers;
-  sim::ServiceDistribution work;
-  sim::RngStream arrivals;
-  sim::RngStream routing;
-  sim::RngStream admission;
-  FaultInjector* chaos = nullptr;
-  double rate = 0.0;
-  sim::EventId pending = 0;
-  bool has_pending = false;
-  std::uint64_t dispatch_sample = 0;  ///< record every Nth dispatch (0 = off)
-  std::uint64_t dispatches = 0;
-  std::uint64_t rate_epoch = 0;
-  std::uint64_t routes_to_quarantined = 0;  ///< see ReplayResult
+/// The checks both entry points share; `who` prefixes the message.
+void validate_options(const model::Cluster& cluster, const ReplayTrace& trace,
+                      const ReplayOptions& options, const std::string& who) {
+  trace.validate(cluster.size());
+  if (!(options.warmup >= 0.0) || options.warmup >= trace.horizon) {
+    throw std::invalid_argument(who + ": warmup must be in [0, horizon)");
+  }
+  if (!(options.checkpoint_every >= 0.0) || !std::isfinite(options.checkpoint_every)) {
+    throw std::invalid_argument(who + ": checkpoint_every must be >= 0");
+  }
+  if (options.checkpoint_every > 0.0 && options.checkpoint_out.empty()) {
+    throw std::invalid_argument(who + ": checkpoint_every needs a checkpoint_out path");
+  }
+}
 
-  void set_rate(double r) {
-    if (has_pending) {
-      engine.cancel(pending);
-      has_pending = false;
+/// Returned by a router's route() for an arrival that is not routed
+/// (shed by admission control, or no usable table published).
+constexpr std::size_t kNotRouted = static_cast<std::size_t>(-1);
+
+/// The one replay loop. It owns the engine, the response collector, the
+/// simulated servers, the special streams, the variable-rate generic
+/// source and the failure schedule (trace events plus chaos flap and
+/// gray events), and assembles the SimResult. What happens to each
+/// generic arrival is the Router's business, called directly (no
+/// virtual or std::function hop on the per-arrival path):
+///
+///   std::size_t route(double t, servers)  destination, or kNotRouted
+///   void dispatched(double t, dest)       after the task entered dest
+///   void special_arrival(double t, i)     before a special task enters i
+///   void blade_event(double t, event)     after the blades changed
+///   bool observes_completions()           wire completion callbacks?
+///   void completion(double t, i)          a generic task finished at i
+///
+/// Rate changes cancel and re-draw the pending interarrival, which is
+/// valid because the exponential is memoryless. Callers may schedule
+/// their own events on engine() between construction and run(); they
+/// then fire after the trace's events at equal times.
+template <class Router>
+class ReplayLoop {
+ public:
+  ReplayLoop(const model::Cluster& cluster, const ReplayTrace& trace,
+             const ReplayOptions& options, sim::SchedulingMode mode, Router& router)
+      : router_(router),
+        horizon_(trace.horizon),
+        collector_(options.warmup, false),
+        work_(sim::ServiceDistribution::from_scv(cluster.rbar(), options.service_scv)),
+        arrivals_(trace.seed, 1000003),
+        routed_(cluster.size(), 0),
+        dispatch_sample_(options.dispatch_sample) {
+    for (const auto& srv : cluster.servers()) {
+      servers_.push_back(
+          std::make_unique<sim::ServerSim>(engine_, srv.size(), srv.speed(), mode, collector_));
+      raw_.push_back(servers_.back().get());
     }
-    rate = r;
-    BLADE_OBS_EVENT(EpochMark, rate_epoch++, engine.now(), r, 0.0);
+    // Special streams: RNG stream ids match the static simulator's
+    // convention, so every router sees the same background load.
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      const auto& srv = cluster.server(i);
+      if (srv.special_rate() > 0.0) {
+        // Two words of capture fit std::function's inline buffer: no heap
+        // hop per special arrival.
+        sources_.push_back(std::make_unique<sim::PoissonSource>(
+            engine_, srv.special_rate(), work_, sim::TaskClass::Special,
+            sim::RngStream(trace.seed, 2 * i + 1), [this, i](sim::Task t) {
+              router_.special_arrival(engine_.now(), i);
+              raw_[i]->arrive(t);
+            }));
+      }
+    }
+
+    sim::FailureSchedule failures;
+    for (const auto& e : trace.events) {
+      if (e.kind == ReplayEvent::Kind::Rate) {
+        engine_.schedule_at(e.time, [this, rate = e.rate] { set_rate(rate); });
+      } else {
+        append_sim_event(failures, e);
+      }
+    }
+    if (options.chaos != nullptr) {
+      for (const ReplayEvent& e : options.chaos->flap_events(trace.horizon, cluster.size())) {
+        append_sim_event(failures, e);
+      }
+      for (const ReplayEvent& e : options.chaos->gray_events(trace.horizon, cluster.size())) {
+        append_sim_event(failures, e);
+      }
+    }
+    // Blade events mutate the simulated servers first, then reach the
+    // router at the same instant.
+    sim::schedule_failures(engine_, failures, raw_, [this](const sim::FailureEvent& ev) {
+      router_.blade_event(engine_.now(), ev);
+    });
+    if (router_.observes_completions()) {
+      for (std::size_t i = 0; i < raw_.size(); ++i) {
+        raw_[i]->set_completion_observer([this, i](const sim::Task& task, double) {
+          if (task.cls == sim::TaskClass::Generic) router_.completion(engine_.now(), i);
+        });
+      }
+    }
+  }
+
+  ReplayLoop(const ReplayLoop&) = delete;
+  ReplayLoop& operator=(const ReplayLoop&) = delete;
+
+  [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
+  [[nodiscard]] const sim::ResponseTimeCollector& collector() const noexcept {
+    return collector_;
+  }
+  /// Generic tasks routed to each server so far.
+  [[nodiscard]] const std::vector<std::uint64_t>& routed() const noexcept { return routed_; }
+
+  /// Starts the special streams, runs to the horizon and reports.
+  [[nodiscard]] sim::SimResult run() {
+    for (auto& src : sources_) src->start();
+    engine_.run_until(horizon_);
+    sim::SimResult r;
+    r.generic_mean_response = collector_.generic().mean();
+    r.generic_samples = collector_.generic().count();
+    r.special_mean_response = collector_.special().mean();
+    r.special_samples = collector_.special().count();
+    r.events = engine_.events_processed();
+    for (const auto& s : servers_) {
+      sim::ServerObservation obs;
+      obs.utilization = s->mean_utilization(0.0, horizon_);
+      obs.time_avg_tasks = s->time_avg_tasks(0.0, horizon_);
+      obs.completions = s->completions();
+      obs.preemptions = s->preemptions();
+      r.servers.push_back(obs);
+    }
+    return r;
+  }
+
+ private:
+  void set_rate(double r) {
+    if (has_pending_) {
+      engine_.cancel(pending_);
+      has_pending_ = false;
+    }
+    rate_ = r;
+    BLADE_OBS_EVENT(EpochMark, rate_epoch_++, engine_.now(), r, 0.0);
     schedule_next();
   }
 
   void schedule_next() {
-    if (!(rate > 0.0)) return;
-    pending = engine.schedule(arrivals.exponential(1.0 / rate), [this] { fire(); });
-    has_pending = true;
+    if (!(rate_ > 0.0)) return;
+    pending_ = engine_.schedule(arrivals_.exponential(1.0 / rate_), [this] { fire(); });
+    has_pending_ = true;
   }
 
   void fire() {
-    has_pending = false;
-    const double t = engine.now();
+    has_pending_ = false;
+    const double t = engine_.now();
+    const std::size_t dest = router_.route(t, raw_);
+    if (dest != kNotRouted) {
+      sim::Task task;
+      task.cls = sim::TaskClass::Generic;
+      task.work = work_.sample(arrivals_);
+      ++routed_[dest];
+      ++dispatches_;
+      if (dispatch_sample_ > 0 && dispatches_ % dispatch_sample_ == 0) {
+        BLADE_OBS_EVENT(Dispatch, dest, t, dispatches_, 0.0);
+      }
+      raw_[dest]->arrive(task);
+      router_.dispatched(t, dest);
+    }
+    schedule_next();
+  }
+
+  Router& router_;
+  double horizon_;
+  sim::Engine engine_;
+  sim::ResponseTimeCollector collector_;
+  std::vector<std::unique_ptr<sim::ServerSim>> servers_;
+  std::vector<sim::ServerSim*> raw_;
+  std::vector<std::unique_ptr<sim::PoissonSource>> sources_;
+  sim::ServiceDistribution work_;
+  sim::RngStream arrivals_;  ///< generic interarrivals and task sizes
+  std::vector<std::uint64_t> routed_;
+  std::uint64_t dispatch_sample_;
+  std::uint64_t dispatches_ = 0;
+  std::uint64_t rate_epoch_ = 0;
+  double rate_ = 0.0;
+  sim::EventId pending_ = 0;
+  bool has_pending_ = false;
+};
+
+/// replay()'s router: the controller's telemetry (corrupted by chaos when
+/// set), admission control, the published alias table, failure
+/// notification and health bookkeeping.
+class ControllerRouter {
+ public:
+  ControllerRouter(Controller& controller, FaultInjector* chaos, std::uint64_t seed)
+      : controller_(controller),
+        chaos_(chaos),
+        routing_(seed, 1000033),
+        admission_(seed, 1000019) {}
+
+  std::size_t route(double t, const std::vector<sim::ServerSim*>& servers) {
     bool heard = true;  // did the controller's telemetry see this arrival?
     double report_t = t;
-    if (chaos != nullptr) {
-      const ObservationFault f = chaos->corrupt_observation(t);
+    if (chaos_ != nullptr) {
+      const ObservationFault f = chaos_->corrupt_observation(t);
       heard = !f.drop;
       report_t = f.time;
       // Phantom spikes: telemetry reports arrivals that never happened.
       // A draw of 2.0 can never be shed, so phantoms perturb only the
       // estimators and counters, not the routed workload.
       for (unsigned k = 0; heard && k < f.phantoms; ++k) {
-        (void)controller.on_generic_arrival(report_t, 2.0);
+        (void)controller_.on_generic_arrival(report_t, 2.0);
       }
-      if (chaos->should_fault_solver()) controller.arm_solver_fault();
+      if (chaos_->should_fault_solver()) controller_.arm_solver_fault();
     }
     // A dropped observation still carries a real task: it routes through
     // the published table, bypassing admission the controller never saw.
-    const bool admit = heard ? controller.on_generic_arrival(report_t, admission.uniform()) : true;
-    if (admit) {
-      const auto table = controller.weights();
-      if (table && table->size() == servers.size()) {
-        sim::Task task;
-        task.cls = sim::TaskClass::Generic;
-        task.work = work.sample(arrivals);
-        const std::size_t dest = table->sample(routing.uniform(), routing.uniform());
-        ++dispatches;
-        if (dispatch_sample > 0 && dispatches % dispatch_sample == 0) {
-          BLADE_OBS_EVENT(Dispatch, dest, t, dispatches, 0.0);
-        }
-        servers[dest]->arrive(task);
-        if (controller.health_enabled()) {
-          // Contract violation tally, judged on the state the routing
-          // decision was made under (on_dispatch below may quarantine
-          // dest itself): a quarantined destination only counts while a
-          // healthy alternative was available — serving a degraded blade
-          // beats blackout when the fleet is dark.
-          if (controller.health_state(dest) == HealthState::Quarantined) {
-            for (std::size_t i = 0; i < servers.size(); ++i) {
-              if (i != dest && controller.available_blades(i) > 0 &&
-                  controller.health_state(i) != HealthState::Quarantined) {
-                ++routes_to_quarantined;
-                break;
-              }
-            }
-          }
-          controller.on_dispatch(t, dest);
+    if (heard && !controller_.on_generic_arrival(report_t, admission_.uniform())) {
+      return kNotRouted;
+    }
+    const auto table = controller_.weights();
+    if (!table || table->size() != servers.size()) return kNotRouted;
+    // The coin is drawn before the bucket, the order every seeded replay
+    // has used.
+    const double coin = routing_.uniform();
+    const double bucket = routing_.uniform();
+    return table->sample(bucket, coin);
+  }
+
+  void dispatched(double t, std::size_t dest) {
+    if (!controller_.health_enabled()) return;
+    // Contract violation tally, judged on the state the routing decision
+    // was made under (on_dispatch below may quarantine dest itself): a
+    // quarantined destination only counts while a healthy alternative
+    // was available — serving a degraded blade beats blackout when the
+    // fleet is dark.
+    if (controller_.health_state(dest) == HealthState::Quarantined) {
+      for (std::size_t i = 0; i < controller_.size(); ++i) {
+        if (i != dest && controller_.available_blades(i) > 0 &&
+            controller_.health_state(i) != HealthState::Quarantined) {
+          ++routes_to_quarantined_;
+          break;
         }
       }
     }
-    schedule_next();
+    controller_.on_dispatch(t, dest);
   }
+
+  void special_arrival(double t, std::size_t i) { controller_.on_special_arrival(t, i); }
+
+  /// Failures and recoveries re-solve and republish at the same instant.
+  /// Gray events (slowdowns, stalls) are not announced: detecting them is
+  /// the health tracker's job, fed by dispatches and completions.
+  void blade_event(double t, const sim::FailureEvent& ev) {
+    if (ev.kind == sim::FailureKind::Failure) {
+      controller_.on_failure(t, ev.server, ev.blades);
+    } else if (ev.kind == sim::FailureKind::Recovery) {
+      controller_.on_recovery(t, ev.server, ev.blades);
+    }
+  }
+
+  [[nodiscard]] bool observes_completions() const { return controller_.health_enabled(); }
+  void completion(double t, std::size_t i) { controller_.on_completion(t, i); }
+
+  [[nodiscard]] std::uint64_t routes_to_quarantined() const noexcept {
+    return routes_to_quarantined_;
+  }
+
+ private:
+  Controller& controller_;
+  FaultInjector* chaos_;
+  sim::RngStream routing_;
+  sim::RngStream admission_;
+  std::uint64_t routes_to_quarantined_ = 0;
 };
 
-ReplayResult replay_impl(const model::Cluster& cluster, const ControllerConfig& cfg,
-                         const ReplayTrace& trace, const ReplayOptions& options) {
-  trace.validate(cluster.size());
-  FaultInjector* chaos = options.chaos;
-  const double warmup = options.warmup;
-  const double service_scv = options.service_scv;
-  if (!(warmup >= 0.0) || warmup >= trace.horizon) {
-    throw std::invalid_argument("replay: warmup must be in [0, horizon)");
+policy::ServerState read_live_state(const void* ctx, std::size_t i) {
+  const sim::ServerSim& s = *(*static_cast<const std::vector<sim::ServerSim*>*>(ctx))[i];
+  return policy::ServerState{
+      .speed = s.speed(),
+      .blades = s.blades(),
+      .available = s.available_blades(),
+      .in_system = s.tasks_in_system(),
+  };
+}
+
+/// replay_policy()'s router: every arrival is routed, by the policy over
+/// the live server state; nothing else listens.
+class PolicyRouter {
+ public:
+  PolicyRouter(const policy::PolicyConfig& cfg, std::size_t n) : policy_(cfg, n) {}
+
+  std::size_t route(double, const std::vector<sim::ServerSim*>& servers) {
+    return policy_.route(live_state_view(servers));
   }
+  void dispatched(double, std::size_t) {}
+  void special_arrival(double, std::size_t) {}
+  void blade_event(double, const sim::FailureEvent&) {}
+  [[nodiscard]] bool observes_completions() const { return false; }
+  void completion(double, std::size_t) {}
+
+  [[nodiscard]] const policy::PolicyCounters& counters() const noexcept {
+    return policy_.counters();
+  }
+
+ private:
+  policy::DispatchPolicy policy_;
+};
+
+}  // namespace
+
+policy::StateView live_state_view(const std::vector<sim::ServerSim*>& servers) {
+  return policy::StateView{&servers, &read_live_state, servers.size()};
+}
+
+ReplayResult replay(const model::Cluster& cluster, const ControllerConfig& cfg,
+                    const ReplayTrace& trace, const ReplayOptions& options) {
+  validate_options(cluster, trace, options, "replay");
   const bool slo_enabled = options.slo.any_enabled();
   if (slo_enabled && options.slo_epochs < 1) {
     throw std::invalid_argument("replay: slo_epochs must be >= 1");
   }
 
-  sim::Engine engine;
-  sim::ResponseTimeCollector collector(warmup, false);
   Controller controller(cluster, cfg);
   if (!options.checkpoint_in.empty()) {
     const blade::Status restored = controller.restore_checkpoint(options.checkpoint_in);
@@ -351,83 +564,9 @@ ReplayResult replay_impl(const model::Cluster& cluster, const ControllerConfig& 
                                   restored.error().context);
     }
   }
-
-  const sim::SchedulingMode mode = sim::to_mode(cfg.discipline);
-  std::vector<std::unique_ptr<sim::ServerSim>> servers;
-  std::vector<sim::ServerSim*> raw;
-  for (const auto& srv : cluster.servers()) {
-    servers.push_back(
-        std::make_unique<sim::ServerSim>(engine, srv.size(), srv.speed(), mode, collector));
-    raw.push_back(servers.back().get());
-  }
-
-  // Special streams: each arrival feeds the controller's lambda''_i
-  // estimator and then enters its server (RNG stream ids match the
-  // static simulator's convention).
-  std::vector<std::unique_ptr<sim::PoissonSource>> sources;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    const auto& srv = cluster.server(i);
-    if (srv.special_rate() > 0.0) {
-      sim::ServerSim* dest = raw[i];
-      sources.push_back(std::make_unique<sim::PoissonSource>(
-          engine, srv.special_rate(),
-          sim::ServiceDistribution::from_scv(cluster.rbar(), service_scv),
-          sim::TaskClass::Special, sim::RngStream(trace.seed, 2 * i + 1),
-          [dest, i, &engine, &controller](sim::Task t) {
-            controller.on_special_arrival(engine.now(), i);
-            dest->arrive(t);
-          }));
-    }
-  }
-
-  GenericDriver driver{engine,
-                       controller,
-                       raw,
-                       sim::ServiceDistribution::from_scv(cluster.rbar(), service_scv),
-                       sim::RngStream(trace.seed, 1000003),
-                       sim::RngStream(trace.seed, 1000033),
-                       sim::RngStream(trace.seed, 1000019),
-                       chaos};
-  driver.dispatch_sample = options.dispatch_sample;
-
-  // Failure/recovery events mutate the simulated blades first, then tell
-  // the controller, which re-solves and republishes at the same instant.
-  // Gray events (slowdowns, stalls) mutate only the blades: the
-  // controller hears nothing — detecting them is the health tracker's
-  // job, fed by the dispatch/completion stream below.
-  sim::FailureSchedule failures;
-  for (const auto& e : trace.events) {
-    if (e.kind == ReplayEvent::Kind::Rate) {
-      engine.schedule_at(e.time, [&driver, rate = e.rate] { driver.set_rate(rate); });
-    } else {
-      append_sim_event(failures, e);
-    }
-  }
-  if (chaos != nullptr) {
-    for (const ReplayEvent& e : chaos->flap_events(trace.horizon, cluster.size())) {
-      append_sim_event(failures, e);
-    }
-    for (const ReplayEvent& e : chaos->gray_events(trace.horizon, cluster.size())) {
-      append_sim_event(failures, e);
-    }
-  }
-  sim::schedule_failures(engine, failures, raw, [&](const sim::FailureEvent& ev) {
-    if (ev.kind == sim::FailureKind::Failure) {
-      controller.on_failure(engine.now(), ev.server, ev.blades);
-    } else if (ev.kind == sim::FailureKind::Recovery) {
-      controller.on_recovery(engine.now(), ev.server, ev.blades);
-    }
-  });
-
-  // Health scoring's observed-rate side: every generic completion at a
-  // server reports to the controller at the instant it happens.
-  if (controller.health_enabled()) {
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      raw[i]->set_completion_observer([&controller, &engine, i](const sim::Task& task, double) {
-        if (task.cls == sim::TaskClass::Generic) controller.on_completion(engine.now(), i);
-      });
-    }
-  }
+  ControllerRouter router(controller, options.chaos, trace.seed);
+  ReplayLoop loop(cluster, trace, options, sim::to_mode(cfg.discipline), router);
+  sim::Engine& engine = loop.engine();
 
   // Crash-safe checkpoint persistence: periodic atomic writes plus one
   // final write after the horizon, so a restarted process can resume
@@ -442,14 +581,9 @@ ReplayResult replay_impl(const model::Cluster& cluster, const ControllerConfig& 
     ++checkpoints_written;
     BLADE_OBS_COUNT("runtime.checkpoint_writes");
   };
-  if (!options.checkpoint_out.empty()) {
-    if (!(options.checkpoint_every >= 0.0) || !std::isfinite(options.checkpoint_every)) {
-      throw std::invalid_argument("replay: checkpoint_every must be >= 0");
-    }
-    if (options.checkpoint_every > 0.0) {
-      for (double t = options.checkpoint_every; t < trace.horizon; t += options.checkpoint_every) {
-        engine.schedule_at(t, write_checkpoint);
-      }
+  if (options.checkpoint_every > 0.0) {
+    for (double t = options.checkpoint_every; t < trace.horizon; t += options.checkpoint_every) {
+      engine.schedule_at(t, write_checkpoint);
     }
   }
 
@@ -479,7 +613,7 @@ ReplayResult replay_impl(const model::Cluster& cluster, const ControllerConfig& 
       const double t1 = (k == options.slo_epochs) ? trace.horizon
                                                   : epoch_len * static_cast<double>(k);
       engine.schedule_at(t1, [&, k, t1, epoch_len] {
-        const auto& gen = collector.generic();
+        const auto& gen = loop.collector().generic();
         const ControllerStats now = controller.stats();
         obs::SloEpoch epoch;
         epoch.index = k;
@@ -514,169 +648,39 @@ ReplayResult replay_impl(const model::Cluster& cluster, const ControllerConfig& 
     }
   }
 
-  for (auto& src : sources) src->start();
-  engine.run_until(trace.horizon);
+  result.sim = loop.run();
   if (!options.checkpoint_out.empty()) write_checkpoint();
 
   result.stats = controller.stats();
-  result.routes_to_quarantined = driver.routes_to_quarantined;
+  result.routes_to_quarantined = router.routes_to_quarantined();
   result.checkpoints_written = checkpoints_written;
   result.shed_fraction = result.stats.shed_fraction();
   result.final_shed_probability = controller.shed_probability();
   result.final_fractions = controller.routing_fractions();
   result.final_mode = controller.mode();
-  result.sim.generic_mean_response = collector.generic().mean();
-  result.sim.generic_samples = collector.generic().count();
-  result.sim.special_mean_response = collector.special().mean();
-  result.sim.special_samples = collector.special().count();
-  result.sim.events = engine.events_processed();
-  for (const auto& s : servers) {
-    sim::ServerObservation obs;
-    obs.utilization = s->mean_utilization(0.0, trace.horizon);
-    obs.time_avg_tasks = s->time_avg_tasks(0.0, trace.horizon);
-    obs.completions = s->completions();
-    obs.preemptions = s->preemptions();
-    result.sim.servers.push_back(obs);
-  }
   if (slo_set) result.slo_breaches = slo_set->total_breaches();
   return result;
 }
 
-/// The policy-harness counterpart of GenericDriver: same variable-rate
-/// arrival process (same RNG stream), but every admitted-by-default task
-/// routes through a DispatchPolicy over the live server state.
-struct PolicyDriver {
-  sim::Engine& engine;
-  policy::DispatchPolicy& policy;
-  const std::vector<sim::ServerSim*>& servers;
-  std::vector<std::uint64_t>& routed;
-  sim::ServiceDistribution work;
-  sim::RngStream arrivals;
-  double rate = 0.0;
-  sim::EventId pending = 0;
-  bool has_pending = false;
-
-  void set_rate(double r) {
-    if (has_pending) {
-      engine.cancel(pending);
-      has_pending = false;
-    }
-    rate = r;
-    schedule_next();
-  }
-
-  void schedule_next() {
-    if (!(rate > 0.0)) return;
-    pending = engine.schedule(arrivals.exponential(1.0 / rate), [this] { fire(); });
-    has_pending = true;
-  }
-
-  static policy::ServerState read_state(const void* ctx, std::size_t i) {
-    const auto& raw = *static_cast<const std::vector<sim::ServerSim*>*>(ctx);
-    const sim::ServerSim& s = *raw[i];
-    return policy::ServerState{
-        .speed = s.speed(),
-        .blades = s.blades(),
-        .available = s.available_blades(),
-        .in_system = s.tasks_in_system(),
-    };
-  }
-
-  void fire() {
-    has_pending = false;
-    sim::Task task;
-    task.cls = sim::TaskClass::Generic;
-    task.work = work.sample(arrivals);
-    const policy::StateView view{&servers, &read_state, servers.size()};
-    const std::size_t dest = policy.route(view);
-    ++routed[dest];
-    servers[dest]->arrive(task);
-    schedule_next();
-  }
-};
-
-}  // namespace
-
 PolicyReplayResult replay_policy(const model::Cluster& cluster,
                                  const policy::PolicyConfig& policy_cfg,
-                                 const ReplayTrace& trace, const ReplayOptions& options) {
-  trace.validate(cluster.size());
-  if (!(options.warmup >= 0.0) || options.warmup >= trace.horizon) {
-    throw std::invalid_argument("replay_policy: warmup must be in [0, horizon)");
+                                 const ReplayTrace& trace, const ReplayOptions& options,
+                                 queue::Discipline discipline) {
+  validate_options(cluster, trace, options, "replay_policy");
+  // SLO epochs and checkpoints are controller state; a policy has none.
+  if (options.slo.any_enabled()) {
+    throw std::invalid_argument("replay_policy: slo needs the controller (use replay)");
   }
-  policy::DispatchPolicy policy(policy_cfg, cluster.size());
-
-  sim::Engine engine;
-  sim::ResponseTimeCollector collector(options.warmup, false);
-  const sim::SchedulingMode mode = sim::SchedulingMode::Fcfs;
-  std::vector<std::unique_ptr<sim::ServerSim>> servers;
-  std::vector<sim::ServerSim*> raw;
-  for (const auto& srv : cluster.servers()) {
-    servers.push_back(
-        std::make_unique<sim::ServerSim>(engine, srv.size(), srv.speed(), mode, collector));
-    raw.push_back(servers.back().get());
+  if (!options.checkpoint_in.empty() || !options.checkpoint_out.empty()) {
+    throw std::invalid_argument("replay_policy: checkpoints need the controller (use replay)");
   }
-
-  // Special streams keep their servers partially busy exactly as in
-  // replay() — same RNG stream ids, so the background load a policy sees
-  // is identical to what the controller harness sees.
-  std::vector<std::unique_ptr<sim::PoissonSource>> sources;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    const auto& srv = cluster.server(i);
-    if (srv.special_rate() > 0.0) {
-      sim::ServerSim* dest = raw[i];
-      sources.push_back(std::make_unique<sim::PoissonSource>(
-          engine, srv.special_rate(),
-          sim::ServiceDistribution::from_scv(cluster.rbar(), options.service_scv),
-          sim::TaskClass::Special, sim::RngStream(trace.seed, 2 * i + 1),
-          [dest](sim::Task t) { dest->arrive(t); }));
-    }
-  }
+  PolicyRouter router(policy_cfg, cluster.size());
+  ReplayLoop loop(cluster, trace, options, sim::to_mode(discipline), router);
 
   PolicyReplayResult result;
-  result.routed_by_server.assign(cluster.size(), 0);
-  PolicyDriver driver{engine,
-                      policy,
-                      raw,
-                      result.routed_by_server,
-                      sim::ServiceDistribution::from_scv(cluster.rbar(), options.service_scv),
-                      sim::RngStream(trace.seed, 1000003)};
-
-  sim::FailureSchedule failures;
-  for (const auto& e : trace.events) {
-    if (e.kind == ReplayEvent::Kind::Rate) {
-      engine.schedule_at(e.time, [&driver, rate = e.rate] { driver.set_rate(rate); });
-    } else {
-      append_sim_event(failures, e);
-    }
-  }
-  if (options.chaos != nullptr) {
-    for (const ReplayEvent& e : options.chaos->flap_events(trace.horizon, cluster.size())) {
-      append_sim_event(failures, e);
-    }
-    for (const ReplayEvent& e : options.chaos->gray_events(trace.horizon, cluster.size())) {
-      append_sim_event(failures, e);
-    }
-  }
-  sim::schedule_failures(engine, failures, raw, [](const sim::FailureEvent&) {});
-
-  for (auto& src : sources) src->start();
-  engine.run_until(trace.horizon);
-
-  result.counters = policy.counters();
-  result.sim.generic_mean_response = collector.generic().mean();
-  result.sim.generic_samples = collector.generic().count();
-  result.sim.special_mean_response = collector.special().mean();
-  result.sim.special_samples = collector.special().count();
-  result.sim.events = engine.events_processed();
-  for (const auto& s : servers) {
-    sim::ServerObservation obs;
-    obs.utilization = s->mean_utilization(0.0, trace.horizon);
-    obs.time_avg_tasks = s->time_avg_tasks(0.0, trace.horizon);
-    obs.completions = s->completions();
-    obs.preemptions = s->preemptions();
-    result.sim.servers.push_back(obs);
-  }
+  result.sim = loop.run();
+  result.counters = router.counters();
+  result.routed_by_server = loop.routed();
   std::uint64_t total = 0;
   for (const std::uint64_t c : result.routed_by_server) total += c;
   result.measured_fractions.assign(cluster.size(), 0.0);
@@ -687,29 +691,6 @@ PolicyReplayResult replay_policy(const model::Cluster& cluster,
     }
   }
   return result;
-}
-
-ReplayResult replay(const model::Cluster& cluster, const ControllerConfig& cfg,
-                    const ReplayTrace& trace, double warmup, double service_scv) {
-  ReplayOptions options;
-  options.warmup = warmup;
-  options.service_scv = service_scv;
-  return replay_impl(cluster, cfg, trace, options);
-}
-
-ReplayResult replay(const model::Cluster& cluster, const ControllerConfig& cfg,
-                    const ReplayTrace& trace, const ReplayOptions& options) {
-  return replay_impl(cluster, cfg, trace, options);
-}
-
-ReplayResult replay_chaotic(const model::Cluster& cluster, const ControllerConfig& cfg,
-                            const ReplayTrace& trace, FaultInjector& chaos, double warmup,
-                            double service_scv) {
-  ReplayOptions options;
-  options.warmup = warmup;
-  options.service_scv = service_scv;
-  options.chaos = &chaos;
-  return replay_impl(cluster, cfg, trace, options);
 }
 
 }  // namespace blade::runtime

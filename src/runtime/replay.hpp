@@ -37,7 +37,9 @@
 #include "model/cluster.hpp"
 #include "obs/slo.hpp"
 #include "policy/policy.hpp"
+#include "queueing/blade_queue.hpp"
 #include "runtime/controller.hpp"
+#include "sim/server_sim.hpp"
 #include "sim/simulation.hpp"
 #include "util/status.hpp"
 
@@ -83,11 +85,17 @@ struct ReplayTrace {
 /// fully lost at horizon/3 and recovered at 2*horizon/3.
 [[nodiscard]] ReplayTrace reference_failure_trace(const model::Cluster& cluster, double horizon);
 
-/// Optional knobs for replay() beyond the trace itself.
+/// Optional knobs for replay() and replay_policy() beyond the trace
+/// itself. Each entry point honours every field or rejects it with
+/// std::invalid_argument; see the two functions for which is which.
 struct ReplayOptions {
   double warmup = 0.0;
   double service_scv = 1.0;
-  /// Fault injection in the loop (see replay_chaotic); nullptr = none.
+  /// Fault injection in the loop; nullptr = none. Both entry points
+  /// merge its flap and gray events into the failure schedule; replay()
+  /// also passes every observation through corrupt_observation (drops,
+  /// phantom spikes, timewarped stamps) and arms solver faults per
+  /// should_fault_solver. Deterministic per (trace.seed, chaos).
   FaultInjector* chaos = nullptr;
   /// SLO objectives; when any target is enabled the horizon is split
   /// into `slo_epochs` windows, each evaluated through an obs::SloSet
@@ -108,7 +116,8 @@ struct ReplayOptions {
   /// more at the horizon.
   std::string checkpoint_out;
   /// Simulated-time interval between periodic checkpoint writes; 0 with
-  /// a checkpoint_out path writes only the final checkpoint.
+  /// a checkpoint_out path writes only the final checkpoint. A positive
+  /// interval without a checkpoint_out path is rejected.
   double checkpoint_every = 0.0;
 };
 
@@ -133,14 +142,10 @@ struct ReplayResult {
 /// special streams feed both their server and the controller's lambda''
 /// estimators; generic arrivals ask the controller for admission, then
 /// route through the currently published alias table. Failures drain the
-/// simulated blades and notify the controller at the same instant.
+/// simulated blades and notify the controller at the same instant. Every
+/// ReplayOptions field applies.
 [[nodiscard]] ReplayResult replay(const model::Cluster& cluster, const ControllerConfig& cfg,
-                                  const ReplayTrace& trace, double warmup = 0.0,
-                                  double service_scv = 1.0);
-
-/// Full-options replay: chaos, SLO epoch evaluation, dispatch sampling.
-[[nodiscard]] ReplayResult replay(const model::Cluster& cluster, const ControllerConfig& cfg,
-                                  const ReplayTrace& trace, const ReplayOptions& options);
+                                  const ReplayTrace& trace, const ReplayOptions& options = {});
 
 /// What one dispatch policy did over a replayed timeline.
 struct PolicyReplayResult {
@@ -152,27 +157,26 @@ struct PolicyReplayResult {
 
 /// Replays `trace`'s timeline through a policy::DispatchPolicy instead of
 /// the controller: generic arrivals follow the trace's rate epochs, the
-/// failure/recovery schedule drains and restores simulated blades (plus
-/// `options.chaos` flap events when set), and every generic task routes
-/// by `policy_cfg` over the LIVE server state. No admission control, no
-/// re-solving — this is the head-to-head harness the policy bench matrix
-/// and the ablation tests drive, sharing arrival/service RNG streams
-/// with replay() so per-policy differences are routing-only. Of the
-/// options only warmup, service_scv, and chaos apply (SLO epochs and
-/// dispatch sampling are controller-plane concerns).
-[[nodiscard]] PolicyReplayResult replay_policy(const model::Cluster& cluster,
-                                               const policy::PolicyConfig& policy_cfg,
-                                               const ReplayTrace& trace,
-                                               const ReplayOptions& options = {});
+/// failure/recovery schedule drains and restores simulated blades, and
+/// every generic task routes by `policy_cfg` over the LIVE server state,
+/// queued under `discipline`. No admission control, no re-solving — this
+/// is the head-to-head harness the policy bench matrix, the `sim` command
+/// and the ablation tests drive, sharing arrival/service RNG streams with
+/// replay() so per-policy differences are routing-only.
+///
+/// Of the options, warmup, service_scv, chaos (its flap and gray events;
+/// there is no telemetry to corrupt) and dispatch_sample apply. The
+/// controller-state options are rejected with std::invalid_argument: an
+/// enabled SLO target, checkpoint_in, checkpoint_out, and so a positive
+/// checkpoint_every.
+[[nodiscard]] PolicyReplayResult replay_policy(
+    const model::Cluster& cluster, const policy::PolicyConfig& policy_cfg,
+    const ReplayTrace& trace, const ReplayOptions& options = {},
+    queue::Discipline discipline = queue::Discipline::Fcfs);
 
-/// replay() with a FaultInjector in the loop: observations pass through
-/// chaos.corrupt_observation before reaching the controller (drops,
-/// phantom spikes, timewarped stamps), solver faults are armed per
-/// chaos.should_fault_solver, and chaos.flap_events are merged into the
-/// trace's failure schedule. Deterministic per (trace.seed, chaos).
-[[nodiscard]] ReplayResult replay_chaotic(const model::Cluster& cluster,
-                                          const ControllerConfig& cfg, const ReplayTrace& trace,
-                                          FaultInjector& chaos, double warmup = 0.0,
-                                          double service_scv = 1.0);
+/// The policy-side view of simulated servers that replay_policy routes
+/// over: each probe reads the server's state at the call instant, never
+/// a snapshot. `servers` must outlive the view.
+[[nodiscard]] policy::StateView live_state_view(const std::vector<sim::ServerSim*>& servers);
 
 }  // namespace blade::runtime

@@ -1,10 +1,11 @@
 #include "sim/simulation.hpp"
 
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "parallel/parallel_for.hpp"
 #include "sim/arrivals.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/engine.hpp"
 
 namespace blade::sim {
@@ -14,47 +15,46 @@ SchedulingMode to_mode(queue::Discipline d) noexcept {
                                       : SchedulingMode::NonPreemptivePriority;
 }
 
-namespace {
-
-struct World {
+SimResult simulate_split(const model::Cluster& cluster, const std::vector<double>& rates,
+                         SchedulingMode mode, const SimConfig& config) {
+  if (rates.size() != cluster.size()) {
+    throw std::invalid_argument("simulate_split: rate vector size mismatch");
+  }
   Engine engine;
-  ResponseTimeCollector collector;
+  ResponseTimeCollector collector(config.warmup, config.record_generic_trace);
   std::vector<std::unique_ptr<ServerSim>> servers;
-  std::vector<std::unique_ptr<PoissonSource>> sources;
-
-  World(double warmup, bool trace) : collector(warmup, trace) {}
-};
-
-std::unique_ptr<World> build_world(const model::Cluster& cluster, SchedulingMode mode,
-                                   const SimConfig& config) {
-  auto w = std::make_unique<World>(config.warmup, config.record_generic_trace);
   for (const auto& srv : cluster.servers()) {
-    w->servers.push_back(
-        std::make_unique<ServerSim>(w->engine, srv.size(), srv.speed(), mode, w->collector));
+    servers.push_back(
+        std::make_unique<ServerSim>(engine, srv.size(), srv.speed(), mode, collector));
   }
-  // Dedicated special streams (one RNG stream per server).
+  // Dedicated streams: special on RNG stream 2i+1, generic on 2i+2.
+  const auto work = ServiceDistribution::from_scv(cluster.rbar(), config.service_scv);
+  std::vector<std::unique_ptr<PoissonSource>> sources;
+  const auto add_source = [&](std::size_t i, double rate, TaskClass cls, std::uint64_t stream) {
+    ServerSim* dest = servers[i].get();
+    sources.push_back(std::make_unique<PoissonSource>(engine, rate, work, cls,
+                                                      RngStream(config.seed, stream),
+                                                      [dest](Task t) { dest->arrive(t); }));
+  };
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    const auto& srv = cluster.server(i);
-    if (srv.special_rate() > 0.0) {
-      ServerSim* dest = w->servers[i].get();
-      w->sources.push_back(std::make_unique<PoissonSource>(
-          w->engine, srv.special_rate(),
-          ServiceDistribution::from_scv(cluster.rbar(), config.service_scv), TaskClass::Special,
-          RngStream(config.seed, 2 * i + 1), [dest](Task t) { dest->arrive(t); }));
-    }
+    const double special = cluster.server(i).special_rate();
+    if (special > 0.0) add_source(i, special, TaskClass::Special, 2 * i + 1);
   }
-  return w;
-}
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    if (rates[i] < 0.0) throw std::invalid_argument("simulate_split: negative rate");
+    if (rates[i] > 0.0) add_source(i, rates[i], TaskClass::Generic, 2 * i + 2);
+  }
+  for (auto& src : sources) src->start();
+  engine.run_until(config.horizon);
 
-SimResult harvest(World& w, const SimConfig& config) {
   SimResult r;
-  r.generic_mean_response = w.collector.generic().mean();
-  r.generic_samples = w.collector.generic().count();
-  r.special_mean_response = w.collector.special().mean();
-  r.special_samples = w.collector.special().count();
-  r.events = w.engine.events_processed();
-  r.servers.reserve(w.servers.size());
-  for (const auto& s : w.servers) {
+  r.generic_mean_response = collector.generic().mean();
+  r.generic_samples = collector.generic().count();
+  r.special_mean_response = collector.special().mean();
+  r.special_samples = collector.special().count();
+  r.events = engine.events_processed();
+  r.servers.reserve(servers.size());
+  for (const auto& s : servers) {
     ServerObservation obs;
     obs.utilization = s->mean_utilization(0.0, config.horizon);
     obs.time_avg_tasks = s->time_avg_tasks(0.0, config.horizon);
@@ -62,65 +62,8 @@ SimResult harvest(World& w, const SimConfig& config) {
     obs.preemptions = s->preemptions();
     r.servers.push_back(obs);
   }
-  r.generic_trace = w.collector.take_generic_trace();
+  r.generic_trace = collector.take_generic_trace();
   return r;
-}
-
-}  // namespace
-
-SimResult simulate_split(const model::Cluster& cluster, const std::vector<double>& rates,
-                         SchedulingMode mode, const SimConfig& config) {
-  if (rates.size() != cluster.size()) {
-    throw std::invalid_argument("simulate_split: rate vector size mismatch");
-  }
-  auto w = build_world(cluster, mode, config);
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (rates[i] < 0.0) throw std::invalid_argument("simulate_split: negative rate");
-    if (rates[i] > 0.0) {
-      ServerSim* dest = w->servers[i].get();
-      w->sources.push_back(std::make_unique<PoissonSource>(
-          w->engine, rates[i],
-          ServiceDistribution::from_scv(cluster.rbar(), config.service_scv), TaskClass::Generic,
-          RngStream(config.seed, 2 * i + 2), [dest](Task t) { dest->arrive(t); }));
-    }
-  }
-  for (auto& src : w->sources) src->start();
-  w->engine.run_until(config.horizon);
-  return harvest(*w, config);
-}
-
-SimResult simulate_dispatched(const model::Cluster& cluster, double lambda_total,
-                              Dispatcher& dispatcher, SchedulingMode mode,
-                              const SimConfig& config) {
-  if (!(lambda_total > 0.0)) {
-    throw std::invalid_argument("simulate_dispatched: lambda' must be > 0");
-  }
-  auto w = build_world(cluster, mode, config);
-  std::vector<ServerSim*> raw;
-  raw.reserve(w->servers.size());
-  for (auto& s : w->servers) raw.push_back(s.get());
-
-  // The arrival callback is the simulator's hottest edge: one route() per
-  // generic task. Dispatcher is a virtual interface, but the two
-  // steady-state policies are final classes — recover the concrete type
-  // once so the per-task call is direct (inlinable) instead of virtual.
-  std::function<void(Task)> arrive;
-  if (auto* prob = dynamic_cast<ProbabilisticDispatcher*>(&dispatcher)) {
-    arrive = [prob, raw](Task t) { raw[prob->route(raw)]->arrive(t); };
-  } else if (auto* dyn = dynamic_cast<DynamicWeightDispatcher*>(&dispatcher)) {
-    arrive = [dyn, raw](Task t) { raw[dyn->route(raw)]->arrive(t); };
-  } else if (auto* pol = dynamic_cast<PolicyDispatcher*>(&dispatcher)) {
-    arrive = [pol, raw](Task t) { raw[pol->route(raw)]->arrive(t); };
-  } else {
-    arrive = [&dispatcher, raw](Task t) { raw[dispatcher.route(raw)]->arrive(t); };
-  }
-  w->sources.push_back(std::make_unique<PoissonSource>(
-      w->engine, lambda_total,
-      ServiceDistribution::from_scv(cluster.rbar(), config.service_scv), TaskClass::Generic,
-      RngStream(config.seed, 1000003), std::move(arrive)));
-  for (auto& src : w->sources) src->start();
-  w->engine.run_until(config.horizon);
-  return harvest(*w, config);
 }
 
 ReplicatedResult replicate(const std::function<SimResult(const SimConfig&)>& one_run,

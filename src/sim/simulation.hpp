@@ -1,14 +1,12 @@
 // Top-level cluster simulation: builds the blade-center model (servers,
-// special streams, generic routing), runs it, and reports measured
-// response times. Two entry points:
-//
-//   simulate_split       per-server independent generic Poisson streams at
-//                        given rates — exactly the paper's model after the
-//                        probabilistic split (a split Poisson process is
-//                        again Poisson), used to validate the analytics;
-//   simulate_dispatched  a single generic stream routed per-task by a
-//                        Dispatcher (probabilistic / round-robin / JSQ),
-//                        used for the dynamic-policy extension benches.
+// special streams, per-server generic streams), runs it, and reports
+// measured response times. simulate_split feeds each server an
+// independent generic Poisson stream at a given rate — exactly the
+// paper's model after the probabilistic split (a split Poisson process
+// is again Poisson), used to validate the analytics. One generic stream
+// routed task by task (a dispatch policy or the online controller) is
+// runtime::replay_policy / runtime::replay, which report the same
+// SimResult.
 //
 // replicate() runs many seeds in parallel and returns a confidence
 // interval on the generic mean response time.
@@ -22,7 +20,6 @@
 #include "model/cluster.hpp"
 #include "parallel/thread_pool.hpp"
 #include "queueing/blade_queue.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/server_sim.hpp"
 #include "util/stats.hpp"
 
@@ -68,12 +65,6 @@ struct SimResult {
 [[nodiscard]] SimResult simulate_split(const model::Cluster& cluster,
                                        const std::vector<double>& rates, SchedulingMode mode,
                                        const SimConfig& config);
-
-/// Simulates the cluster with one generic stream of rate `lambda_total`
-/// routed task-by-task through `dispatcher`.
-[[nodiscard]] SimResult simulate_dispatched(const model::Cluster& cluster, double lambda_total,
-                                            Dispatcher& dispatcher, SchedulingMode mode,
-                                            const SimConfig& config);
 
 struct ReplicatedResult {
   util::ConfidenceInterval generic_response;  ///< CI over replication means

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/app.hpp"
 #include "cli/bench_gate.hpp"
@@ -160,10 +162,18 @@ TEST(App, ScvChangesTheAnswer) {
   EXPECT_NE(exp_out, det_out);
 }
 
+/// A scratch file name unique to the running test. ctest runs every test
+/// as its own process, in parallel: a name shared between tests lets one
+/// test's TearDown delete the file another test is reading.
+std::string test_file(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() + suffix;
+}
+
 class CliDriver : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "cli_driver_demo.spec";
+    path_ = test_file(".spec");
     std::ofstream(path_) << kSpec;
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -280,7 +290,7 @@ class CliServeReplay : public CliDriver {
  protected:
   void SetUp() override {
     CliDriver::SetUp();
-    trace_path_ = ::testing::TempDir() + "cli_serve.trace";
+    trace_path_ = test_file(".trace");
     std::ofstream(trace_path_) << "horizon 300\nseed 7\nrate 0 4.0\nrate 100 7.0\n"
                                   "fail 150 2\nrecover 200 2\n";
   }
@@ -352,6 +362,64 @@ TEST_F(CliServeReplay, SloFlagValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)cli::run_cli({"serve-replay", path_, trace_path_, "--slo-epochs", "0"}),
                std::invalid_argument);
+}
+
+std::string measured_t_line(const std::string& report) {
+  const std::size_t at = report.find("measured T'");
+  return at == std::string::npos ? "" : report.substr(at, report.find('\n', at) - at);
+}
+
+TEST_F(CliDriver, SimRunsTheNamedPolicy) {
+  const auto out = cli::run_cli({"sim", path_, "6.0", "--policy", "jsq-d", "--probe-d", "3"});
+  EXPECT_NE(out.find("policy jsq-d (d = 3)"), std::string::npos);
+  EXPECT_NE(out.find("measured split"), std::string::npos);
+  EXPECT_NE(out.find("= 3.000 per task"), std::string::npos) << out;
+}
+
+TEST_F(CliDriver, SimPriorityQueuesByPriority) {
+  const auto fcfs = cli::run_cli({"sim", path_, "6.0"});
+  const auto priority = cli::run_cli({"sim", path_, "6.0", "--priority"});
+  EXPECT_NE(priority.find("policy opt-split"), std::string::npos);
+  EXPECT_NE(measured_t_line(priority), "");
+  EXPECT_NE(measured_t_line(priority), measured_t_line(fcfs));
+}
+
+TEST_F(CliServeReplay, PolicyReplayHonoursPriority) {
+  const auto fcfs = cli::run_cli({"serve-replay", path_, trace_path_, "--policy", "opt-split"});
+  const auto priority = cli::run_cli(
+      {"serve-replay", path_, trace_path_, "--policy", "opt-split", "--priority"});
+  EXPECT_NE(priority.find("through policy opt-split"), std::string::npos);
+  EXPECT_NE(measured_t_line(priority), "");
+  EXPECT_NE(measured_t_line(priority), measured_t_line(fcfs));
+}
+
+TEST_F(CliServeReplay, PolicyReplayRejectsControllerFlags) {
+  const std::vector<std::vector<std::string>> flags = {
+      {"--half-life", "3"},
+      {"--ceiling", "0.9"},
+      {"--drift", "0.05"},
+      {"--health"},
+      {"--health-suspect", "0.6"},
+      {"--checkpoint-out", "x.ckpt"},
+      {"--checkpoint-every", "10"},
+      {"--checkpoint-in", "x.ckpt"},
+      {"--shards", "2"},
+      {"--prune-k", "1"},
+      {"--slo-target", "5"},
+      {"--slo-epochs", "4"},
+      {"--recorder-out", "x.jsonl"},
+      {"--recorder-capacity", "64"},
+  };
+  for (const auto& flag : flags) {
+    std::vector<std::string> args = {"serve-replay", path_, trace_path_, "--policy", "jsq-d"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    try {
+      (void)cli::run_cli(args);
+      ADD_FAILURE() << flag[0] << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag[0]), std::string::npos) << e.what();
+    }
+  }
 }
 
 // --- the bench_check gate (cli/bench_gate.hpp) ----------------------------

@@ -22,7 +22,6 @@
 #include "parallel/thread_pool.hpp"
 #include "policy/policy.hpp"
 #include "runtime/replay.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/server_sim.hpp"
@@ -44,6 +43,14 @@ StateView make_view(const std::vector<ServerState>& fleet) {
                      return (*static_cast<const std::vector<ServerState>*>(ctx))[i];
                    },
                    fleet.size()};
+}
+
+runtime::ReplayTrace steady_trace(double horizon, double rate, std::uint64_t seed) {
+  runtime::ReplayTrace trace;
+  trace.horizon = horizon;
+  trace.seed = seed;
+  trace.events.push_back({.time = 0.0, .kind = runtime::ReplayEvent::Kind::Rate, .rate = rate});
+  return trace;
 }
 
 std::vector<ServerState> uniform_fleet(std::size_t n) {
@@ -257,19 +264,14 @@ TEST(LightTraffic, SimulatorJsq2FractionsNearOracle) {
   const int reps = 6;
   std::vector<std::vector<double>> fractions(cluster.size());
   for (int k = 0; k < reps; ++k) {
-    PolicyConfig cfg = config_of(PolicyKind::JsqD, 2, 100 + static_cast<std::uint64_t>(k));
-    sim::PolicyDispatcher dispatcher(cfg, cluster.size());
-    sim::SimConfig scfg;
-    scfg.horizon = 60000.0;
-    scfg.warmup = 0.0;
-    scfg.seed = 100 + static_cast<std::uint64_t>(k);
-    (void)sim::simulate_dispatched(cluster, 0.05, dispatcher, sim::SchedulingMode::Fcfs, scfg);
+    const std::uint64_t seed = 100 + static_cast<std::uint64_t>(k);
+    const auto res = runtime::replay_policy(cluster, config_of(PolicyKind::JsqD, 2, seed),
+                                            steady_trace(60000.0, 0.05, seed));
     std::uint64_t total = 0;
-    for (const auto c : dispatcher.routed_by_server()) total += c;
+    for (const auto c : res.routed_by_server) total += c;
     ASSERT_GT(total, 1000u);
     for (std::size_t i = 0; i < cluster.size(); ++i) {
-      fractions[i].push_back(static_cast<double>(dispatcher.routed_by_server()[i]) /
-                             static_cast<double>(total));
+      fractions[i].push_back(res.measured_fractions[i]);
     }
   }
   for (std::size_t i = 0; i < cluster.size(); ++i) {
@@ -361,9 +363,11 @@ TEST(Determinism, PinnedSeedReproducesTheRoutedSequence) {
 TEST(Determinism, ReplicateIsThreadCountInvariant) {
   const model::Cluster cluster({{4, 2.0, 0.5}, {4, 1.0, 0.5}, {2, 1.0, 0.2}}, 1.0);
   auto one_run = [&](const sim::SimConfig& c) {
-    PolicyConfig cfg = config_of(PolicyKind::HeteroJsqD, 2, c.seed);
-    sim::PolicyDispatcher dispatcher(cfg, cluster.size());
-    return sim::simulate_dispatched(cluster, 3.0, dispatcher, sim::SchedulingMode::Fcfs, c);
+    runtime::ReplayOptions options;
+    options.warmup = c.warmup;
+    return runtime::replay_policy(cluster, config_of(PolicyKind::HeteroJsqD, 2, c.seed),
+                                  steady_trace(c.horizon, 3.0, c.seed), options)
+        .sim;
   };
   sim::SimConfig base;
   base.horizon = 4000.0;
@@ -514,12 +518,14 @@ TEST(SimRegression, JsqSkipsFullyFailedServersAndUsesLiveCapacity) {
   sim::ServerSim s0(engine, 4, 1.0, sim::SchedulingMode::Fcfs, collector);
   sim::ServerSim s1(engine, 4, 1.0, sim::SchedulingMode::Fcfs, collector);
   std::vector<sim::ServerSim*> servers = {&s0, &s1};
-  sim::JoinShortestQueueDispatcher jsq;
+  // JSQ over every server by (q + 1) / (a s), reading live state.
+  DispatchPolicy jsq(config_of(PolicyKind::HeteroJsqD, 2), servers.size());
+  const StateView view = runtime::live_state_view(servers);
 
   // Fully failed server 0 must never win, however empty it looks.
   s0.set_available_blades(0);
   s1.arrive({sim::TaskClass::Generic, 0.0, 50.0});
-  EXPECT_EQ(jsq.route(servers), 1u);
+  EXPECT_EQ(jsq.route(view), 1u);
 
   // Load must normalize by AVAILABLE blades: 1 task on a 1-available
   // server (live load 1.0) vs 2 tasks on a 4-available one (0.5). The
@@ -527,18 +533,10 @@ TEST(SimRegression, JsqSkipsFullyFailedServersAndUsesLiveCapacity) {
   s0.set_available_blades(1);
   s0.arrive({sim::TaskClass::Generic, 0.0, 50.0});
   s1.arrive({sim::TaskClass::Generic, 0.0, 50.0});
-  EXPECT_EQ(jsq.route(servers), 1u);
+  EXPECT_EQ(jsq.route(view), 1u);
 }
 
 // --- replay harness ---------------------------------------------------------
-
-runtime::ReplayTrace steady_trace(double horizon, double rate, std::uint64_t seed) {
-  runtime::ReplayTrace trace;
-  trace.horizon = horizon;
-  trace.seed = seed;
-  trace.events.push_back({.time = 0.0, .kind = runtime::ReplayEvent::Kind::Rate, .rate = rate});
-  return trace;
-}
 
 TEST(ReplayPolicy, OptSplitRealizesItsWeights) {
   const model::Cluster cluster({{4, 2.0, 0.4}, {4, 1.0, 0.4}}, 1.0);

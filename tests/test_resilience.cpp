@@ -809,8 +809,8 @@ void run_chaos_sequence(std::uint64_t seed, std::uint64_t* mode_transitions_out 
   check_chaos_invariants(h, seed, -1);
 
   // Arrivals routed through the injector: drops, phantom spikes, and
-  // timewarped stamps all hit the controller exactly as replay_chaotic
-  // would deliver them.
+  // timewarped stamps all hit the controller exactly as replay() with
+  // ReplayOptions::chaos set would deliver them.
   auto feed = [&](int count) {
     const double gap = 1.0 / h.lambda;
     for (int k = 0; k < count; ++k) {
@@ -936,8 +936,12 @@ TEST(ChaosBattery, ReplayChaoticIsDeterministicAndContained) {
     const auto p = runtime::chaos_profile(profile).value();
     runtime::FaultInjector c1(9, p);
     runtime::FaultInjector c2(9, p);
-    const auto r1 = runtime::replay_chaotic(cluster, cfg, trace, c1);
-    const auto r2 = runtime::replay_chaotic(cluster, cfg, trace, c2);
+    runtime::ReplayOptions o1;
+    o1.chaos = &c1;
+    runtime::ReplayOptions o2;
+    o2.chaos = &c2;
+    const auto r1 = runtime::replay(cluster, cfg, trace, o1);
+    const auto r2 = runtime::replay(cluster, cfg, trace, o2);
 
     EXPECT_EQ(r1.stats.publications, r2.stats.publications) << profile;
     EXPECT_EQ(r1.stats.solver_failures, r2.stats.solver_failures) << profile;

@@ -1,22 +1,29 @@
 // Runtime control plane units: the alias-table sampler, the online rate
-// estimators, the sim-side failure plumbing (blade draining, dynamic
-// dispatch), and the Controller's publish/shed/hysteresis mechanics.
+// estimators, the sim-side failure plumbing (blade draining), and the
+// Controller's publish/shed/hysteresis mechanics.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <numeric>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/optimizer.hpp"
 #include "model/paper_configs.hpp"
+#include "obs/build_info.hpp"
+#include "obs/recorder.hpp"
+#include "policy/policy.hpp"
+#include "runtime/chaos.hpp"
 #include "runtime/controller.hpp"
 #include "runtime/estimator.hpp"
-#include "sim/dispatcher.hpp"
+#include "runtime/replay.hpp"
+#include "sim/engine.hpp"
 #include "sim/failures.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
+#include "sim/server_sim.hpp"
 #include "util/alias_table.hpp"
 
 namespace {
@@ -131,51 +138,6 @@ TEST(WindowRateEstimator, ForgetsArrivalsOutsideTheWindow) {
 }
 
 // ------------------------------------------------- sim-side integration
-
-TEST(ProbabilisticDispatcher, BinarySearchMatchesLinearScanSequence) {
-  // The routing index is defined as the first i with cumulative[i] >= u;
-  // the dispatcher's binary search must reproduce exactly the sequence a
-  // linear scan yields on the same RNG stream (so no seeded statistical
-  // test shifts).
-  const std::vector<double> rates = {0.5, 3.0, 0.0, 1.25, 2.25};
-  std::vector<double> cumulative(rates.size());
-  const double total = std::accumulate(rates.begin(), rates.end(), 0.0);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    acc += rates[i] / total;
-    cumulative[i] = acc;
-  }
-  cumulative.back() = 1.0;
-
-  sim::ProbabilisticDispatcher d(rates, sim::RngStream(123, 9));
-  sim::RngStream reference(123, 9);
-  const std::vector<sim::ServerSim*> servers(rates.size(), nullptr);
-  for (int k = 0; k < 20000; ++k) {
-    const double u = reference.uniform();
-    std::size_t expected = cumulative.size() - 1;
-    for (std::size_t i = 0; i < cumulative.size(); ++i) {
-      if (u <= cumulative[i]) {
-        expected = i;
-        break;
-      }
-    }
-    ASSERT_EQ(d.route(servers), expected) << "draw " << k;
-  }
-}
-
-TEST(DynamicWeightDispatcher, FollowsThePublishedTable) {
-  auto table = std::make_shared<const util::AliasTable>(std::vector<double>{1.0, 0.0});
-  std::atomic<std::shared_ptr<const util::AliasTable>> slot(table);
-  sim::DynamicWeightDispatcher d([&slot] { return slot.load(); }, sim::RngStream(3, 3));
-  const std::vector<sim::ServerSim*> servers(2, nullptr);
-  for (int k = 0; k < 100; ++k) EXPECT_EQ(d.route(servers), 0u);
-  slot.store(std::make_shared<const util::AliasTable>(std::vector<double>{0.0, 1.0}));
-  for (int k = 0; k < 100; ++k) EXPECT_EQ(d.route(servers), 1u);
-  // Null table: uniform fallback still returns a valid index.
-  slot.store(nullptr);
-  for (int k = 0; k < 100; ++k) EXPECT_LT(d.route(servers), 2u);
-  EXPECT_THROW(sim::DynamicWeightDispatcher(nullptr, sim::RngStream(1, 1)), std::invalid_argument);
-}
 
 TEST(ServerSim, BladeDrainIsGracefulAndRecoveryRestartsQueue) {
   sim::Engine engine;
@@ -469,6 +431,107 @@ TEST(Controller, PublishWhileSamplingIsRaceFree) {
   for (auto& th : readers) th.join();
   EXPECT_GT(sampled.load(), 0u);
   EXPECT_GE(ctrl.stats().publications, 400u);
+}
+
+// ------------------------------------------------- replay options contract
+
+std::size_t dispatch_events(const obs::Dump& dump) {
+  std::size_t n = 0;
+  for (const auto& e : dump.merged()) n += e.type == obs::EventType::Dispatch ? 1 : 0;
+  return n;
+}
+
+// Every ReplayOptions field, set away from its default, either changes
+// what each entry point reports or makes it throw std::invalid_argument:
+// no option is silently ignored.
+TEST(ReplayOptions, EveryFieldIsHonouredOrRejected) {
+  using runtime::ReplayOptions;
+  const auto cluster = model::paper_example_cluster();
+  const auto trace = runtime::reference_failure_trace(cluster, 300.0);
+  runtime::ControllerConfig cfg;
+  cfg.half_life = 3.0;
+  policy::PolicyConfig pol;
+  pol.kind = policy::PolicyKind::JsqD;
+  const auto base = runtime::replay(cluster, cfg, trace);
+  const auto pbase = runtime::replay_policy(cluster, pol, trace);
+  const auto heavy = runtime::chaos_profile("heavy").value();
+
+  {  // warmup: early completions are discarded.
+    ReplayOptions o;
+    o.warmup = 100.0;
+    EXPECT_LT(runtime::replay(cluster, cfg, trace, o).sim.generic_samples,
+              base.sim.generic_samples);
+    EXPECT_LT(runtime::replay_policy(cluster, pol, trace, o).sim.generic_samples,
+              pbase.sim.generic_samples);
+  }
+  {  // service_scv: task sizes are no longer exponential.
+    ReplayOptions o;
+    o.service_scv = 0.5;
+    EXPECT_NE(runtime::replay(cluster, cfg, trace, o).sim.generic_mean_response,
+              base.sim.generic_mean_response);
+    EXPECT_NE(runtime::replay_policy(cluster, pol, trace, o).sim.generic_mean_response,
+              pbase.sim.generic_mean_response);
+  }
+  {  // chaos: flaps reach both paths; telemetry and solver faults the controller.
+    runtime::FaultInjector c1(5, heavy);
+    ReplayOptions o;
+    o.chaos = &c1;
+    const auto r = runtime::replay(cluster, cfg, trace, o);
+    EXPECT_GT(r.stats.injected_faults, 0u);
+    EXPECT_NE(r.sim.events, base.sim.events);
+    runtime::FaultInjector c2(5, heavy);
+    o.chaos = &c2;
+    EXPECT_NE(runtime::replay_policy(cluster, pol, trace, o).sim.events, pbase.sim.events);
+  }
+  {  // slo, slo_epochs: controller epochs; a policy has none to evaluate.
+    ReplayOptions o;
+    o.slo.response_time = 1.0;
+    o.slo_epochs = 5;
+    EXPECT_EQ(runtime::replay(cluster, cfg, trace, o).slo.size(), 5u);
+    EXPECT_THROW((void)runtime::replay_policy(cluster, pol, trace, o), std::invalid_argument);
+    o.slo_epochs = 0;
+    EXPECT_THROW((void)runtime::replay(cluster, cfg, trace, o), std::invalid_argument);
+  }
+  if (obs::build_info().obs_enabled) {  // dispatch_sample: recorder-only effect.
+    for (const std::uint64_t every : {std::uint64_t{0}, std::uint64_t{1}}) {
+      ReplayOptions o;
+      o.dispatch_sample = every;
+      obs::recorder().reset();
+      (void)runtime::replay(cluster, cfg, trace, o);
+      EXPECT_EQ(dispatch_events(obs::recorder().dump()) > 0, every > 0);
+      obs::recorder().reset();
+      (void)runtime::replay_policy(cluster, pol, trace, o);
+      EXPECT_EQ(dispatch_events(obs::recorder().dump()) > 0, every > 0);
+    }
+  }
+  const std::string path = ::testing::TempDir() + "replay_options_contract.ckpt";
+  {  // checkpoint_out, checkpoint_every: periodic plus final writes.
+    ReplayOptions o;
+    o.checkpoint_out = path;
+    o.checkpoint_every = 100.0;
+    EXPECT_EQ(runtime::replay(cluster, cfg, trace, o).checkpoints_written, 3u);
+    EXPECT_THROW((void)runtime::replay_policy(cluster, pol, trace, o), std::invalid_argument);
+    o.checkpoint_every = 0.0;
+    EXPECT_THROW((void)runtime::replay_policy(cluster, pol, trace, o), std::invalid_argument);
+    ReplayOptions no_path;
+    no_path.checkpoint_every = 100.0;
+    EXPECT_THROW((void)runtime::replay(cluster, cfg, trace, no_path), std::invalid_argument);
+    EXPECT_THROW((void)runtime::replay_policy(cluster, pol, trace, no_path),
+                 std::invalid_argument);
+  }
+  {  // checkpoint_in: the controller starts from the restored state.
+    runtime::Controller donor(cluster, cfg);
+    ReplayOptions o;
+    o.checkpoint_in = donor.checkpoint_json();
+    EXPECT_EQ(runtime::replay(cluster, cfg, trace, o).stats.restores, 1u);
+    EXPECT_THROW((void)runtime::replay_policy(cluster, pol, trace, o), std::invalid_argument);
+  }
+  std::remove(path.c_str());
+
+  // replay_policy's discipline: the simulation queues what it was asked to.
+  const auto priority =
+      runtime::replay_policy(cluster, pol, trace, {}, queue::Discipline::SpecialPriority);
+  EXPECT_NE(priority.sim.generic_mean_response, pbase.sim.generic_mean_response);
 }
 
 }  // namespace

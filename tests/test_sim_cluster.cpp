@@ -1,13 +1,18 @@
-// Cluster-level simulation: dispatchers, replications with confidence
-// intervals, and the headline validation -- the simulated blade center at
-// the optimizer's distribution reproduces the analytic minimized T'.
+// Cluster-level simulation: dispatch policies over live simulated
+// servers, replications with confidence intervals, and the headline
+// validation -- the simulated blade center at the optimizer's
+// distribution reproduces the analytic minimized T'.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/optimizer.hpp"
 #include "model/paper_configs.hpp"
-#include "sim/dispatcher.hpp"
+#include "policy/policy.hpp"
+#include "runtime/replay.hpp"
+#include "sim/engine.hpp"
+#include "sim/metrics.hpp"
+#include "sim/server_sim.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -16,42 +21,67 @@ using namespace blade;
 using sim::SchedulingMode;
 using sim::SimConfig;
 
+policy::PolicyConfig policy_of(policy::PolicyKind kind, unsigned d = 2) {
+  policy::PolicyConfig cfg;
+  cfg.kind = kind;
+  cfg.probe_d = d;
+  return cfg;
+}
+
+/// One generic stream at a constant `lambda` over `config`'s horizon,
+/// warmup and seed, routed by `cfg` through runtime::replay_policy.
+sim::SimResult simulate_routed(const model::Cluster& cluster, double lambda,
+                               const policy::PolicyConfig& cfg, const SimConfig& config) {
+  runtime::ReplayTrace trace;
+  trace.horizon = config.horizon;
+  trace.seed = config.seed;
+  trace.events.push_back({.time = 0.0, .kind = runtime::ReplayEvent::Kind::Rate, .rate = lambda});
+  runtime::ReplayOptions options;
+  options.warmup = config.warmup;
+  return runtime::replay_policy(cluster, cfg, trace, options).sim;
+}
+
 TEST(Dispatchers, ProbabilisticFollowsRates) {
-  sim::ProbabilisticDispatcher d({1.0, 3.0}, sim::RngStream(1, 0));
-  // Routing needs server pointers only for the size check; fabricate two.
+  // opt-split over live servers: server 0 gets weight 1 of 4.
   sim::Engine e;
   sim::ResponseTimeCollector col;
   sim::ServerSim s0(e, 1, 1.0, SchedulingMode::Fcfs, col);
   sim::ServerSim s1(e, 1, 1.0, SchedulingMode::Fcfs, col);
   const std::vector<sim::ServerSim*> servers{&s0, &s1};
+  policy::PolicyConfig cfg = policy_of(policy::PolicyKind::OptSplit);
+  cfg.weights = {1.0, 3.0};
+  policy::DispatchPolicy d(cfg, servers.size());
+  const policy::StateView view = runtime::live_state_view(servers);
   int first = 0;
   const int total = 40000;
   for (int i = 0; i < total; ++i) {
-    if (d.route(servers) == 0) ++first;
+    if (d.route(view) == 0) ++first;
   }
   EXPECT_NEAR(static_cast<double>(first) / total, 0.25, 0.01);
 }
 
 TEST(Dispatchers, ProbabilisticValidation) {
-  EXPECT_THROW(sim::ProbabilisticDispatcher({}, sim::RngStream(1, 0)), std::invalid_argument);
-  EXPECT_THROW(sim::ProbabilisticDispatcher({0.0, 0.0}, sim::RngStream(1, 0)),
-               std::invalid_argument);
-  EXPECT_THROW(sim::ProbabilisticDispatcher({-1.0, 2.0}, sim::RngStream(1, 0)),
-               std::invalid_argument);
+  policy::PolicyConfig cfg = policy_of(policy::PolicyKind::OptSplit);
+  EXPECT_THROW(policy::DispatchPolicy(cfg, 2), std::invalid_argument);
+  cfg.weights = {0.0, 0.0};
+  EXPECT_THROW(policy::DispatchPolicy(cfg, 2), std::invalid_argument);
+  cfg.weights = {-1.0, 2.0};
+  EXPECT_THROW(policy::DispatchPolicy(cfg, 2), std::invalid_argument);
 }
 
 TEST(Dispatchers, RoundRobinCycles) {
-  sim::RoundRobinDispatcher d;
   sim::Engine e;
   sim::ResponseTimeCollector col;
   sim::ServerSim s0(e, 1, 1.0, SchedulingMode::Fcfs, col);
   sim::ServerSim s1(e, 1, 1.0, SchedulingMode::Fcfs, col);
   sim::ServerSim s2(e, 1, 1.0, SchedulingMode::Fcfs, col);
   const std::vector<sim::ServerSim*> servers{&s0, &s1, &s2};
-  EXPECT_EQ(d.route(servers), 0u);
-  EXPECT_EQ(d.route(servers), 1u);
-  EXPECT_EQ(d.route(servers), 2u);
-  EXPECT_EQ(d.route(servers), 0u);
+  policy::DispatchPolicy d(policy_of(policy::PolicyKind::RoundRobin), servers.size());
+  const policy::StateView view = runtime::live_state_view(servers);
+  EXPECT_EQ(d.route(view), 0u);
+  EXPECT_EQ(d.route(view), 1u);
+  EXPECT_EQ(d.route(view), 2u);
+  EXPECT_EQ(d.route(view), 0u);
 }
 
 TEST(Dispatchers, JsqPicksLeastLoaded) {
@@ -63,9 +93,9 @@ TEST(Dispatchers, JsqPicksLeastLoaded) {
   t.cls = sim::TaskClass::Generic;
   t.work = 100.0;
   s0.arrive(t);  // s0 now busy
-  sim::JoinShortestQueueDispatcher d;
   const std::vector<sim::ServerSim*> servers{&s0, &s1};
-  EXPECT_EQ(d.route(servers), 1u);
+  policy::DispatchPolicy d(policy_of(policy::PolicyKind::HeteroJsqD, 2), servers.size());
+  EXPECT_EQ(d.route(runtime::live_state_view(servers)), 1u);
 }
 
 TEST(ClusterSim, OptimalDistributionReproducesAnalyticTPrime) {
@@ -114,8 +144,11 @@ TEST(ClusterSim, DispatchedProbabilisticMatchesStaticSplit) {
   cfg.horizon = 30000.0;
   cfg.warmup = 3000.0;
   const auto split = sim::simulate_split(cluster, sol.rates, SchedulingMode::Fcfs, cfg);
-  sim::ProbabilisticDispatcher d(sol.rates, sim::RngStream(cfg.seed, 999));
-  const auto routed = sim::simulate_dispatched(cluster, lambda, d, SchedulingMode::Fcfs, cfg);
+  policy::PolicyConfig opt_split = policy_of(policy::PolicyKind::OptSplit);
+  opt_split.seed = cfg.seed;
+  opt_split.stream = 999;
+  opt_split.weights = sol.rates;
+  const auto routed = simulate_routed(cluster, lambda, opt_split, cfg);
   EXPECT_NEAR(routed.generic_mean_response, split.generic_mean_response,
               0.05 * split.generic_mean_response);
 }
@@ -123,6 +156,8 @@ TEST(ClusterSim, DispatchedProbabilisticMatchesStaticSplit) {
 TEST(ClusterSim, JsqBeatsStaticSplitAtHighLoad) {
   // Dynamic state-aware routing beats any static split -- the caveat the
   // paper's static model leaves open; documents what optimality means here.
+  // JSQ probes every server and ranks by tasks per available blade,
+  // speed-weighted: ha-jsq-d with d = n.
   const auto cluster = model::paper_example_cluster();
   const double lambda = 0.85 * cluster.max_generic_rate();
   const auto sol =
@@ -131,8 +166,9 @@ TEST(ClusterSim, JsqBeatsStaticSplitAtHighLoad) {
   cfg.horizon = 20000.0;
   cfg.warmup = 2000.0;
   const auto split = sim::simulate_split(cluster, sol.rates, SchedulingMode::Fcfs, cfg);
-  sim::JoinShortestQueueDispatcher jsq;
-  const auto dynamic = sim::simulate_dispatched(cluster, lambda, jsq, SchedulingMode::Fcfs, cfg);
+  const auto jsq = policy_of(policy::PolicyKind::HeteroJsqD,
+                             static_cast<unsigned>(cluster.size()));
+  const auto dynamic = simulate_routed(cluster, lambda, jsq, cfg);
   EXPECT_LT(dynamic.generic_mean_response, split.generic_mean_response);
 }
 
@@ -154,11 +190,11 @@ TEST(ClusterSim, ReplicationCiShrinksWithMoreReplications) {
 
 TEST(ClusterSim, DispatchedValidation) {
   const auto cluster = model::paper_example_cluster();
-  sim::RoundRobinDispatcher rr;
+  const auto rr = policy_of(policy::PolicyKind::RoundRobin);
   SimConfig cfg;
-  EXPECT_THROW(
-      (void)sim::simulate_dispatched(cluster, 0.0, rr, SchedulingMode::Fcfs, cfg),
-      std::invalid_argument);
+  EXPECT_THROW((void)simulate_routed(cluster, -1.0, rr, cfg), std::invalid_argument);
+  cfg.warmup = cfg.horizon;
+  EXPECT_THROW((void)simulate_routed(cluster, 1.0, rr, cfg), std::invalid_argument);
 }
 
 }  // namespace
