@@ -480,6 +480,10 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
     recorder_line = rs.str();
   }
 
+  const double evals_per_resolve =
+      res.stats.resolves > 0 ? static_cast<double>(res.stats.solver_evaluations) /
+                                   static_cast<double>(res.stats.resolves)
+                             : 0.0;
   std::ostringstream os;
   os << cluster.describe() << '\n'
      << "replayed horizon " << trace.horizon << " (seed " << trace.seed << ", half-life "
@@ -488,7 +492,8 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
      << " admitted, " << res.stats.shed << " shed ("
      << util::fixed(100.0 * res.shed_fraction, 3) << "%)\n"
      << "special arrivals  " << res.stats.special_arrivals << '\n'
-     << "controller        " << res.stats.resolves << " resolves, "
+     << "controller        " << res.stats.resolves << " resolves ("
+     << util::fixed(evals_per_resolve, 1) << " solver evaluations each), "
      << res.stats.skipped_by_hysteresis << " drift checks skipped, "
      << res.stats.infeasible_resolves << " infeasible, " << res.stats.publications
      << " weight publications\n"

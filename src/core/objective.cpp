@@ -20,14 +20,18 @@ void check_feasible(const model::Cluster& cluster, double lambda_total) {
 
 ResponseTimeObjective::ResponseTimeObjective(const model::Cluster& cluster, queue::Discipline d,
                                              double lambda_total, double service_scv)
-    : queues_(cluster.queues(d, service_scv)), lambda_total_(lambda_total) {
+    : queues_(cluster.queues(d, service_scv)),
+      lambda_total_(lambda_total),
+      inv_lambda_(1.0 / lambda_total) {
   check_feasible(cluster, lambda_total);
 }
 
 ResponseTimeObjective::ResponseTimeObjective(const model::Cluster& cluster,
                                              const std::vector<queue::Discipline>& ds,
                                              double lambda_total, double service_scv)
-    : queues_(cluster.queues(ds, service_scv)), lambda_total_(lambda_total) {
+    : queues_(cluster.queues(ds, service_scv)),
+      lambda_total_(lambda_total),
+      inv_lambda_(1.0 / lambda_total) {
   check_feasible(cluster, lambda_total);
 }
 
@@ -44,13 +48,12 @@ double ResponseTimeObjective::value(std::span<const double> rates) const {
 }
 
 double ResponseTimeObjective::marginal(std::size_t i, double rate) const {
-  return queues_.at(i).lagrange_marginal(rate) / lambda_total_;
+  return detail::scaled_marginal(queues_.at(i), rate, inv_lambda_);
 }
 
 std::pair<double, double> ResponseTimeObjective::marginal_with_derivative(std::size_t i,
                                                                           double rate) const {
-  const auto [g, dg] = queues_.at(i).lagrange_marginal_with_derivative(rate);
-  return {g / lambda_total_, dg / lambda_total_};
+  return detail::scaled_marginal_with_derivative(queues_.at(i), rate, inv_lambda_);
 }
 
 std::vector<double> ResponseTimeObjective::gradient(std::span<const double> rates) const {
@@ -58,13 +61,14 @@ std::vector<double> ResponseTimeObjective::gradient(std::span<const double> rate
     throw std::invalid_argument("ResponseTimeObjective::gradient: rate vector size mismatch");
   }
   // Full-gradient sweeps ride the SoA-batched Erlang kernel: one
-  // lane-blocked recurrence across all servers instead of three scalar
-  // recurrences each. Outputs are bitwise identical to marginal(i, r)
-  // (batch_lagrange_marginal replicates the scalar operation order), so
-  // the projected-gradient solver sees the exact same iterates.
+  // lane-blocked recurrence across all servers instead of one scalar
+  // recurrence each. Outputs are bitwise identical to marginal(i, r)
+  // (batch_lagrange_marginal ends in the scalar epilogue, and the scaling
+  // is scaled_marginal's), so the projected-gradient solver sees the
+  // exact same iterates.
   std::vector<double> g(rates.size());
   queue::batch_lagrange_marginal(queues_, rates, g);
-  for (double& gi : g) gi /= lambda_total_;
+  for (double& gi : g) gi *= inv_lambda_;
   return g;
 }
 

@@ -15,6 +15,26 @@
 
 namespace blade::opt {
 
+namespace detail {
+
+/// g_i = G_i(rate)/lambda', scaled by `inv_lambda` = 1/lambda' taken once
+/// per objective: the one scaling the flat ResponseTimeObjective and the
+/// sharded solver's per-cell objective share, so a one-cell sharded solve
+/// stays bitwise the flat one.
+[[nodiscard]] inline double scaled_marginal(const queue::BladeQueue& q, double rate,
+                                            double inv_lambda) {
+  return q.lagrange_marginal(rate) * inv_lambda;
+}
+
+/// {g_i, dg_i/dlambda'_i} with the same scaling.
+[[nodiscard]] inline std::pair<double, double> scaled_marginal_with_derivative(
+    const queue::BladeQueue& q, double rate, double inv_lambda) {
+  const auto [g, dg] = q.lagrange_marginal_with_derivative(rate);
+  return {g * inv_lambda, dg * inv_lambda};
+}
+
+}  // namespace detail
+
 class ResponseTimeObjective {
  public:
   /// @param cluster       the problem instance
@@ -63,6 +83,7 @@ class ResponseTimeObjective {
  private:
   std::vector<queue::BladeQueue> queues_;
   double lambda_total_;
+  double inv_lambda_;  ///< 1/lambda'
 };
 
 }  // namespace blade::opt

@@ -1,6 +1,8 @@
 // The paper's solver: Algorithm Find_lambda'_i (Fig. 2) nested inside
-// Algorithm Calculate T' (Fig. 3). Both levels are bracket-then-bisect on
-// monotone functions:
+// Algorithm Calculate T' (Fig. 3). Both levels bracket a monotone
+// function as the paper does, then refine inside the bracket instead of
+// bisecting (safeguarded Newton inside, Brent and a polish outside), and
+// each stops as soon as it has its answer (core/solver_core.hpp):
 //
 //   inner:  g_i(lambda'_i) = (1/lambda')(T'_i + lambda'_i dT'_i/dlambda'_i)
 //           is strictly increasing (T' is convex in lambda'_i); given the
@@ -25,9 +27,9 @@
 namespace blade::opt {
 
 struct OptimizerOptions {
-  double rate_tolerance = 1e-12;  ///< bisection width for each lambda'_i
-  double phi_tolerance = 1e-12;   ///< bisection width for phi
-  int max_iterations = 300;       ///< per bisection
+  double rate_tolerance = 1e-12;  ///< bracket width (or Newton step) for each lambda'_i
+  double phi_tolerance = 1e-12;   ///< bracket width for phi
+  int max_iterations = 300;       ///< per root find
   /// Fraction of the saturation point where the per-server bracket is
   /// clamped, mirroring the paper's (1 - epsilon) guard on line (7).
   double saturation_margin = 1e-9;
@@ -77,7 +79,7 @@ struct LoadDistribution {
   std::vector<double> response_times;  ///< per-server T'_i at the optimum
   double response_time = 0.0;        ///< minimized T'
   double phi = 0.0;                  ///< Lagrange multiplier (paper's phi)
-  int outer_iterations = 0;          ///< phi bisection steps
+  int outer_iterations = 0;          ///< phi probes after bracketing (Brent + polish)
   long inner_evaluations = 0;        ///< total marginal-cost evaluations
 
   [[nodiscard]] double total_rate() const;

@@ -25,32 +25,31 @@ namespace blade::opt {
 namespace {
 
 /// Per-cell objective over the cell's class-representative queues with
-/// the GLOBAL lambda' in the marginal scaling. Arithmetic is
-/// term-for-term that of ResponseTimeObjective::marginal /
-/// marginal_with_derivative — the class exists only because the flat
-/// objective's constructor (correctly) rejects lambda' at or above the
-/// saturation point of the cluster it is given, and a cell sub-cluster
-/// saturates far below the global lambda' it must price against.
+/// the GLOBAL lambda' in the marginal scaling. It scales through the same
+/// detail::scaled_marginal functions as ResponseTimeObjective — the class
+/// exists only because the flat objective's constructor (correctly)
+/// rejects lambda' at or above the saturation point of the cluster it is
+/// given, and a cell sub-cluster saturates far below the global lambda'
+/// it must price against.
 class CellObjective {
  public:
   CellObjective(const std::vector<queue::BladeQueue>& queues, double lambda_total)
-      : queues_(&queues), lambda_total_(lambda_total) {}
+      : queues_(&queues), inv_lambda_(1.0 / lambda_total) {}
 
   [[nodiscard]] double rate_bound(std::size_t i) const {
     return (*queues_)[i].max_generic_rate();
   }
   [[nodiscard]] double marginal(std::size_t i, double rate) const {
-    return (*queues_)[i].lagrange_marginal(rate) / lambda_total_;
+    return detail::scaled_marginal((*queues_)[i], rate, inv_lambda_);
   }
   [[nodiscard]] std::pair<double, double> marginal_with_derivative(std::size_t i,
                                                                    double rate) const {
-    const auto [g, dg] = (*queues_)[i].lagrange_marginal_with_derivative(rate);
-    return {g / lambda_total_, dg / lambda_total_};
+    return detail::scaled_marginal_with_derivative((*queues_)[i], rate, inv_lambda_);
   }
 
  private:
   const std::vector<queue::BladeQueue>* queues_;
-  double lambda_total_;
+  double inv_lambda_;  ///< 1/lambda'
 };
 
 /// Coalescing key: two servers belong to the same class iff every

@@ -2,12 +2,12 @@
 // the inner rate solve (Fig. 2 with the rtsafe Newton loop, cold from a
 // bracket or warm from the best known rate), the outer phi search
 // (doubling expansion, or seeded Newton steps on F when warm, then Brent
-// + bisection polish), and the bracket-end rate extraction. The flat
-// LoadDistributionOptimizer and the sharded hierarchical solver
-// (core/sharded.hpp) both delegate here, which is what makes "sharded
-// with 1 cell" bitwise identical to the flat path: there is exactly one
-// implementation of every numeric step, parameterized only by how
-// F(phi) is assembled.
+// and a polish that closes the bracket from its nearer end), and the
+// bracket-end rate extraction. The flat LoadDistributionOptimizer and the
+// sharded hierarchical solver (core/sharded.hpp) both delegate here,
+// which is what makes "sharded with 1 cell" bitwise identical to the
+// flat path: there is exactly one implementation of every numeric step,
+// parameterized only by how F(phi) is assembled.
 //
 // Everything here is an implementation detail (namespace opt::detail);
 // the stable surfaces are LoadDistributionOptimizer and ShardedOptimizer.
@@ -133,8 +133,7 @@ inline Error non_convergence_error(std::size_t i, double width, int max_iteratio
 }
 
 /// The non-throwing inner solve (Fig. 2 with the rtsafe Newton loop).
-/// Identical numerics to the pre-resilience implementation; the failure
-/// exits (bracket exhaustion, NaN marginals, budget, strict
+/// The failure exits (bracket exhaustion, NaN marginals, budget, strict
 /// non-convergence) return typed errors instead of throwing.
 ///
 /// `Obj` is any objective exposing rate_bound(i), marginal(i, rate), and
@@ -234,6 +233,15 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
   // the previous step, otherwise bisect — superlinear near the root,
   // never slower than bisection. One derivative-returning marginal
   // evaluation (a single Erlang kernel) per iteration.
+  //
+  // The loop stops as soon as an evaluation's own Newton correction
+  // |(g - phi)/g'| is within half the tolerance, at the Newton point
+  // clamped to the bracket. That test comes before the bracket check on
+  // the next iterate: an evaluation within an ulp of the root has a
+  // Newton step below one ulp, so the next iterate equals x, which that
+  // evaluation just made a bracket end. The bracket check would reject
+  // it and bisect toward the far end, and every later Newton step would
+  // land on the same end again, crawling down to the tolerance.
   double x = 0.5 * (lo + hi);
   double dx_old = hi - lo;
   double dx = dx_old;
@@ -256,28 +264,32 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
     } else {
       hi = x;
     }
+    const bool newton_ok = dgx > 0.0 && std::isfinite(dgx);
+    const double step = newton_ok ? fx / dgx : std::numeric_limits<double>::infinity();
+    if (std::abs(step) <= 0.5 * tol) {
+      result = std::clamp(x - step, lo, hi);
+      ++it;
+      converged = true;
+      break;
+    }
     if (hi - lo <= tol) {
       result = 0.5 * (lo + hi);
       converged = true;
       break;
     }
+    const double newton = x - step;
     double next;
-    const bool newton_ok = dgx > 0.0 && std::isfinite(dgx);
     if (!newton_ok || 2.0 * std::abs(fx) > std::abs(dx_old * dgx) ||
-        !((next = x - fx / dgx) > lo && next < hi)) {
+        !(newton > lo && newton < hi)) {
       dx_old = dx;
       dx = 0.5 * (hi - lo);
       next = 0.5 * (lo + hi);
     } else {
       dx_old = dx;
-      dx = std::abs(next - x);
+      dx = std::abs(newton - x);
+      next = newton;
     }
     result = next;
-    if (dx <= 0.5 * tol) {
-      ++it;
-      converged = true;
-      break;
-    }
     x = next;
   }
   BLADE_OBS_COUNT("optimizer.find_rate_calls");
@@ -361,6 +373,16 @@ Expected<double> find_rate_from(const OptimizerOptions& opts, const Obj& obj, st
       hi = x;
       hi_sure = true;
     }
+    // find_rate_core's Newton stop, whether or not the upper end has been
+    // confirmed: the root lies within the tolerance of this evaluation.
+    const bool newton_ok = dgx > 0.0 && std::isfinite(dgx);
+    const double step = newton_ok ? fx / dgx : std::numeric_limits<double>::infinity();
+    if (std::abs(step) <= 0.5 * tol) {
+      result = std::clamp(x - step, lo, hi);
+      ++it;
+      converged = true;
+      break;
+    }
     if (hi - lo <= tol) {
       if (!hi_sure) {
         x = hi;  // closed onto an unconfirmed upper end: confirm it
@@ -370,8 +392,7 @@ Expected<double> find_rate_from(const OptimizerOptions& opts, const Obj& obj, st
       converged = true;
       break;
     }
-    const bool newton_ok = dgx > 0.0 && std::isfinite(dgx);
-    const double newton = newton_ok ? x - fx / dgx : 0.0;
+    const double newton = x - step;
     double next;
     if (newton_ok && newton >= hi && !hi_sure) {
       next = hi;  // leaving through an unconfirmed end: probe the end
@@ -386,11 +407,6 @@ Expected<double> find_rate_from(const OptimizerOptions& opts, const Obj& obj, st
     dx_old = dx;
     dx = std::abs(next - x);
     result = next;
-    if (dx <= 0.5 * tol) {
-      ++it;
-      converged = true;
-      break;
-    }
     x = next;
   }
   BLADE_OBS_COUNT("optimizer.find_rate_calls");
@@ -452,8 +468,10 @@ Expected<int> seeded_bracket(const OptimizerOptions& opts, double lambda_total, 
   }
 }
 
-/// Brent plus the bisection polish over an established bracket, shared
-/// by the cold and warm searches; returns the outer iteration count.
+/// Brent plus the polish over an established bracket, shared by the cold
+/// and warm searches; returns the outer iteration count. On return (unless
+/// max_iterations ran out) F(phi_lo) < lambda' <= F(phi_hi) and the
+/// bracket is at most phi_tolerance wide, with rates kept at both ends.
 template <class TotalAt, class Absorb>
 Expected<int> refine_phi(const OptimizerOptions& opts, double lambda_total, PhiBracket& br,
                          std::optional<Error>& err, TotalAt&& total_at, Absorb&& absorb) {
@@ -535,17 +553,28 @@ Expected<int> refine_phi(const OptimizerOptions& opts, double lambda_total, PhiB
                               br.phi_hi >= 0.0 ? br.phi_hi - br.phi_lo : 0.0);
     }
   }
-  // Bisection polish: Brent converges on the root of F - lambda' but can
-  // stop with one side of the sign bracket still wide (F is step-like
-  // around flat-marginal servers). The extraction below interpolates
-  // between the bracket ends, so tighten the bracket itself to the same
-  // phi_tolerance the seed bisection guaranteed.
+  // Polish: Brent converges on the root of F - lambda' but can stop with
+  // one side of the sign bracket still wide: F is step-like around
+  // flat-marginal servers, and a probe that hits F = lambda' exactly
+  // ends Brent (or skips it, when the bracketing probe hit). The
+  // extraction below interpolates between the bracket ends, so the
+  // bracket itself must close to the phi_tolerance the seed bisection
+  // guaranteed. The root then sits next to the end whose F is closer to
+  // lambda': step inward from that end by phi_tolerance/2, doubling the
+  // step after each probe, and bisect once a step would pass the
+  // midpoint (or fall outside the bracket at fp resolution).
+  double step = 0.5 * opts.phi_tolerance;
   while (br.phi_hi - br.phi_lo > opts.phi_tolerance && outer_it < opts.max_iterations) {
     const double mid = 0.5 * (br.phi_lo + br.phi_hi);
     if (!(mid > br.phi_lo && mid < br.phi_hi)) break;  // bracket at fp resolution
-    const double total = total_at(mid);
+    const bool from_hi =
+        std::abs(br.total_hi - lambda_total) <= std::abs(br.total_lo - lambda_total);
+    double phi = from_hi ? br.phi_hi - step : br.phi_lo + step;
+    if (!(from_hi ? phi > mid && phi < br.phi_hi : phi < mid && phi > br.phi_lo)) phi = mid;
+    step *= 2.0;
+    const double total = total_at(phi);
     if (err) return std::move(*err);
-    absorb(mid, total);
+    absorb(phi, total);
     ++outer_it;
     BLADE_OBS_SERIES_APPEND("optimizer.phi_bracket", outer_it, br.phi_hi - br.phi_lo);
   }

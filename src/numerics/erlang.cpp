@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "numerics/erlang_epilogue.hpp"
 #include "numerics/special.hpp"
 #include "obs/obs.hpp"
 
@@ -74,27 +75,8 @@ ErlangCDerivs erlang_c_derivs(unsigned m, double rho) {
   check_rho(rho);
   BLADE_OBS_COUNT("numerics.erlang_c_evals");
   BLADE_OBS_COUNT("numerics.erlang_c_derivs_evals");
-  ErlangCDerivs r;
-  if (rho == 0.0) {
-    // C has an m-th order zero at rho = 0: C(1, rho) = rho exactly, and
-    // C(2, rho) = 2 rho^2 + O(rho^3).
-    r.dc = (m == 1) ? 1.0 : 0.0;
-    r.d2c = (m == 2) ? 4.0 : 0.0;
-    return r;
-  }
-  const double md = static_cast<double>(m);
-  const double a = md * rho;
-  const double b = erlang_b(m, a);
-  const double t = b / (1.0 - b);
-  const double u = 1.0 - rho + t;
-  const double one_minus = 1.0 - rho;
-  r.c = t / u;
-  const double tp = (t * md / rho) * u;
-  const double up = tp - 1.0;
-  r.dc = (tp * one_minus + t) / (u * u);
-  const double tpp = md * ((tp / rho - t / (rho * rho)) * u + (t / rho) * up);
-  r.d2c = (tpp * one_minus * u - 2.0 * up * (tp * one_minus + t)) / (u * u * u);
-  return r;
+  const double b = rho == 0.0 ? 0.0 : erlang_b(m, static_cast<double>(m) * rho);
+  return detail::erlang_c_derivs_from_b(m, rho, b);
 }
 
 double mmm_p0(unsigned m, double rho) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "numerics/erlang_epilogue.hpp"
 #include "obs/obs.hpp"
 
 namespace blade::num {
@@ -107,9 +108,8 @@ void erlang_c_derivs_batch(std::span<const unsigned> m, std::span<const double> 
   BLADE_OBS_COUNT_N("numerics.erlang_c_batch_evals", n);
   BLADE_OBS_COUNT("numerics.erlang_c_batch_calls");
 
-  // One recurrence sweep for all lanes, then the scalar kernel's exact
-  // O(1) epilogue per element (identical operation order keeps every
-  // output bitwise equal to erlang_c_derivs).
+  // One recurrence sweep for all lanes, then the scalar kernel's own
+  // epilogue per element, so every output is bitwise erlang_c_derivs'.
   double a_buf[W];
   double b_buf[W];
   for (std::size_t base = 0; base < n; base += W) {
@@ -120,24 +120,10 @@ void erlang_c_derivs_batch(std::span<const unsigned> m, std::span<const double> 
     recurrence_block(m.data() + base, a_buf, b_buf, live);
     for (std::size_t w = 0; w < live; ++w) {
       const std::size_t i = base + w;
-      if (rho[i] == 0.0) {
-        c[i] = 0.0;
-        dc[i] = (m[i] == 1) ? 1.0 : 0.0;
-        d2c[i] = (m[i] == 2) ? 4.0 : 0.0;
-        continue;
-      }
-      const double md = static_cast<double>(m[i]);
-      const double b = b_buf[w];
-      const double t = b / (1.0 - b);
-      const double u = 1.0 - rho[i] + t;
-      const double one_minus = 1.0 - rho[i];
-      c[i] = t / u;
-      const double tp = (t * md / rho[i]) * u;
-      const double up = tp - 1.0;
-      dc[i] = (tp * one_minus + t) / (u * u);
-      const double tpp =
-          md * ((tp / rho[i] - t / (rho[i] * rho[i])) * u + (t / rho[i]) * up);
-      d2c[i] = (tpp * one_minus * u - 2.0 * up * (tp * one_minus + t)) / (u * u * u);
+      const ErlangCDerivs k = detail::erlang_c_derivs_from_b(m[i], rho[i], b_buf[w]);
+      c[i] = k.c;
+      dc[i] = k.dc;
+      d2c[i] = k.d2c;
     }
   }
 }

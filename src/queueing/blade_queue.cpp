@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "numerics/erlang.hpp"
 #include "numerics/erlang_batch.hpp"
-#include "obs/obs.hpp"
 #include "queueing/mmm.hpp"
 
 namespace blade::queue {
@@ -25,6 +25,11 @@ BladeQueue::BladeQueue(unsigned m, double xbar, double lambda2, Discipline d, do
   if (special_utilization() >= 1.0) {
     throw UnstableQueueError("BladeQueue: special tasks alone saturate the server");
   }
+  const double md = static_cast<double>(m_);
+  double f = variability_factor();
+  if (disc_ == Discipline::SpecialPriority) f /= (1.0 - special_utilization());
+  rho_per_rate_ = xbar_ / md;
+  wait_scale_ = xbar_ * f / md;
 }
 
 double BladeQueue::special_utilization() const noexcept {
@@ -37,7 +42,7 @@ double BladeQueue::max_generic_rate() const noexcept {
 
 double BladeQueue::utilization(double lambda1) const {
   if (!(lambda1 >= 0.0)) throw std::invalid_argument("BladeQueue: lambda1 must be >= 0");
-  const double rho = (lambda1 + lambda2_) * xbar_ / static_cast<double>(m_);
+  const double rho = (lambda1 + lambda2_) * rho_per_rate_;
   if (rho >= 1.0) {
     throw UnstableQueueError("BladeQueue: generic + special arrivals exceed capacity");
   }
@@ -48,13 +53,7 @@ double BladeQueue::response_time_at_rho(double rho) const {
   if (!(rho >= 0.0) || rho >= 1.0) {
     throw std::invalid_argument("BladeQueue: rho must be in [0, 1)");
   }
-  const double pq = num::erlang_c(m_, rho);
-  const double md = static_cast<double>(m_);
-  double wait = variability_factor() * pq / (md * (1.0 - rho)) * xbar_;
-  if (disc_ == Discipline::SpecialPriority) {
-    wait /= (1.0 - special_utilization());
-  }
-  return xbar_ + wait;
+  return xbar_ + wait_scale_ * num::erlang_c(m_, rho) / (1.0 - rho);
 }
 
 double BladeQueue::generic_response_time(double lambda1) const {
@@ -64,54 +63,60 @@ double BladeQueue::generic_response_time(double lambda1) const {
 double BladeQueue::special_response_time(double lambda1) const {
   const double rho = utilization(lambda1);
   const double pq = num::erlang_c(m_, rho);
-  const double md = static_cast<double>(m_);
-  if (disc_ == Discipline::Fcfs) {
-    return xbar_ + variability_factor() * pq * xbar_ / (md * (1.0 - rho));
-  }
-  // Theorem 2's intermediate result: W'' = W_0 / (1 - rho'').
-  const double w0 = variability_factor() * pq * xbar_ / md;
-  return xbar_ + w0 / (1.0 - special_utilization());
+  if (disc_ == Discipline::Fcfs) return xbar_ + wait_scale_ * pq / (1.0 - rho);
+  // Theorem 2's intermediate result: W'' = W_0 / (1 - rho''), where
+  // W_0 = (1+scv)/2 C xbar/m; wait_scale_ already carries 1/(1 - rho'').
+  return xbar_ + wait_scale_ * pq;
 }
 
 double BladeQueue::dT_drho(double lambda1) const {
   const double rho = utilization(lambda1);
-  const double md = static_cast<double>(m_);
   const double pq = num::erlang_c(m_, rho);
   const double dpq = num::erlang_c_drho(m_, rho);
-  // T' = xbar (1 + f * C/(1-rho) / m) with f = (1+scv)/2 times 1 (FCFS)
-  // or 1/(1-rho'') (priority); f is constant in rho either way.
-  double f = variability_factor();
-  if (disc_ == Discipline::SpecialPriority) f /= (1.0 - special_utilization());
+  // T' = xbar + wait_scale C/(1-rho), wait_scale constant in rho.
   const double one_minus = 1.0 - rho;
-  return xbar_ * f / md * (dpq * one_minus + pq) / (one_minus * one_minus);
+  return wait_scale_ * (dpq * one_minus + pq) / (one_minus * one_minus);
 }
 
 double BladeQueue::dT_dlambda(double lambda1) const {
-  return xbar_ / static_cast<double>(m_) * dT_drho(lambda1);
+  return rho_per_rate_ * dT_drho(lambda1);
 }
 
 double BladeQueue::lagrange_marginal(double lambda1) const {
-  return generic_response_time(lambda1) + lambda1 * dT_dlambda(lambda1);
+  const double rho = utilization(lambda1);
+  return lagrange_marginal_at(lambda1, rho, num::erlang_c_derivs(m_, rho));
 }
 
 std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative(double lambda1) const {
   const double rho = utilization(lambda1);
-  const double md = static_cast<double>(m_);
-  const auto k = num::erlang_c_derivs(m_, rho);
-  double f = variability_factor();
-  if (disc_ == Discipline::SpecialPriority) f /= (1.0 - special_utilization());
-  const double one_minus = 1.0 - rho;
-  const double scale = xbar_ * f / md;
-  const double T = xbar_ + scale * k.c / one_minus;  // T' = xbar + xbar f C /(m(1-rho))
-  const double dT_drho_v = scale * (k.dc * one_minus + k.c) / (one_minus * one_minus);
-  const double d2T_drho2_v =
-      scale * (k.d2c * one_minus * one_minus + 2.0 * (k.dc * one_minus + k.c)) /
-      (one_minus * one_minus * one_minus);
-  const double s = xbar_ / md;  // drho/dlambda1
-  const double dT_dl = s * dT_drho_v;
-  const double d2T_dl2 = s * s * d2T_drho2_v;
-  const double g = T + lambda1 * dT_dl;
-  double dg = 2.0 * dT_dl + lambda1 * d2T_dl2;
+  return lagrange_marginal_with_derivative_at(lambda1, rho, num::erlang_c_derivs(m_, rho));
+}
+
+std::pair<double, double> BladeQueue::marginal_terms(double lambda1, double rho,
+                                                     const num::ErlangCDerivs& k) const noexcept {
+  // With w = C/(1-rho), T' = xbar + wait_scale w and, one reciprocal of
+  // (1 - rho) serving every order,
+  //   w' = (C' + w)/(1-rho),   w'' = (C'' + 2 w')/(1-rho).
+  // With s = drho/dlambda1, G = T' + lambda1 s wait_scale w' and
+  // dG = s wait_scale (2 w' + lambda1 s w'').
+  const double inv = 1.0 / (1.0 - rho);
+  const double w = k.c * inv;
+  const double w1 = (k.dc + w) * inv;
+  const double w2 = (k.d2c + 2.0 * w1) * inv;
+  const double ls = lambda1 * rho_per_rate_;
+  const double g = xbar_ + wait_scale_ * (w + ls * w1);
+  const double dg = wait_scale_ * rho_per_rate_ * (2.0 * w1 + ls * w2);
+  return {g, dg};
+}
+
+double BladeQueue::lagrange_marginal_at(double lambda1, double rho,
+                                        const num::ErlangCDerivs& k) const noexcept {
+  return marginal_terms(lambda1, rho, k).first;
+}
+
+std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative_at(
+    double lambda1, double rho, const num::ErlangCDerivs& k) const {
+  auto [g, dg] = marginal_terms(lambda1, rho, k);
   if (!std::isfinite(dg)) {
     // Analytic curvature overflowed (rho pushed against 1): guarded
     // central difference of the marginal keeps Newton usable, and the
@@ -133,122 +138,48 @@ void check_batch_sizes(std::size_t n, std::size_t got, const char* what) {
   }
 }
 
-/// Shared front half of both batch forms: per-element utilization (with
-/// the scalar path's validation and saturation throw) and offered loads,
-/// ready for one lane-blocked recurrence sweep. `queue_at(j)` lets the
-/// same code serve the many-queues and one-queue-many-rates shapes.
-template <typename QueueAt>
-void gather_inputs(QueueAt&& queue_at, std::span<const double> lambda1s,
-                   std::vector<unsigned>& m, std::vector<double>& rho) {
+/// Shared body of both batch forms: per-element utilization (with the
+/// scalar path's validation and saturation throw), one lane-blocked
+/// Erlang kernel sweep, then `epilogue(j, rho_j, k_j)` per element.
+/// `queue_at(j)` lets the same code serve the many-queues and
+/// one-queue-many-rates shapes.
+template <typename QueueAt, typename Epilogue>
+void batch_marginals(QueueAt&& queue_at, std::span<const double> lambda1s, Epilogue&& epilogue) {
   const std::size_t n = lambda1s.size();
-  m.resize(n);
-  rho.resize(n);
+  std::vector<unsigned> m(n);
+  std::vector<double> rho(n);
   for (std::size_t j = 0; j < n; ++j) {
     const BladeQueue& q = queue_at(j);
     m[j] = q.blades();
     rho[j] = q.utilization(lambda1s[j]);
   }
-}
-
-/// Epilogue of lagrange_marginal, operation for operation: erlang_c and
-/// erlang_c_drho reconstructed from the shared Erlang-B value, then the
-/// scalar T / dT'/drho / G chain. Bitwise identical to the scalar path
-/// because B is (one recurrence per lane, identical IEEE sequence) and
-/// every subsequent expression keeps the scalar order.
-double marginal_from_b(const BladeQueue& q, double lambda1, double rho, double b) {
-  const double md = static_cast<double>(q.blades());
-  const double xbar = q.mean_service_time();
-  const double vf = 0.5 * (1.0 + q.service_scv());
-  const double pq = rho == 0.0 ? 0.0 : b / (1.0 - rho * (1.0 - b));
-  // generic_response_time
-  double wait = vf * pq / (md * (1.0 - rho)) * xbar;
-  if (q.discipline() == Discipline::SpecialPriority) {
-    wait /= (1.0 - q.special_utilization());
-  }
-  const double T = xbar + wait;
-  // dT_drho
-  double dpq;
-  if (rho == 0.0) {
-    dpq = q.blades() == 1 ? 1.0 : 0.0;
-  } else {
-    const double t = b / (1.0 - b);
-    const double u = 1.0 - rho + t;
-    const double dt = (t * md / rho) * u;
-    dpq = (dt * (1.0 - rho) + t) / (u * u);
-  }
-  double f = vf;
-  if (q.discipline() == Discipline::SpecialPriority) f /= (1.0 - q.special_utilization());
-  const double one_minus = 1.0 - rho;
-  const double dT_drho_v = xbar * f / md * (dpq * one_minus + pq) / (one_minus * one_minus);
-  const double dT_dlambda_v = xbar / md * dT_drho_v;
-  return T + lambda1 * dT_dlambda_v;
+  std::vector<double> c(n);
+  std::vector<double> dc(n);
+  std::vector<double> d2c(n);
+  num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
+  for (std::size_t j = 0; j < n; ++j) epilogue(j, rho[j], num::ErlangCDerivs{c[j], dc[j], d2c[j]});
 }
 
 template <typename QueueAt>
 void batch_marginal_impl(QueueAt&& queue_at, std::span<const double> lambda1s,
                          std::span<double> g) {
-  const std::size_t n = lambda1s.size();
-  check_batch_sizes(n, g.size(), "g size mismatch");
-  std::vector<unsigned> m;
-  std::vector<double> rho;
-  gather_inputs(queue_at, lambda1s, m, rho);
-  std::vector<double> a(n);
-  std::vector<double> b(n);
-  for (std::size_t j = 0; j < n; ++j) a[j] = static_cast<double>(m[j]) * rho[j];
-  num::erlang_b_batch(m, a, b);
-  // The scalar chain logically evaluates C and C' per server; count them
-  // so eval-per-solve accounting stays honest whichever path ran.
-  BLADE_OBS_COUNT_N("numerics.erlang_c_evals", n);
-  BLADE_OBS_COUNT_N("numerics.erlang_c_drho_evals", n);
-  for (std::size_t j = 0; j < n; ++j) {
-    g[j] = marginal_from_b(queue_at(j), lambda1s[j], rho[j], b[j]);
-  }
+  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
+  batch_marginals(queue_at, lambda1s,
+                  [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
+                    g[j] = queue_at(j).lagrange_marginal_at(lambda1s[j], rho, k);
+                  });
 }
 
 template <typename QueueAt>
 void batch_marginal_deriv_impl(QueueAt&& queue_at, std::span<const double> lambda1s,
                                std::span<double> g, std::span<double> dg) {
-  const std::size_t n = lambda1s.size();
-  check_batch_sizes(n, g.size(), "g size mismatch");
-  check_batch_sizes(n, dg.size(), "dg size mismatch");
-  std::vector<unsigned> m;
-  std::vector<double> rho;
-  gather_inputs(queue_at, lambda1s, m, rho);
-  std::vector<double> c(n);
-  std::vector<double> dc(n);
-  std::vector<double> d2c(n);
-  num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-  for (std::size_t j = 0; j < n; ++j) {
-    const BladeQueue& q = queue_at(j);
-    const double md = static_cast<double>(q.blades());
-    const double xbar = q.mean_service_time();
-    double f = 0.5 * (1.0 + q.service_scv());
-    if (q.discipline() == Discipline::SpecialPriority) {
-      f /= (1.0 - q.special_utilization());
-    }
-    const double one_minus = 1.0 - rho[j];
-    const double scale = xbar * f / md;
-    const double T = xbar + scale * c[j] / one_minus;
-    const double dT_drho_v = scale * (dc[j] * one_minus + c[j]) / (one_minus * one_minus);
-    const double d2T_drho2_v =
-        scale * (d2c[j] * one_minus * one_minus + 2.0 * (dc[j] * one_minus + c[j])) /
-        (one_minus * one_minus * one_minus);
-    const double s = xbar / md;
-    const double dT_dl = s * dT_drho_v;
-    const double d2T_dl2 = s * s * d2T_drho2_v;
-    g[j] = T + lambda1s[j] * dT_dl;
-    double dgj = 2.0 * dT_dl + lambda1s[j] * d2T_dl2;
-    if (!std::isfinite(dgj)) {
-      // Same guarded central difference as the scalar kernel (rho pushed
-      // against 1); rare enough that the scalar re-evaluation is fine.
-      const double sup = q.max_generic_rate();
-      const double h = std::max(1e-9, 1e-7 * std::min(lambda1s[j], sup - lambda1s[j]));
-      const double hi = std::min(lambda1s[j] + h, (1.0 - 1e-12) * sup);
-      const double lo = std::max(lambda1s[j] - h, 0.0);
-      if (hi > lo) dgj = (q.lagrange_marginal(hi) - q.lagrange_marginal(lo)) / (hi - lo);
-    }
-    dg[j] = dgj;
-  }
+  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
+  check_batch_sizes(lambda1s.size(), dg.size(), "dg size mismatch");
+  batch_marginals(queue_at, lambda1s,
+                  [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
+                    std::tie(g[j], dg[j]) =
+                        queue_at(j).lagrange_marginal_with_derivative_at(lambda1s[j], rho, k);
+                  });
 }
 
 }  // namespace

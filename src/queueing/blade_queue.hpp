@@ -20,6 +20,8 @@
 #include <span>
 #include <utility>
 
+#include "numerics/erlang.hpp"
+
 namespace blade::queue {
 
 enum class Discipline {
@@ -86,6 +88,16 @@ class BladeQueue {
   [[nodiscard]] std::pair<double, double> lagrange_marginal_with_derivative(
       double lambda1) const;
 
+  /// The epilogues of lagrange_marginal and
+  /// lagrange_marginal_with_derivative: G (and dG) at lambda1 from the
+  /// Erlang-C kernel values `k` at rho = utilization(lambda1). The scalar
+  /// and batched marginals both end here, so they agree bitwise by
+  /// construction. No validation: callers pass a checked rho.
+  [[nodiscard]] double lagrange_marginal_at(double lambda1, double rho,
+                                            const num::ErlangCDerivs& k) const noexcept;
+  [[nodiscard]] std::pair<double, double> lagrange_marginal_with_derivative_at(
+      double lambda1, double rho, const num::ErlangCDerivs& k) const;
+
   /// Response time evaluated directly at a given total utilization (used
   /// by shape tests that sweep rho rather than lambda1).
   [[nodiscard]] double response_time_at_rho(double rho) const;
@@ -94,19 +106,31 @@ class BladeQueue {
   /// (1 + scv)/2: multiplier on every waiting-time term.
   [[nodiscard]] double variability_factor() const noexcept { return 0.5 * (1.0 + scv_); }
 
+  /// {G, dG} with dG straight from the analytic formula (not finite when
+  /// the curvature overflows; lagrange_marginal_with_derivative_at then
+  /// falls back to a central difference).
+  [[nodiscard]] std::pair<double, double> marginal_terms(
+      double lambda1, double rho, const num::ErlangCDerivs& k) const noexcept;
+
   unsigned m_;
   double xbar_;
   double lambda2_;
   Discipline disc_;
   double scv_;
+  /// Per-queue constants of every marginal evaluation, fixed at
+  /// construction: drho/dlambda1 = xbar/m, and the waiting-term scale
+  /// xbar f / m with f = (1+scv)/2, divided by (1 - rho'') under priority
+  /// (T' = xbar + wait_scale_ C/(1-rho)).
+  double rho_per_rate_ = 0.0;
+  double wait_scale_ = 0.0;
 };
 
 /// Batched Lagrange marginals across servers:
 ///   g[j] = queues[j].lagrange_marginal(lambda1s[j])
-/// computed from ONE lane-blocked Erlang-B sweep (erlang_b_batch) instead
-/// of the three recurrences the scalar chain runs per server. Each output
-/// is bitwise identical to the scalar call — the epilogue replicates the
-/// scalar operation order exactly — so gradient sweeps can switch paths
+/// computed from ONE lane-blocked Erlang kernel sweep
+/// (num::erlang_c_derivs_batch) instead of one recurrence per server.
+/// Each output is bitwise identical to the scalar call — both end in
+/// BladeQueue::lagrange_marginal_at — so gradient sweeps can switch paths
 /// freely. Spans must share one length; per-element validation (rho < 1)
 /// matches BladeQueue::utilization.
 void batch_lagrange_marginal(std::span<const BladeQueue> queues,
@@ -118,8 +142,9 @@ void batch_lagrange_marginal(const BladeQueue& q, std::span<const double> lambda
                              std::span<double> g);
 
 /// Batched {G, dG} across servers via num::erlang_c_derivs_batch —
-/// bitwise identical to lagrange_marginal_with_derivative per element,
-/// including its guarded central-difference curvature fallback.
+/// bitwise identical to lagrange_marginal_with_derivative per element
+/// (both end in lagrange_marginal_with_derivative_at), including its
+/// guarded central-difference curvature fallback.
 void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
                                              std::span<const double> lambda1s,
                                              std::span<double> g, std::span<double> dg);

@@ -768,6 +768,7 @@ void Controller::resolve(double t) {
     contain(t, shed_prob, sol.error());
     return;
   }
+  stats_.solver_evaluations += static_cast<std::uint64_t>(sol.value().inner_evaluations);
 
   std::vector<double> w(cluster_.size(), 0.0);
   for (std::size_t k = 0; k < alive.size(); ++k) w[alive[k]] = sol.value().rates[k];

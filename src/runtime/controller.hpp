@@ -156,6 +156,10 @@ struct ControllerStats {
   std::uint64_t admitted = 0;
   std::uint64_t shed = 0;               ///< dropped by admission control
   std::uint64_t resolves = 0;           ///< optimizer re-solves
+  /// Marginal evaluations of every successful re-solve, summed (the
+  /// solution's inner_evaluations): divided by resolves, the solver work
+  /// per re-solve, with or without an observability build.
+  std::uint64_t solver_evaluations = 0;
   std::uint64_t skipped_by_hysteresis = 0;  ///< drift checks below threshold
   std::uint64_t infeasible_resolves = 0;    ///< re-solves that engaged shedding
   std::uint64_t failures = 0;           ///< blade-failure events ingested

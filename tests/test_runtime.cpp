@@ -24,6 +24,7 @@
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/server_sim.hpp"
+#include "support/generators.hpp"
 #include "util/alias_table.hpp"
 
 namespace {
@@ -431,6 +432,30 @@ TEST(Controller, PublishWhileSamplingIsRaceFree) {
   for (auto& th : readers) th.join();
   EXPECT_GT(sampled.load(), 0u);
   EXPECT_GE(ctrl.stats().publications, 400u);
+}
+
+// The controller counts the marginal evaluations of its re-solves in
+// every build. Churn cluster, health scoring and the moderate chaos
+// profile over a 60-unit failure trace: 898 evaluations per re-solve.
+// The bound sits below the 1,874 a solver needs whose inner loops crawl
+// by bisection after landing on the root and whose outer polish bisects
+// from the bracket midpoint.
+TEST(Controller, SolverEvaluationsPerReSolveOnTheChurnCluster) {
+  const auto cluster = testsupport::churn_cluster();
+  auto trace = runtime::reference_failure_trace(cluster, 60.0);
+  trace.seed = 1;
+  runtime::ControllerConfig cfg;
+  cfg.half_life = 0.6;
+  cfg.health.enabled = true;
+  runtime::FaultInjector chaos(1, runtime::chaos_profile("moderate").value());
+  runtime::ReplayOptions o;
+  o.chaos = &chaos;
+  const auto r = runtime::replay(cluster, cfg, trace, o);
+  ASSERT_GT(r.stats.resolves, 500u);
+  const double per_resolve = static_cast<double>(r.stats.solver_evaluations) /
+                             static_cast<double>(r.stats.resolves);
+  EXPECT_GT(per_resolve, 100.0);
+  EXPECT_LE(per_resolve, 1200.0);
 }
 
 // ------------------------------------------------- replay options contract

@@ -1,6 +1,7 @@
 // Unit tests for the solver hot path: the derivative-returning Erlang
 // kernel, the analytic marginal derivative, the warm-bracketed Newton
-// inner solve, workspace-threaded outer solves, warm-started re-solves
+// inner solve and its stop rule, the outer polish, workspace-threaded
+// outer solves, warm-started re-solves
 // (bad starting rates, far seeds, clear(), the evaluation-count gate on
 // serve-churn's cluster), and the batched
 // optimize_many/optimize_chain layer (including the determinism
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "core/batch.hpp"
 #include "core/objective.hpp"
 #include "core/optimizer.hpp"
+#include "core/solver_core.hpp"
 #include "model/paper_configs.hpp"
 #include "numerics/erlang.hpp"
 #include "parallel/sweep.hpp"
@@ -150,6 +153,107 @@ TEST_F(FindRateBracketed, UndershootingWarmBoundRecovers) {
   ASSERT_GT(cold, 0.0);
   const double warm = solver_.find_rate_bracketed(obj_, 0, phi, 0.0, 0.5 * cold);
   EXPECT_NEAR(warm, cold, 1e-9 * (1.0 + cold));
+}
+
+// --- stop rules -----------------------------------------------------------
+
+// The inner Newton loop stops as soon as an evaluation's own Newton
+// correction is within half the rate tolerance. Without that rule an
+// evaluation landing within an ulp of the root cannot take its sub-ulp
+// Newton step (it equals the bracket end that evaluation just set), so
+// the loop bisected down to the tolerance: over this sweep the worst call
+// took 39 evaluations and 418 of the 3,429 calls took more than 10.
+// Multipliers around serve-churn's optimum (57% of lambda'_max), each
+// root placed at 30/50/70% of a 1e-2, 1e-3 and 1e-4 wide bracket.
+TEST(StopRule, BracketedInnerSolvesOnTheChurnClusterTakeAtMostEightEvaluations) {
+  const auto cluster = testsupport::churn_cluster();
+  const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+  const double lambda = 0.57 * cluster.max_generic_rate();
+  const double phi_opt = solver.optimize(lambda).phi;
+  const opt::ResponseTimeObjective obj(cluster, Discipline::Fcfs, lambda);
+  int calls = 0;
+  for (const double scale : {0.9, 0.97, 0.99, 1.0, 1.01, 1.03, 1.1}) {
+    const double phi = scale * phi_opt;
+    for (std::size_t i = 0; i < obj.size(); ++i) {
+      const double root = solver.find_rate(obj, i, phi);
+      if (root <= 0.0) continue;  // inactive: one evaluation at the lower end
+      for (const double width : {1e-2, 1e-3, 1e-4}) {
+        for (const double at : {0.3, 0.5, 0.7}) {
+          const double lo = root - at * width;
+          long evals = 0;
+          const double r = solver.find_rate_bracketed(obj, i, phi, lo, lo + width, &evals);
+          const std::string what = "server " + std::to_string(i) + " phi x" +
+                                   std::to_string(scale) + " width " + std::to_string(width) +
+                                   " root at " + std::to_string(at);
+          EXPECT_NEAR(r, root, 1e-9 * (1.0 + root)) << what;
+          EXPECT_LE(evals, 8) << what;
+          ++calls;
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 3000);
+}
+
+// refine_phi on F(phi) = phi with lambda' = 1, folding probes into the
+// bracket the way the solvers' absorb does.
+struct LinearRefine {
+  opt::OptimizerOptions opts;
+  opt::detail::PhiBracket br;
+  int probes = 0;
+
+  Expected<int> run() {
+    std::optional<Error> err;
+    auto total_at = [&](double phi) {
+      ++probes;
+      return phi;
+    };
+    auto absorb = [&](double phi, double total) {
+      if (total < 1.0) {
+        if (phi >= br.phi_lo) {
+          br.phi_lo = phi;
+          br.total_lo = total;
+        }
+      } else if (phi <= br.phi_hi) {
+        br.phi_hi = phi;
+        br.total_hi = total;
+      }
+    };
+    return opt::detail::refine_phi(opts, 1.0, br, err, total_at, absorb);
+  }
+
+  void expect_closed(const std::string& what) const {
+    EXPECT_LT(br.total_lo, 1.0) << what;
+    EXPECT_GE(br.total_hi, 1.0) << what;
+    EXPECT_EQ(br.total_lo, br.phi_lo) << what;  // each end keeps its own probe
+    EXPECT_EQ(br.total_hi, br.phi_hi) << what;
+    EXPECT_LE(br.phi_hi - br.phi_lo, opts.phi_tolerance) << what;
+    EXPECT_LE(probes, 3) << what;
+  }
+};
+
+// Brent's first secant step from [0.5, 2] lands exactly on the root, and
+// an exact hit ends Brent with the bracket still 0.5 wide. The polish
+// starts next to the end that hit; bisecting from the midpoint took 40
+// probes in all.
+TEST(StopRule, PolishAfterAnExactBrentHitTakesAtMostThreeProbes) {
+  LinearRefine r;
+  r.br = {.phi_lo = 0.5, .phi_hi = 2.0, .total_lo = 0.5, .total_hi = 2.0};
+  const auto res = r.run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res.value(), r.probes);
+  r.expect_closed("secant hit");
+}
+
+// The bracketing probe already hit F = lambda', so Brent is skipped and
+// the polish alone closes [0.5, 1] (39 probes by bisection).
+TEST(StopRule, PolishAfterAnExactBracketingHitTakesAtMostThreeProbes) {
+  LinearRefine r;
+  r.br = {.phi_lo = 0.5, .phi_hi = 1.0, .total_lo = 0.5, .total_hi = 1.0};
+  const auto res = r.run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res.value(), r.probes);
+  r.expect_closed("bracketing hit");
 }
 
 // --- workspace-threaded outer solves -------------------------------------
@@ -360,8 +464,9 @@ TEST(WarmStart, ClearLeavesAWorkspaceThatSolvesLikeAFreshOne) {
 // cluster a warm re-solve after a 1% lambda' step, and one after a server
 // fails (started from the last split mapped onto the survivors, as the
 // controller does), each cost at most 60% of a cold solve's marginal
-// evaluations. Measured when this gate was set: 1,570 vs 5,315 for the
-// step and 2,126 vs 6,701 for the failure at 60% load.
+// evaluations. At 60% load: 908 vs 4,693 for the step and 1,133 vs 4,969
+// for the failure (1,570 vs 5,315 and 2,126 vs 6,701 when this gate was
+// set, before the inner stop rule and the nearer-end polish).
 TEST(WarmStart, ChurnClusterReSolvesCostAtMostSixtyPercentOfCold) {
   const auto cluster = testsupport::churn_cluster();
   const std::size_t n = cluster.size();
