@@ -39,12 +39,8 @@ double ResponseTimeObjective::value(std::span<const double> rates) const {
   if (rates.size() != queues_.size()) {
     throw std::invalid_argument("ResponseTimeObjective::value: rate vector size mismatch");
   }
-  num::KahanSum acc;
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    if (rates[i] == 0.0) continue;  // zero weight: T'_i irrelevant
-    acc.add(rates[i] * queues_[i].generic_response_time(rates[i]));
-  }
-  return acc.value() / lambda_total_;
+  return detail::mean_response_time(
+      rates, lambda_total_, [&](std::size_t i) { return queues_[i].generic_response_time(rates[i]); });
 }
 
 double ResponseTimeObjective::marginal(std::size_t i, double rate) const {

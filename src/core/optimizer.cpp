@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/solver_core.hpp"
 #include "numerics/roots.hpp"
@@ -82,17 +83,13 @@ void SolverWorkspace::clear() {
   rates_lo_.clear();
   rates_hi_.clear();
   scratch_.clear();
-  warm_rates_.clear();
-  warm_slopes_.clear();
-  warm_phi_ = 0.0;
+  newton_ = detail::NewtonState{};
   seed_phi_ = -1.0;
-  seed_lambda_ = 0.0;
 }
 
 void SolverWorkspace::warm_start(std::span<const double> rates) {
   if (!(seed_phi_ > 0.0)) return;  // no previous solve: stays cold
-  warm_rates_.assign(rates.begin(), rates.end());
-  warm_slopes_.assign(rates.size(), 0.0);
+  newton_.x.assign(rates.begin(), rates.end());
 }
 
 void SolverWorkspace::prepare(std::size_t n) {
@@ -229,34 +226,6 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
     }
     return f.value();
   };
-  // The warm F(phi) and F'(phi): the same bracket hints, but each inner
-  // solve starts at the first-order prediction rate + (phi - phi_p) *
-  // slope from the previous probe phi_p (from the previous solve's split
-  // on the first probe), and the probe becomes the next prediction base.
-  auto warm_at = [&](double phi, double& slope) -> double {
-    const bool use_lo = phi >= ws.br_.phi_lo;
-    const bool use_hi = ws.br_.phi_hi >= 0.0 && phi <= ws.br_.phi_hi;
-    num::KahanSum f;
-    num::KahanSum df;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double lo = use_lo ? ws.rates_lo_[i] - tol : 0.0;
-      const double hi = use_hi ? ws.rates_hi_[i] + tol : -1.0;
-      const double x0 = ws.warm_rates_[i] + (phi - ws.warm_phi_) * ws.warm_slopes_[i];
-      double s = 0.0;
-      auto r = detail::find_rate_from(opts_, obj, i, phi, lo, hi, x0, &inner_evals, budget, s);
-      if (!r) {
-        err = r.error();
-        return std::numeric_limits<double>::quiet_NaN();
-      }
-      ws.scratch_[i] = ws.warm_rates_[i] = r.value();
-      ws.warm_slopes_[i] = s;
-      f.add(r.value());
-      df.add(s);
-    }
-    ws.warm_phi_ = phi;
-    slope = df.value();
-    return f.value();
-  };
   // Fold an evaluation into the workspace bracket. Only monotone
   // improvements are kept (phi_lo only moves up, phi_hi only moves
   // down), so out-of-order evaluations cannot loosen an established end.
@@ -274,20 +243,38 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
     }
   };
 
-  // Warm when the workspace holds a previous solve. Its rates must match
-  // this instance's size to be read at all.
-  const double seed = detail::warm_seed(ws.seed_phi_, ws.seed_lambda_, lambda_total);
-  if (seed > 0.0 && ws.warm_rates_.size() != n) {
-    ws.warm_rates_.assign(n, std::numeric_limits<double>::quiet_NaN());
-    ws.warm_slopes_.assign(n, 0.0);
-  }
-  ws.warm_phi_ = seed;
+  // Warm when the workspace holds a previous solve: joint Newton from its
+  // rates, one entry per server. Rates of another length are not read.
+  double warm_phi = 0.0;
+  auto warm_solve = [&]() -> Expected<int> {
+    detail::NewtonState& s = ws.newton_;
+    if (s.x.size() != n) s.x.assign(n, std::numeric_limits<double>::quiet_NaN());
+    s.weight.assign(n, 1.0);
+    s.hub.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      s.hub[i] = (1.0 - opts_.saturation_margin) * obj.rate_bound(i);
+    }
+    auto eval_at = [&](const std::vector<double>& x, std::vector<double>& g,
+                       std::vector<double>& dg) -> std::optional<Error> {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (auto e = budget.charge()) return e;
+        ++inner_evals;
+        std::tie(g[i], dg[i]) = obj.marginal_with_derivative(i, x[i]);
+      }
+      return std::nullopt;
+    };
+    auto exact_at = [&](std::size_t i, double phi, double lo, double hi) {
+      return detail::find_rate_core(opts_, obj, i, phi, lo, hi, &inner_evals, budget);
+    };
+    return detail::joint_newton(opts_, lambda_total, s, warm_phi, eval_at, exact_at);
+  };
   auto restart = [&] {
     ws.prepare(n);
     budget = detail::SolveBudget::from(opts_);
   };
-  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, seed, ws.br_, err,
-                                       warm_at, total_at, absorb, restart);
+  bool warm = ws.seed_phi_ > 0.0;
+  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, warm, ws.br_, err,
+                                       warm_solve, total_at, absorb, restart);
   if (!search) {
     BLADE_OBS_EVENT(SolveEnd, search.error().code, 0.0, 0.0, inner_evals);
     return search.error();
@@ -295,21 +282,24 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
   const int outer_it = search.value();
 
   LoadDistribution out;
-  out.phi = ws.br_.phi_hi;
   out.outer_iterations = outer_it;
-
-  // Final rates from BOTH bracket ends -- the rate vectors cached in the
-  // workspace from the last accepted outer iterates, so no re-solve is
-  // needed (see extract_rates for why midpoint-only extraction is
-  // unsafe on step-like F).
-  out.rates = ws.rates_hi_;
-  detail::extract_rates(ws.br_, ws.rates_lo_, out.rates, lambda_total, opts_.rate_tolerance);
+  if (warm) {
+    out.phi = warm_phi;
+    out.rates = ws.newton_.x;
+    detail::rescale_to(out.rates, detail::rate_total(out.rates), lambda_total);
+  } else {
+    // Final rates from BOTH bracket ends -- the rate vectors cached in the
+    // workspace from the last accepted outer iterates, so no re-solve is
+    // needed (see extract_rates for why midpoint-only extraction is
+    // unsafe on step-like F).
+    out.phi = ws.br_.phi_hi;
+    out.rates = ws.rates_hi_;
+    detail::extract_rates(ws.br_, ws.rates_lo_, out.rates, lambda_total, opts_.rate_tolerance);
+  }
 
   // The next solve on this workspace starts from this one.
-  ws.seed_phi_ = ws.br_.phi_hi;
-  ws.seed_lambda_ = lambda_total;
-  ws.warm_rates_ = out.rates;
-  ws.warm_slopes_.assign(n, 0.0);
+  ws.seed_phi_ = out.phi;
+  ws.newton_.x = out.rates;
 
   out.inner_evaluations = inner_evals;
   out.utilizations = obj.utilizations(out.rates);
@@ -317,7 +307,8 @@ Expected<LoadDistribution> LoadDistributionOptimizer::optimize_core(double lambd
   for (std::size_t i = 0; i < n; ++i) {
     out.response_times[i] = obj.queue(i).generic_response_time(out.rates[i]);
   }
-  out.response_time = obj.value(out.rates);
+  out.response_time = detail::mean_response_time(
+      out.rates, lambda_total, [&](std::size_t i) { return out.response_times[i]; });
 
   BLADE_OBS_COUNT_N("optimizer.outer_iterations", outer_it);
   BLADE_OBS_COUNT_N("optimizer.inner_evaluations", inner_evals);

@@ -11,6 +11,9 @@
 //
 //   outer:  F(phi) = sum_i lambda'_i(phi) is increasing in phi; solve
 //           F(phi) = lambda'.
+//
+// A re-solve on a workspace holding a previous solve instead steps every
+// rate and phi together by Newton on the KKT system (SolverWorkspace).
 #pragma once
 
 #include <cstddef>
@@ -79,8 +82,10 @@ struct LoadDistribution {
   std::vector<double> response_times;  ///< per-server T'_i at the optimum
   double response_time = 0.0;        ///< minimized T'
   double phi = 0.0;                  ///< Lagrange multiplier (paper's phi)
-  int outer_iterations = 0;          ///< phi probes after bracketing (Brent + polish)
-  long inner_evaluations = 0;        ///< total marginal-cost evaluations
+  /// Cold: phi probes after bracketing (Brent + polish). Warm: joint
+  /// Newton rounds.
+  int outer_iterations = 0;
+  long inner_evaluations = 0;        ///< total marginal-cost evaluations (all rounds, safeguards too)
 
   [[nodiscard]] double total_rate() const;
 
@@ -106,6 +111,19 @@ struct PhiBracket {
   double total_hi = 0.0;  ///< F(phi_hi)
 };
 
+/// The warm solve's per-entry vectors (detail::joint_newton), one entry
+/// per server (flat) or server class (sharded). The caller fills `x`,
+/// `weight` and `hub`; the rest is per-round scratch.
+struct NewtonState {
+  std::vector<double> x;       ///< rates: the start, then each accepted round
+  std::vector<double> weight;  ///< m_i: 1 per server, the member count per class
+  std::vector<double> hub;     ///< saturation guards (1 - saturation_margin) * bound
+  std::vector<double> g;       ///< g_i at x_i
+  std::vector<double> dg;      ///< g'_i at x_i
+  std::vector<double> next;    ///< the round's step
+  std::vector<std::size_t> order;  ///< modelled entries by breakpoint
+};
+
 }  // namespace detail
 
 /// Mutable per-solve scratch reused across outer iterations — and, when
@@ -118,12 +136,11 @@ struct PhiBracket {
 ///     rate for ANY phi inside the outer bracket, so inner searches
 ///     warm-start from there instead of from [0, sup);
 ///   * the previous solve on this workspace: its converged phi and its
-///     per-server rates. The next solve is then warm: it probes phi at
-///     that seed (rescaled to the new lambda'), steps by Newton on F, and
-///     starts every inner solve from the best known rate instead of from
-///     a bracket (see detail::run_phi_search). A stale start costs
-///     iterations, never correctness, and a warm attempt that fails
-///     falls back to the cold search inside the same call.
+///     per-server rates. The next solve is then warm: it steps every rate
+///     and phi together by Newton on the KKT system, starting from those
+///     rates (see detail::joint_newton). A stale start costs rounds,
+///     never correctness, and a warm attempt that fails falls back to the
+///     cold search inside the same call.
 ///
 /// A fresh or clear()ed workspace solves cold, bit for bit the solve the
 /// plain optimize() runs. A workspace is NOT thread-safe: use one per
@@ -134,16 +151,15 @@ class SolverWorkspace {
  public:
   SolverWorkspace() = default;
 
-  /// Drops every cached value, including the previous solve's phi seed
-  /// and rates: the next solve runs cold.
+  /// Drops every cached value, including the previous solve's phi and
+  /// rates: the next solve runs cold.
   void clear();
 
   /// Replaces the per-server rates the next solve starts from, one per
   /// server of the cluster it will solve: the last split mapped onto a
-  /// changed topology, for instance. The phi seed stays the previous
-  /// solve's, so on a workspace without one (fresh or cleared) this is a
-  /// no-op and the next solve stays cold. Stale, wrong-length or
-  /// non-finite rates only cost evaluations.
+  /// changed topology, for instance. On a workspace without a previous
+  /// solve (fresh or cleared) this is a no-op and the next solve stays
+  /// cold. Stale, wrong-length or non-finite rates only cost evaluations.
   void warm_start(std::span<const double> rates);
 
   /// The converged phi of the last solve on this workspace (< 0 when the
@@ -153,22 +169,17 @@ class SolverWorkspace {
  private:
   friend class LoadDistributionOptimizer;
 
-  /// Re-arms the per-solve bracket state (keeps the cross-solve seed).
+  /// Re-arms the per-solve bracket state (keeps the previous solve).
   void prepare(std::size_t n);
 
   detail::PhiBracket br_;
   std::vector<double> rates_lo_;  ///< rates at phi_lo
   std::vector<double> rates_hi_;  ///< rates at phi_hi
   std::vector<double> scratch_;   ///< rates at the phi being evaluated
-  /// Rates the next warm inner solve predicts from: the last solve's
-  /// split between solves, the previous probe's rates within a warm
-  /// solve. Their dlambda'_i/dphi (0 between solves) and the phi they
-  /// belong to.
-  std::vector<double> warm_rates_;
-  std::vector<double> warm_slopes_;
-  double warm_phi_ = 0.0;
+  /// The warm solve's state; between solves its `x` holds the last
+  /// solve's split (or the rates warm_start() handed in).
+  detail::NewtonState newton_;
   double seed_phi_ = -1.0;
-  double seed_lambda_ = 0.0;  ///< lambda' of the last solve
 };
 
 class LoadDistributionOptimizer {

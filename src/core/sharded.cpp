@@ -71,9 +71,9 @@ void ShardOptions::validate() const {
 
 void ShardedWorkspace::clear() {
   cells_.clear();
-  warm_phi_ = 0.0;
+  newton_ = detail::NewtonState{};
+  rates_.clear();
   seed_phi_ = -1.0;
-  seed_lambda_ = 0.0;
 }
 
 ShardedOptimizer::ShardedOptimizer(model::Cluster cluster, queue::Discipline d,
@@ -107,6 +107,7 @@ void ShardedOptimizer::build_cells() {
     Cell& cell = cells_[c];
     cell.begin = c * n / cell_count;
     cell.end = (c + 1) * n / cell_count;
+    cell.first_class = server_classes_;
 
     std::map<ClassKey, std::size_t> index;
     for (std::size_t g = cell.begin; g < cell.end; ++g) {
@@ -271,43 +272,68 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
   // inner solve never reads contended state from pool threads.
   const detail::SolveBudget user_budget = detail::SolveBudget::from(opts_);
 
-  // One cell's F_c(phi): a warm-bracketed inner solve per class, class
-  // counts folding into a compensated cell total. Never throws —
-  // failures park in the cell state and the caller turns the first one
-  // (lowest cell index, deterministically) into the solve's error.
-  //
-  // A warm probe runs the flat solver's warm inner solve, class for class:
-  // started at the first-order prediction from the previous probe, and
-  // accumulating F_c'(phi) next to F_c.
-  auto eval_cell = [&](std::size_t c, double phi, bool use_lo, bool use_hi, bool warm) noexcept {
-    const Cell& cell = cells_[c];
+  // Runs a cell's work, parking any exception in its state like an inner
+  // failure: cells run on pool threads and must never throw.
+  auto contained = [&](std::size_t c, auto&& work) noexcept {
     auto& st = ws.cells_[c];
     try {
-      const CellObjective obj(cell.queues, lambda_total);
+      work(cells_[c], st, CellObjective(cells_[c].queues, lambda_total));
+    } catch (const std::exception& e) {
+      st.err = Error{ErrorCode::Internal,
+                     std::string("optimize: unexpected exception in cell: ") + e.what()};
+    } catch (...) {
+      st.err = Error{ErrorCode::Internal, "optimize: unknown exception in cell"};
+    }
+  };
+  // Runs `work` on every cell: inline on the calling thread with one cell
+  // (and coalescing off, the call sequence is then bitwise the flat
+  // solver's), else over the pool.
+  auto for_each_cell = [&](auto&& work) {
+    if (cell_count == 1) {
+      contained(0, work);
+      return;
+    }
+    par::for_each_weighted_chunk(pool, cell_count, cell_chunk_, cell_cost_,
+                                 [&](std::size_t lo_c, std::size_t hi_c) {
+                                   for (std::size_t c = lo_c; c < hi_c; ++c) contained(c, work);
+                                 });
+  };
+  long spent = 0;  // evaluations of a failed warm attempt, outside the cold budget
+  auto evals_so_far = [&] {
+    long evals = spent;
+    for (const auto& st : ws.cells_) evals += st.evals;
+    return evals;
+  };
+  // After a pass over the cells: the first parked failure (lowest cell
+  // index, deterministically), else a tripped user budget.
+  auto check_cells = [&]() -> std::optional<Error> {
+    for (const auto& st : ws.cells_) {
+      if (st.err.code != ErrorCode::Ok) return st.err;
+    }
+    if (user_budget.max_evals > 0 && evals_so_far() - spent > user_budget.max_evals) {
+      std::ostringstream os;
+      os << "optimize: marginal-evaluation budget exceeded (max_marginal_evaluations="
+         << user_budget.max_evals << ")";
+      return detail::make_solver_error(ErrorCode::BudgetExceeded, os.str());
+    }
+    if (user_budget.timed && std::chrono::steady_clock::now() > user_budget.deadline) {
+      std::ostringstream os;
+      os << "optimize: wall-time budget exceeded (max_solve_seconds=" << user_budget.max_seconds
+         << ")";
+      return detail::make_solver_error(ErrorCode::BudgetExceeded, os.str());
+    }
+    return std::nullopt;
+  };
+
+  // F(phi): per cell, a warm-bracketed inner solve per class, class
+  // counts folding into a compensated cell total.
+  std::optional<Error> err;
+  auto total_at = [&](double phi) -> double {
+    const bool use_lo = phi >= br.phi_lo;
+    const bool use_hi = br.phi_hi >= 0.0 && phi <= br.phi_hi;
+    for_each_cell([&](const Cell& cell, auto& st, const CellObjective& obj) {
       detail::SolveBudget inert;
       num::KahanSum f;
-      if (warm) {
-        num::KahanSum df;
-        for (std::size_t k = 0; k < cell.classes.size(); ++k) {
-          const double lo = use_lo ? st.rates_lo[k] - tol : 0.0;
-          const double hi = use_hi ? st.rates_hi[k] + tol : -1.0;
-          const double x0 = st.warm[k] + (phi - ws.warm_phi_) * st.slopes[k];
-          double s = 0.0;
-          auto r = detail::find_rate_from(opts_, obj, k, phi, lo, hi, x0, &st.evals, inert, s);
-          if (!r) {
-            st.err = r.error();
-            return;
-          }
-          st.scratch[k] = st.warm[k] = r.value();
-          st.slopes[k] = s;
-          const double members = static_cast<double>(cell.classes[k].members.size());
-          f.add(members * r.value());
-          df.add(members * s);
-        }
-        st.dtotal = df.value();
-        st.total = f.value();
-        return;
-      }
       for (std::size_t k = 0; k < cell.classes.size(); ++k) {
         const double lo = use_lo ? st.rates_lo[k] - tol : 0.0;
         const double hi = use_hi ? st.rates_hi[k] + tol : -1.0;
@@ -320,64 +346,11 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
         f.add(static_cast<double>(cell.classes[k].members.size()) * r.value());
       }
       st.total = f.value();
-    } catch (const std::exception& e) {
-      st.err = Error{ErrorCode::Internal,
-                     std::string("optimize: unexpected exception in cell: ") + e.what()};
-    } catch (...) {
-      st.err = Error{ErrorCode::Internal, "optimize: unknown exception in cell"};
-    }
-  };
-
-  std::optional<Error> err;
-  long inner_evals = 0;
-  long spent = 0;  // evaluations of a failed warm attempt, outside the cold budget
-  auto probe = [&](double phi, bool warm) -> double {
-    const bool use_lo = phi >= br.phi_lo;
-    const bool use_hi = br.phi_hi >= 0.0 && phi <= br.phi_hi;
-    if (cell_count == 1) {
-      // Inline on the calling thread: with one cell (and coalescing
-      // off) the call sequence is bitwise the flat solver's.
-      eval_cell(0, phi, use_lo, use_hi, warm);
-    } else {
-      par::for_each_weighted_chunk(pool, cell_count, cell_chunk_, cell_cost_,
-                                   [&](std::size_t lo_c, std::size_t hi_c) {
-                                     for (std::size_t c = lo_c; c < hi_c; ++c) {
-                                       eval_cell(c, phi, use_lo, use_hi, warm);
-                                     }
-                                   });
-    }
-    inner_evals = spent;
-    for (std::size_t c = 0; c < cell_count; ++c) {
-      if (ws.cells_[c].err.code != ErrorCode::Ok && !err) err = ws.cells_[c].err;
-      inner_evals += ws.cells_[c].evals;
-    }
-    if (err) return std::numeric_limits<double>::quiet_NaN();
-    if (user_budget.max_evals > 0 && inner_evals - spent > user_budget.max_evals) {
-      std::ostringstream os;
-      os << "optimize: marginal-evaluation budget exceeded (max_marginal_evaluations="
-         << user_budget.max_evals << ")";
-      err = detail::make_solver_error(ErrorCode::BudgetExceeded, os.str());
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    if (user_budget.timed && std::chrono::steady_clock::now() > user_budget.deadline) {
-      std::ostringstream os;
-      os << "optimize: wall-time budget exceeded (max_solve_seconds=" << user_budget.max_seconds
-         << ")";
-      err = detail::make_solver_error(ErrorCode::BudgetExceeded, os.str());
-      return std::numeric_limits<double>::quiet_NaN();
-    }
+    });
+    if ((err = check_cells())) return std::numeric_limits<double>::quiet_NaN();
     num::KahanSum f;
-    for (std::size_t c = 0; c < cell_count; ++c) f.add(ws.cells_[c].total);
+    for (const auto& st : ws.cells_) f.add(st.total);
     return f.value();
-  };
-  auto total_at = [&](double phi) { return probe(phi, false); };
-  auto warm_at = [&](double phi, double& slope) {
-    const double total = probe(phi, true);
-    num::KahanSum df;
-    for (std::size_t c = 0; c < cell_count; ++c) df.add(ws.cells_[c].dtotal);
-    slope = df.value();
-    ws.warm_phi_ = phi;
-    return total;
   };
   auto absorb = [&](double phi, double total) {
     if (total < lambda_total) {
@@ -393,61 +366,92 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
     }
   };
 
-  // Warm when the workspace holds a previous solve, as in the flat solver.
-  const double seed = detail::warm_seed(ws.seed_phi_, ws.seed_lambda_, lambda_total);
-  for (std::size_t c = 0; seed > 0.0 && c < cell_count; ++c) {
-    auto& st = ws.cells_[c];
-    const std::size_t k = cells_[c].classes.size();
-    if (st.warm.size() != k) {
-      st.warm.assign(k, std::numeric_limits<double>::quiet_NaN());
-      st.slopes.assign(k, 0.0);
+  // Warm when the workspace holds a previous solve, as in the flat solver:
+  // joint Newton with one entry per kept class, weighted by its members.
+  double warm_phi = 0.0;
+  detail::NewtonState& ns = ws.newton_;
+  auto warm_solve = [&]() -> Expected<int> {
+    ns.x.resize(server_classes_);
+    ns.weight.resize(server_classes_);
+    ns.hub.resize(server_classes_);
+    const bool carried = ws.rates_.size() == cluster_.size();
+    for (const Cell& cell : cells_) {
+      for (std::size_t k = 0; k < cell.classes.size(); ++k) {
+        const std::size_t e = cell.first_class + k;
+        ns.x[e] = carried ? ws.rates_[cell.classes[k].members.front()]
+                          : std::numeric_limits<double>::quiet_NaN();
+        ns.weight[e] = static_cast<double>(cell.classes[k].members.size());
+        ns.hub[e] = (1.0 - opts_.saturation_margin) * cell.queues[k].max_generic_rate();
+      }
     }
-  }
-  ws.warm_phi_ = seed;
+    auto eval_at = [&](const std::vector<double>& x, std::vector<double>& g,
+                       std::vector<double>& dg) -> std::optional<Error> {
+      for_each_cell([&](const Cell& cell, auto& st, const CellObjective& obj) {
+        for (std::size_t k = 0; k < cell.classes.size(); ++k) {
+          const std::size_t e = cell.first_class + k;
+          ++st.evals;
+          std::tie(g[e], dg[e]) = obj.marginal_with_derivative(k, x[e]);
+        }
+      });
+      return check_cells();
+    };
+    auto exact_at = [&](std::size_t e, double phi, double lo, double hi) {
+      const auto it = std::upper_bound(cells_.begin(), cells_.end(), e,
+                                       [](std::size_t v, const Cell& c) { return v < c.first_class; });
+      const std::size_t c = static_cast<std::size_t>(it - cells_.begin()) - 1;
+      detail::SolveBudget inert;
+      return detail::find_rate_core(opts_, CellObjective(cells_[c].queues, lambda_total),
+                                    e - cells_[c].first_class, phi, lo, hi, &ws.cells_[c].evals,
+                                    inert);
+    };
+    return detail::joint_newton(opts_, lambda_total, ns, warm_phi, eval_at, exact_at);
+  };
   auto restart = [&] {
-    spent = inner_evals;
+    spent = evals_so_far();
     prepare_workspace(ws);
   };
-  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, seed, br, err, warm_at,
+  bool warm = ws.seed_phi_ > 0.0;
+  auto search = detail::run_phi_search(opts_, lambda_total, lambda_max, warm, br, err, warm_solve,
                                        total_at, absorb, restart);
+  const long inner_evals = evals_so_far();
   if (!search) {
     BLADE_OBS_EVENT(SolveEnd, search.error().code, 0.0, 0.0, inner_evals);
     return search.error();
   }
 
-  // Expand the class-level bracket-end rates back to full length (pruned
-  // servers stay at zero) and extract exactly as the flat path does.
+  // Expand the class-level rates back to full length (pruned servers
+  // stay at zero) and finish exactly as the flat path does: the warm
+  // solve's rates rescaled onto the constraint, or the cold bracket ends
+  // extracted. ns.x keeps the kept classes' rates at the returned
+  // multiplier, for the pruning certificate.
   const std::size_t n = cluster_.size();
   ShardedLoadDistribution out;
-  std::vector<double> rates_lo(n, 0.0);
+  std::vector<double> rates_lo(warm ? 0 : n, 0.0);
   out.dist.rates.assign(n, 0.0);
+  ns.x.resize(server_classes_);
   for (std::size_t c = 0; c < cell_count; ++c) {
     const auto& st = ws.cells_[c];
-    const auto& classes = cells_[c].classes;
-    for (std::size_t k = 0; k < classes.size(); ++k) {
-      for (std::size_t g : classes[k].members) {
-        rates_lo[g] = st.rates_lo[k];
-        out.dist.rates[g] = st.rates_hi[k];
+    const Cell& cell = cells_[c];
+    for (std::size_t k = 0; k < cell.classes.size(); ++k) {
+      const std::size_t e = cell.first_class + k;
+      if (!warm) ns.x[e] = st.rates_hi[k];
+      for (std::size_t g : cell.classes[k].members) {
+        out.dist.rates[g] = ns.x[e];
+        if (!warm) rates_lo[g] = st.rates_lo[k];
       }
     }
   }
-  detail::extract_rates(br, rates_lo, out.dist.rates, lambda_total, opts_.rate_tolerance);
-  // The next solve on this workspace starts from this one. Extraction
-  // keeps the members of a class equal, so the representative's rate is
-  // the class rate.
-  ws.seed_phi_ = br.phi_hi;
-  ws.seed_lambda_ = lambda_total;
-  for (std::size_t c = 0; c < cell_count; ++c) {
-    auto& st = ws.cells_[c];
-    const auto& classes = cells_[c].classes;
-    st.warm.resize(classes.size());
-    for (std::size_t k = 0; k < classes.size(); ++k) {
-      st.warm[k] = out.dist.rates[classes[k].members.front()];
-    }
-    st.slopes.assign(classes.size(), 0.0);
+  out.dist.phi = warm ? warm_phi : br.phi_hi;
+  if (warm) {
+    detail::rescale_to(out.dist.rates, detail::rate_total(out.dist.rates), lambda_total);
+  } else {
+    detail::extract_rates(br, rates_lo, out.dist.rates, lambda_total, opts_.rate_tolerance);
   }
+  // The next solve on this workspace starts from this one, per server, so
+  // that a solver with other classes can read it.
+  ws.seed_phi_ = out.dist.phi;
+  ws.rates_ = out.dist.rates;
 
-  out.dist.phi = br.phi_hi;
   out.dist.outer_iterations = search.value();
   out.dist.inner_evaluations = inner_evals;
   out.cells = cell_count;
@@ -457,8 +461,8 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
 
   finalize(out, lambda_total);
   if (pruned_servers_ > 0) {
-    out.prune_loss_bound =
-        prune_bound(ws, br.phi_hi, lambda_total, out.dist.response_time, &out.dist.inner_evaluations);
+    out.prune_loss_bound = prune_bound(ns.x, out.dist.phi, lambda_total, out.dist.response_time,
+                                       &out.dist.inner_evaluations);
     BLADE_OBS_GAUGE_SET("solver.shard.prune_loss_bound", out.prune_loss_bound);
   }
 
@@ -497,7 +501,11 @@ void ShardedOptimizer::finalize(ShardedLoadDistribution& out, double lambda_tota
         out.dist.response_times[i] = obj.queue(i).generic_response_time(out.dist.rates[i]);
       }
     }
-    out.dist.response_time = obj.value(out.dist.rates);
+    out.dist.response_time =
+        shard_.finalize_metrics
+            ? detail::mean_response_time(out.dist.rates, lambda_total,
+                                         [&](std::size_t i) { return out.dist.response_times[i]; })
+            : obj.value(out.dist.rates);
     return;
   }
 
@@ -540,8 +548,8 @@ void ShardedOptimizer::finalize(ShardedLoadDistribution& out, double lambda_tota
   out.dist.response_time = acc.value() / lambda_total;
 }
 
-double ShardedOptimizer::prune_bound(const ShardedWorkspace& ws, double phi, double lambda_total,
-                                     double t_prime, long* evals) const {
+double ShardedOptimizer::prune_bound(const std::vector<double>& class_rates, double phi,
+                                     double lambda_total, double t_prime, long* evals) const {
   // Weak-duality certificate: with per-server cost c_i(x) = x T'_i(x) /
   // lambda' (so T' of an assignment is sum_i c_i(x_i)), for ANY phi >= 0
   //
@@ -553,7 +561,7 @@ double ShardedOptimizer::prune_bound(const ShardedWorkspace& ws, double phi, dou
   //
   // Each min term is 0 when g_i(0) >= phi (the cost is increasing from
   // zero) and otherwise sits at the phi-marginal point — for kept
-  // classes exactly the rates_hi the solve already holds, for pruned
+  // classes exactly the rates the solve settled at phi, for pruned
   // classes one cold inner solve at the converged multiplier. Terms are
   // evaluated at solver-tolerance minimizers, so each carries
   // O(tolerance^2) slack; the additive floor below absorbs it. Taking
@@ -564,9 +572,8 @@ double ShardedOptimizer::prune_bound(const ShardedWorkspace& ws, double phi, dou
   detail::SolveBudget inert;
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     const Cell& cell = cells_[c];
-    const auto& st = ws.cells_[c];
     for (std::size_t k = 0; k < cell.classes.size(); ++k) {
-      const double x = st.rates_hi[k];
+      const double x = class_rates[cell.first_class + k];
       if (x <= 0.0) continue;
       const double cost = x * cell.queues[k].generic_response_time(x) / lambda_total;
       dual.add(static_cast<double>(cell.classes[k].members.size()) *

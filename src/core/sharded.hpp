@@ -11,22 +11,23 @@
 // where F_c is the cell's aggregate rate curve at the SAME phi. Each
 // F_c is increasing (a sum of increasing per-server curves), hence F is
 // too, and the outer search over phi is exactly the flat one — the
-// sharded solver reuses detail::run_phi_search verbatim and solves the
-// IDENTICAL fixed point. Sharded-vs-flat agreement is therefore an
-// exact mathematical claim, which is what the shard-vs-flat
-// differential battery (tests/test_sharded_differential.cpp) pins down;
-// with a single cell and coalescing disabled the call sequence is
-// bitwise the flat one.
+// sharded solver reuses detail::run_phi_search (and, warm,
+// detail::joint_newton) verbatim and solves the IDENTICAL fixed point.
+// Sharded-vs-flat agreement is therefore an exact mathematical claim,
+// which is what the shard-vs-flat differential battery
+// (tests/test_sharded_differential.cpp) pins down; with a single cell and
+// coalescing disabled the call sequence is bitwise the flat one.
 //
 // What makes it fast:
 //   * class coalescing — servers in a cell with identical (m, speed,
 //     special rate, discipline) share one inner solve per probe; a
 //     catalog fleet of 100,000 blades built from dozens of SKUs costs a
 //     few hundred inner solves per probe instead of 100,000;
-//   * per-cell warm state — the same monotone [rates_lo, rates_hi]
-//     brackets the flat workspace keeps across outer probes, and the
-//     same cross-solve warm start (previous phi and per-class rates),
-//     held per cell;
+//   * warm state — the same monotone [rates_lo, rates_hi] brackets the
+//     flat workspace keeps across outer probes, held per cell, and the
+//     same cross-solve warm start: a re-solve runs the flat path's joint
+//     Newton iteration over the classes, each weighted by its member
+//     count, from the previous solve's split;
 //   * pool parallelism — cells are evaluated concurrently over a
 //     ThreadPool with cost-weighted deterministic chunking
 //     (par::for_each_weighted_chunk), so chunk boundaries never depend
@@ -94,19 +95,18 @@ struct ShardedLoadDistribution {
   double prune_loss_bound = 0.0;
 };
 
-/// Per-cell warm-start state reused across outer probes and, when the
-/// caller keeps one alive, across solves — the sharded analogue of
-/// SolverWorkspace (same monotone-bracket caching and the same warm
-/// start from the previous solve's phi and per-class rates, held per
-/// cell). NOT thread-safe: one workspace per concurrent solve. The solver
-/// resizes it as needed; a default-constructed workspace fits any
-/// instance.
+/// Per-cell bracket state reused across outer probes and, when the
+/// caller keeps one alive, the previous solve across solves — the sharded
+/// analogue of SolverWorkspace (same monotone-bracket caching, and the
+/// same warm start from the previous solve's split). NOT thread-safe: one
+/// workspace per concurrent solve. The solver resizes it as needed; a
+/// default-constructed workspace fits any instance.
 class ShardedWorkspace {
  public:
   ShardedWorkspace() = default;
 
-  /// Drops every cached value, including the previous solve's phi seed
-  /// and rates: the next solve runs cold.
+  /// Drops every cached value, including the previous solve's phi and
+  /// rates: the next solve runs cold.
   void clear();
 
   /// The converged phi of the last solve on this workspace (< 0 when
@@ -120,20 +120,16 @@ class ShardedWorkspace {
     std::vector<double> rates_lo;  ///< per-class rates at phi_lo
     std::vector<double> rates_hi;  ///< per-class rates at phi_hi
     std::vector<double> scratch;   ///< per-class rates at the probe phi
-    /// Per-class rates the next warm probe predicts from (the previous
-    /// solve's, then the previous probe's) and their dlambda'/dphi.
-    std::vector<double> warm;
-    std::vector<double> slopes;
     double total = 0.0;            ///< F_c at the probe phi
-    double dtotal = 0.0;           ///< F_c' at the probe phi (warm probes)
     long evals = 0;                ///< marginal evaluations in this cell
     Error err{ErrorCode::Ok, {}};  ///< first inner failure, if any
   };
 
   std::vector<CellState> cells_;
-  double warm_phi_ = 0.0;     ///< the phi the cells' warm rates belong to
+  /// The warm solve's state over every kept class, cell after cell.
+  detail::NewtonState newton_;
+  std::vector<double> rates_;  ///< the last solve's split, per server
   double seed_phi_ = -1.0;
-  double seed_lambda_ = 0.0;  ///< lambda' of the last solve
 };
 
 /// Drop-in hierarchical counterpart of LoadDistributionOptimizer: same
@@ -196,6 +192,7 @@ class ShardedOptimizer {
   struct Cell {
     std::size_t begin = 0;  ///< contiguous global range [begin, end)
     std::size_t end = 0;
+    std::size_t first_class = 0;  ///< index of classes[0] among all cells' kept classes
     std::vector<ServerClass> classes;        ///< kept, in first-occurrence order
     std::vector<queue::BladeQueue> queues;   ///< one per kept class (representative's)
     std::vector<ServerClass> pruned;         ///< classes cut by PruneOptions
@@ -207,8 +204,8 @@ class ShardedOptimizer {
   Expected<ShardedLoadDistribution> optimize_core(double lambda_total, par::ThreadPool& pool,
                                                   ShardedWorkspace& ws) const;
   void finalize(ShardedLoadDistribution& out, double lambda_total) const;
-  [[nodiscard]] double prune_bound(const ShardedWorkspace& ws, double phi, double lambda_total,
-                                   double t_prime, long* evals) const;
+  [[nodiscard]] double prune_bound(const std::vector<double>& class_rates, double phi,
+                                   double lambda_total, double t_prime, long* evals) const;
 
   model::Cluster cluster_;
   std::vector<queue::Discipline> discs_;  // one per server

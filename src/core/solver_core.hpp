@@ -1,13 +1,15 @@
-// Shared numeric core of the flat and sharded load-distribution solvers:
-// the inner rate solve (Fig. 2 with the rtsafe Newton loop, cold from a
-// bracket or warm from the best known rate), the outer phi search
-// (doubling expansion, or seeded Newton steps on F when warm, then Brent
-// and a polish that closes the bracket from its nearer end), and the
-// bracket-end rate extraction. The flat LoadDistributionOptimizer and the
-// sharded hierarchical solver (core/sharded.hpp) both delegate here,
-// which is what makes "sharded with 1 cell" bitwise identical to the
-// flat path: there is exactly one implementation of every numeric step,
-// parameterized only by how F(phi) is assembled.
+// Shared numeric core of the flat and sharded load-distribution solvers.
+// Cold, the paper's nested search: the inner rate solve (Fig. 2 with the
+// rtsafe Newton loop), the outer phi search (doubling expansion, then
+// Brent and a polish that closes the bracket from its nearer end), and
+// the bracket-end rate extraction. Warm, from the previous solve's rates:
+// one joint Newton iteration over the whole KKT system, with the cold
+// search as its fallback inside the same call. The flat
+// LoadDistributionOptimizer and the sharded hierarchical solver
+// (core/sharded.hpp) both delegate here, which is what makes "sharded
+// with 1 cell" bitwise identical to the flat path: there is exactly one
+// implementation of every numeric step, parameterized only by how F(phi)
+// and the per-entry marginals are assembled.
 //
 // Everything here is an implementation detail (namespace opt::detail);
 // the stable surfaces are LoadDistributionOptimizer and ShardedOptimizer.
@@ -300,176 +302,162 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
   return result;
 }
 
-/// The warm inner solve: the same root of g_i = phi as find_rate_core,
-/// reached by the same safeguarded Newton iteration but started at `x0`,
-/// the best known rate (the previous solve's, or a first-order prediction
-/// from this solve's previous probe), instead of at a bracket midpoint.
-/// A non-finite `x0` starts at the lower end.
-///
-/// [lo, hi] are the monotone hints find_rate_core takes (hi < 0: none,
-/// and the saturation guard stands in). find_rate_core evaluates both
-/// ends up front; here an end is evaluated only when an iterate would
-/// leave through it, or when the bracket closes onto an upper end no
-/// evaluation has confirmed, so a good start costs one or two kernel
-/// evaluations. Without an upper hint the iteration brackets outward by
-/// Newton-sized steps from `x0`. An upper end found to undershoot the
-/// root reopens the bracket up to the saturation guard, as the doubling
-/// resumes in find_rate_core.
-///
-/// `slope` receives dlambda'_i/dphi = 1/g'_i at the last evaluation (0
-/// when the server is inactive, saturated or pinned by a collapsed
-/// bracket), the term this server contributes to F'(phi).
-template <class Obj>
-Expected<double> find_rate_from(const OptimizerOptions& opts, const Obj& obj, std::size_t i,
-                                double phi, double lo, double hi, double x0, long* evals,
-                                SolveBudget& budget, double& slope) {
-  slope = 0.0;
-  const double sup = obj.rate_bound(i);
-  if (!std::isfinite(sup)) return non_finite_bound_error(i);
-  const double hard_ub = (1.0 - opts.saturation_margin) * sup;
-  const double tol = opts.rate_tolerance;
-  lo = std::clamp(lo, 0.0, hard_ub);
-  const bool have_hi = hi >= 0.0;
-  hi = have_hi ? std::clamp(hi, lo, hard_ub) : hard_ub;
-  if (have_hi && hi - lo <= tol) {
-    BLADE_OBS_COUNT("optimizer.warm_bracket_hits");
-    return 0.5 * (lo + hi);
+/// The warm solve: Newton on the whole KKT system at once (g_i(x_i) = phi
+/// on active entries, sum_i m_i x_i = lambda'), from the previous solve's
+/// rates in `s.x`. An entry is a server (m_i = 1) on the flat path and a
+/// server class (m_i its member count, x_i the per-member rate) on the
+/// sharded one. docs/optimizer.md gives each rule's reason. Each round:
+///   * `eval_at(x, g, dg)` evaluates every entry once, charging the budget.
+///   * phi' is the exact root of sum_i m_i max(0, x_i + (phi - g_i)/g'_i)
+///     = lambda', by water-filling over the breakpoints b_i = g_i - g'_i x_i.
+///     An idle entry's slope m_i/g'_i is capped at the flattest loaded
+///     entry's: its tangent at zero can be almost flat, or flat.
+///   * Every active entry steps to max(0, x_i + (phi' - g_i)/g'_i), except
+///     that safeguards pin some: a loaded entry with g_i > 2 phi' (pole
+///     side) is solved exactly at phi' on [0, x_i] (`exact_at(i, phi, lo,
+///     hi)`, find_rate_core); a step past half the headroom to the
+///     saturation guard is cut to half, or solved exactly, cold, from zero
+///     rate. phi' then moves by the pinned entries' shortfall over the free
+///     entries' total slope, and the free entries step to it.
+///   * Flat plateau: the flattest active entry (largest m_i/g'_i) takes the
+///     constraint residual instead of its own step.
+///   * Stop once every step is within rate_tolerance/2 (the plateau
+///     entry's test adds 4 eps lambda'/m_i, the resolution of a residual of
+///     size lambda'); phi' is the multiplier.
+/// Returns the round count, or a typed error when an evaluation or an
+/// exact solve fails, no entry is loaded, or no round settles within
+/// Brent's cap (min(60, max_iterations)); the caller then runs the cold
+/// search instead.
+template <class EvalAt, class ExactAt>
+Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, NewtonState& s,
+                           double& phi, EvalAt&& eval_at, ExactAt&& exact_at) {
+  const std::size_t n = s.x.size();
+  s.g.resize(n);
+  s.dg.resize(n);
+  s.next.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(s.hub[i])) return non_finite_bound_error(i);
+    s.x[i] = std::isfinite(s.x[i]) ? std::clamp(s.x[i], 0.0, s.hub[i]) : 0.0;
   }
+  auto slope = [&](std::size_t i) { return s.weight[i] / s.dg[i]; };  // m_i/g'_i
+  auto breakpoint = [&](std::size_t i) { return s.g[i] - s.dg[i] * s.x[i]; };
+  auto newton_step = [&](std::size_t i, double at) {
+    return std::max(0.0, s.x[i] + (at - s.g[i]) / s.dg[i]);
+  };
+  auto trust = [&](std::size_t i) { return s.x[i] + 0.5 * (s.hub[i] - s.x[i]); };
+  auto solve_exactly = [&](std::size_t i, double at, double hi) -> std::optional<Error> {
+    auto r = exact_at(i, at, 0.0, hi);
+    if (!r) return r.error();
+    s.next[i] = r.value();
+    return std::nullopt;
+  };
 
-  bool hi_sure = false;  // g(hi) >= phi confirmed by an evaluation
-  bool lo_sure = false;  // g(lo) < phi confirmed by an evaluation
-  double x = std::isfinite(x0) ? std::clamp(x0, lo, hi) : lo;
-  double dx_old = hi - lo;
-  double dx = dx_old;
-  double dg_last = 0.0;
-  double result = x;
-  bool converged = false;
-  int it = 0;
-  for (; it < opts.max_iterations; ++it) {
-    if (auto e = budget.charge()) return std::move(*e);
-    if (evals) ++*evals;
-    const auto [gx, dgx] = obj.marginal_with_derivative(i, x);
-    if (!std::isfinite(gx)) return non_finite_marginal_error(i, x, gx);
-    dg_last = dgx;
-    const double fx = gx - phi;
-    if (fx == 0.0) {
-      result = x;
-      converged = true;
-      break;
+  const int cap = std::min(60, opts.max_iterations);
+  for (int round = 1; round <= cap; ++round) {
+    if (auto e = eval_at(s.x, s.g, s.dg)) return std::move(*e);
+    double loaded_slope = 0.0;  // the flattest loaded entry's
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!std::isfinite(s.g[i])) return non_finite_marginal_error(i, s.x[i], s.g[i]);
+      if (s.x[i] == 0.0) continue;
+      if (!(s.dg[i] > 0.0) || !std::isfinite(slope(i))) {
+        return Error{ErrorCode::NonConvergence, "optimize: no marginal slope at a loaded entry"};
+      }
+      loaded_slope = std::max(loaded_slope, slope(i));
     }
-    if (fx < 0.0) {
-      if (x >= hi) {
-        if (hi >= hard_ub) {
-          BLADE_OBS_COUNT("optimizer.saturation_clamps");
-          return hard_ub;  // saturated at this phi
+    if (loaded_slope == 0.0) return Error{ErrorCode::NonConvergence, "optimize: no loaded entry"};
+    // An idle entry's tangent at zero can be almost flat (or flat: m >= 2
+    // without preload) and would pin phi' at its breakpoint, far below
+    // the loaded entries' multiplier; its slope is capped at theirs.
+    s.order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double least = s.weight[i] / loaded_slope;
+      if (s.x[i] == 0.0 && !(s.dg[i] >= least && std::isfinite(s.dg[i]))) s.dg[i] = least;
+      s.order[i] = i;
+    }
+    std::sort(s.order.begin(), s.order.end(), [&](std::size_t a, std::size_t b) {
+      return std::pair{breakpoint(a), a} < std::pair{breakpoint(b), b};
+    });
+
+    // Water-filling: over the k cheapest breakpoints the linearized total
+    // is sum m_i x_i + sum (m_i/g'_i)(phi - g_i), so its root is
+    // (sum (m_i/g'_i) g_i + lambda' - sum m_i x_i) / sum m_i/g'_i; the
+    // active set grows until the next breakpoint lies at or above it.
+    num::KahanSum wg;
+    num::KahanSum mx;
+    num::KahanSum w;
+    std::size_t active = 0;
+    double next_phi = 0.0;
+    std::size_t flattest = s.order.front();
+    while (active < s.order.size()) {
+      const std::size_t i = s.order[active++];
+      wg.add(slope(i) * s.g[i]);
+      mx.add(s.weight[i] * s.x[i]);
+      w.add(slope(i));
+      if (slope(i) > slope(flattest)) flattest = i;
+      next_phi = (wg.value() + (lambda_total - mx.value())) / w.value();
+      if (active < s.order.size() && breakpoint(s.order[active]) >= next_phi) break;
+    }
+
+    // Steps, and the safeguards' pins: s.order keeps the active entries
+    // that step freely, the plateau entry among them.
+    std::fill(s.next.begin(), s.next.end(), 0.0);
+    std::size_t free = 0;
+    for (std::size_t k = 0; k < active; ++k) {
+      const std::size_t i = s.order[k];
+      const double x = s.x[i];
+      s.next[i] = newton_step(i, next_phi);
+      if (i != flattest && x > 0.0 && s.g[i] > 2.0 * next_phi) {
+        if (auto e = solve_exactly(i, next_phi, x)) return std::move(*e);  // pole side
+      } else if (i != flattest && s.next[i] > trust(i)) {
+        if (x > 0.0) {
+          s.next[i] = trust(i);
+        } else if (auto e = solve_exactly(i, next_phi, -1.0)) {
+          return std::move(*e);
         }
-        hi = hard_ub;  // the upper hint undershot: reopen to the guard
-        hi_sure = false;
+      } else {
+        s.order[free++] = i;
       }
-      lo = x;
-      lo_sure = true;
-    } else {
-      if (x <= lo) return lo;  // root at or below the lower end: inactive when lo = 0
-      hi = x;
-      hi_sure = true;
     }
-    // find_rate_core's Newton stop, whether or not the upper end has been
-    // confirmed: the root lies within the tolerance of this evaluation.
-    const bool newton_ok = dgx > 0.0 && std::isfinite(dgx);
-    const double step = newton_ok ? fx / dgx : std::numeric_limits<double>::infinity();
-    if (std::abs(step) <= 0.5 * tol) {
-      result = std::clamp(x - step, lo, hi);
-      ++it;
-      converged = true;
-      break;
+    s.order.resize(free);
+
+    // The pinned entries' shortfall from the model moves phi once more,
+    // over the free entries' total slope, and they step to the moved phi.
+    num::KahanSum assigned;
+    num::KahanSum free_slope;
+    for (std::size_t i = 0; i < n; ++i) assigned.add(s.weight[i] * s.next[i]);
+    for (const std::size_t i : s.order) free_slope.add(slope(i));
+    next_phi += (lambda_total - assigned.value()) / free_slope.value();
+    for (const std::size_t i : s.order) {
+      if (i != flattest) s.next[i] = std::min(newton_step(i, next_phi), trust(i));
     }
-    if (hi - lo <= tol) {
-      if (!hi_sure) {
-        x = hi;  // closed onto an unconfirmed upper end: confirm it
-        continue;
-      }
-      result = 0.5 * (lo + hi);
-      converged = true;
-      break;
+    num::KahanSum others;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != flattest) others.add(s.weight[i] * s.next[i]);
     }
-    const double newton = x - step;
-    double next;
-    if (newton_ok && newton >= hi && !hi_sure) {
-      next = hi;  // leaving through an unconfirmed end: probe the end
-    } else if (newton_ok && newton <= lo && !lo_sure) {
-      next = lo;
-    } else if (!newton_ok || 2.0 * std::abs(fx) > std::abs(dx_old * dgx) ||
-               !(newton > lo && newton < hi)) {
-      next = 0.5 * (lo + hi);
-    } else {
-      next = newton;
+    s.next[flattest] = std::clamp((lambda_total - others.value()) / s.weight[flattest], 0.0,
+                                  trust(flattest));
+
+    // A residual of size lambda' is resolved to a few ulps of lambda' (as
+    // Brent's test allows 2 eps |b|).
+    bool settled = std::abs(s.next[flattest] - s.x[flattest]) <=
+                   0.5 * opts.rate_tolerance + 4.0 * std::numeric_limits<double>::epsilon() *
+                                                   lambda_total / s.weight[flattest];
+    for (std::size_t i = 0; i < n && settled; ++i) {
+      settled = i == flattest || std::abs(s.next[i] - s.x[i]) <= 0.5 * opts.rate_tolerance;
     }
-    dx_old = dx;
-    dx = std::abs(next - x);
-    result = next;
-    x = next;
+    s.x.swap(s.next);
+    if (settled) {
+      phi = next_phi;
+      BLADE_OBS_OBSERVE("optimizer.newton_rounds", round);
+      return round;
+    }
   }
-  BLADE_OBS_COUNT("optimizer.find_rate_calls");
-  BLADE_OBS_OBSERVE("optimizer.inner_iterations", it);
-  if (!converged && opts.strict_convergence && hi - lo > tol) {
-    return non_convergence_error(i, hi - lo, opts.max_iterations);
-  }
-  if (dg_last > 0.0 && std::isfinite(1.0 / dg_last)) slope = 1.0 / dg_last;
-  return result;
+  return Error{ErrorCode::NonConvergence,
+               "optimize: warm Newton iteration unsettled after " + std::to_string(cap) + " rounds"};
 }
 
-/// The first probe of a warm solve: the previous solve's multiplier,
-/// rescaled by lambda'_prev / lambda' (every g_i carries a 1/lambda'
-/// factor, so the rescaled seed reproduces the previous split's
-/// marginals). -1, meaning cold, when the workspace holds no solve.
-inline double warm_seed(double seed_phi, double seed_lambda, double lambda_total) {
-  return seed_phi > 0.0 && seed_lambda > 0.0 ? seed_phi * seed_lambda / lambda_total : -1.0;
-}
-
-/// Seeded bracketing for a warm solve. Probes F at `seed_phi`, then steps
-/// phi by Newton on F, (lambda' - F)/F' with F' = sum_i 1/g'_i from the
-/// same probe. A step from below is stretched by a quarter so it tends
-/// to land just past the root: F is concave between activations, so the
-/// plain Newton step undershoots from below (and overshoots from above,
-/// which already crosses). A step is never shorter than half of
-/// phi_tolerance, so a seed that already sits on the root still gets
-/// its tight bracket, and it stays within a factor of two of the
-/// previous probe, which is also the fallback when F' gives no step
-/// (geometric halve/double), so phi stays positive however far the seed.
-/// Stops once probes of this solve lie on both sides of lambda'.
-///
-/// `warm_at(phi, slope)` evaluates F(phi) and stores F'(phi) in `slope`,
-/// parking any inner failure in `err` like total_at.
-template <class WarmAt, class Absorb>
-Expected<int> seeded_bracket(const OptimizerOptions& opts, double lambda_total, double seed_phi,
-                             PhiBracket& br, std::optional<Error>& err, WarmAt&& warm_at,
-                             Absorb&& absorb) {
-  double phi = seed_phi;
-  for (int probes = 0;; ++probes) {
-    double slope = 0.0;
-    const double total = warm_at(phi, slope);
-    if (err) return std::move(*err);
-    absorb(phi, total);
-    if (br.phi_lo > 0.0 && br.phi_hi >= 0.0) return probes;
-    if (probes >= 200) {
-      std::ostringstream os;
-      os << std::setprecision(10) << "optimize: seeded phi search failed to bracket lambda'="
-         << lambda_total << " from phi=" << seed_phi << " after " << probes << " probes";
-      return make_solver_error(ErrorCode::BracketNotFound, os.str());
-    }
-    const bool below = total < lambda_total;
-    const double step = std::abs(lambda_total - total) / slope;
-    double next = below ? 2.0 * phi : 0.5 * phi;
-    if (slope > 0.0 && std::isfinite(step)) {
-      const double reach = std::max((below ? 1.25 : 1.0) * step, 0.5 * opts.phi_tolerance);
-      next = std::clamp(below ? phi + reach : phi - reach, 0.5 * phi, 2.0 * phi);
-    }
-    phi = next;
-  }
-}
-
-/// Brent plus the polish over an established bracket, shared by the cold
-/// and warm searches; returns the outer iteration count. On return (unless
+/// Brent plus the polish over an established bracket (the cold search);
+/// returns the outer iteration count. On return (unless
 /// max_iterations ran out) F(phi_lo) < lambda' <= F(phi_hi) and the
 /// bracket is at most phi_tolerance wide, with rates kept at both ends.
 template <class TotalAt, class Absorb>
@@ -590,46 +578,44 @@ Expected<int> refine_phi(const OptimizerOptions& opts, double lambda_total, PhiB
   return outer_it;
 }
 
-/// The outer phi search shared by the flat and sharded solvers.
+/// The solve shared by the flat and sharded front ends.
 ///
-/// Cold (`seed_phi` <= 0 or non-finite: the workspace holds no previous
-/// solve): Fig. 3's doubling expansion from phi = 1e-6 until F(phi)
-/// covers lambda', then refine_phi. Every inner solve is find_rate_core.
+/// Warm (`warm` enters true: the workspace holds a previous solve):
+/// `warm_solve()` runs joint_newton from the previous solve's rates.
+/// Should it fail — a typed error, an exception, or no settled round
+/// within its cap — `restart()` re-arms the caller's per-solve state and
+/// the cold search runs inside the same call, so a warm start never
+/// returns an error the cold path would not. `warm` leaves true only when
+/// the warm solve produced the answer.
 ///
-/// Warm (`seed_phi` > 0: the previous solve's multiplier, rescaled to
-/// this lambda'): seeded_bracket, then refine_phi, with every inner solve
-/// started from the best known rate (find_rate_from, inside `warm_at`).
-/// Monotonicity of F makes any seed safe: a stale one costs probes,
-/// never correctness. Should the warm attempt fail anyway, `restart()`
-/// re-arms the caller's per-solve state and the cold search runs inside
-/// the same call, so a warm start never returns an error the cold path
-/// would not.
+/// Cold: Fig. 3's doubling expansion from phi = 1e-6 until F(phi) covers
+/// lambda', then refine_phi, every inner solve find_rate_core.
+/// `total_at(phi)` evaluates F(phi), parking any inner failure in `err`
+/// and returning NaN; `absorb(phi, total)` folds an evaluation into `br`
+/// (and whatever per-server/per-cell rate state the caller keeps at the
+/// bracket ends). Only monotone improvements may be kept: phi_lo only
+/// moves up, phi_hi only moves down.
 ///
-/// `total_at(phi)` evaluates F(phi) cold, parking any inner failure in
-/// `err` and returning NaN; `absorb(phi, total)` folds an evaluation into
-/// `br` (and whatever per-server/per-cell rate state the caller keeps at
-/// the bracket ends). Only monotone improvements may be kept: phi_lo
-/// only moves up, phi_hi only moves down.
-///
-/// Returns the outer iteration count, or the search's typed error.
-template <class WarmAt, class TotalAt, class Absorb, class Restart>
+/// Returns the warm rounds or the outer iteration count, or the cold
+/// search's typed error.
+template <class WarmSolve, class TotalAt, class Absorb, class Restart>
 Expected<int> run_phi_search(const OptimizerOptions& opts, double lambda_total,
-                             double lambda_max, double seed_phi, PhiBracket& br,
-                             std::optional<Error>& err, WarmAt&& warm_at, TotalAt&& total_at,
+                             double lambda_max, bool& warm, PhiBracket& br,
+                             std::optional<Error>& err, WarmSolve&& warm_solve, TotalAt&& total_at,
                              Absorb&& absorb, Restart&& restart) {
-  if (seed_phi > 0.0 && std::isfinite(seed_phi)) {
+  if (warm) {
     BLADE_OBS_COUNT("optimizer.warm_starts");
-    auto warm = seeded_bracket(opts, lambda_total, seed_phi, br, err, warm_at, absorb);
-    if (warm) {
-      BLADE_OBS_COUNT_N("optimizer.phi_expansions", warm.value());
-      auto warm_total = [&](double phi) {
-        double slope = 0.0;
-        return warm_at(phi, slope);
-      };
-      warm = refine_phi(opts, lambda_total, br, err, warm_total, absorb);
-      if (warm) return warm;
+    Expected<int> attempt = Error{ErrorCode::Internal, {}};
+    try {
+      attempt = warm_solve();
+    } catch (const std::exception&) {
+      // Queueing-layer domain checks can throw where the cold search
+      // would never evaluate (a carried rate at the guard of a server
+      // whose headroom shrank below one ulp of its utilization).
     }
+    if (attempt) return attempt;
     BLADE_OBS_COUNT("optimizer.warm_fallbacks");
+    warm = false;
     err.reset();
     br = PhiBracket{};
     restart();
@@ -658,6 +644,23 @@ Expected<int> run_phi_search(const OptimizerOptions& opts, double lambda_total,
   return refine_phi(opts, lambda_total, br, err, total_at, absorb);
 }
 
+/// Compensated total of a rate vector.
+inline double rate_total(const std::vector<double>& rates) {
+  num::KahanSum s;
+  for (double r : rates) s.add(r);
+  return s.value();
+}
+
+/// Scales `rates`, whose total is `assigned`, so the assigned mass sits
+/// exactly on the constraint and downstream consumers see an exactly
+/// feasible point.
+inline void rescale_to(std::vector<double>& rates, double assigned, double lambda_total) {
+  if (assigned > 0.0) {
+    const double scale = lambda_total / assigned;
+    for (double& r : rates) r *= scale;
+  }
+}
+
 /// Extracts the final rates from BOTH bracket ends — `rates` enters as a
 /// copy of the rate vector at phi_hi, `rates_lo` is the vector at
 /// phi_lo. Evaluating only at the bracket midpoint is unsafe: wide
@@ -669,16 +672,10 @@ Expected<int> run_phi_search(const OptimizerOptions& opts, double lambda_total,
 /// stay inside the [phi_lo, phi_hi] band: the flat servers — exactly the
 /// ones whose load the band cannot pin down — absorb the residual, where
 /// the objective is insensitive by that same flatness. A final rescale
-/// puts the assigned mass exactly on the constraint, so downstream
-/// consumers see an exactly feasible point.
+/// puts the assigned mass exactly on the constraint.
 inline void extract_rates(const PhiBracket& br, const std::vector<double>& rates_lo,
                           std::vector<double>& rates, double lambda_total,
                           double rate_tolerance) {
-  auto total_of = [](const std::vector<double>& rs) {
-    num::KahanSum s;
-    for (double r : rs) s.add(r);
-    return s.value();
-  };
   double assigned = br.total_hi;
   if (assigned > lambda_total && assigned - br.total_lo > rate_tolerance) {
     const double t =
@@ -686,12 +683,9 @@ inline void extract_rates(const PhiBracket& br, const std::vector<double>& rates
     for (std::size_t i = 0; i < rates.size(); ++i) {
       rates[i] = rates_lo[i] + t * (rates[i] - rates_lo[i]);
     }
-    assigned = total_of(rates);
+    assigned = rate_total(rates);
   }
-  if (assigned > 0.0) {
-    const double scale = lambda_total / assigned;
-    for (double& r : rates) r *= scale;
-  }
+  rescale_to(rates, assigned, lambda_total);
 }
 
 }  // namespace blade::opt::detail

@@ -2,8 +2,9 @@
 // kernel, the analytic marginal derivative, the warm-bracketed Newton
 // inner solve and its stop rule, the outer polish, workspace-threaded
 // outer solves, warm-started re-solves
-// (bad starting rates, far seeds, clear(), the evaluation-count gate on
-// serve-churn's cluster), and the batched
+// (bad starting rates, far seeds, clear(), the evaluation-count gates on
+// serve-churn's cluster, preload jumps, the fallback on an exception),
+// and the batched
 // optimize_many/optimize_chain layer (including the determinism
 // contract: results never depend on the pool's thread count).
 #include <gtest/gtest.h>
@@ -464,9 +465,10 @@ TEST(WarmStart, ClearLeavesAWorkspaceThatSolvesLikeAFreshOne) {
 // cluster a warm re-solve after a 1% lambda' step, and one after a server
 // fails (started from the last split mapped onto the survivors, as the
 // controller does), each cost at most 60% of a cold solve's marginal
-// evaluations. At 60% load: 908 vs 4,693 for the step and 1,133 vs 4,969
-// for the failure (1,570 vs 5,315 and 2,126 vs 6,701 when this gate was
-// set, before the inner stop rule and the nearer-end polish).
+// evaluations, and at most 10 per server. At 60% load: 384 vs 4,693 for
+// the step and 567 vs 4,969 for the failure. The per-server bound catches
+// a warm search that converges an inner solve at every outer probe, which
+// takes 670 to 1,133 on these six re-solves.
 TEST(WarmStart, ChurnClusterReSolvesCostAtMostSixtyPercentOfCold) {
   const auto cluster = testsupport::churn_cluster();
   const std::size_t n = cluster.size();
@@ -481,6 +483,7 @@ TEST(WarmStart, ChurnClusterReSolvesCostAtMostSixtyPercentOfCold) {
     expect_matches_cold(step, step_cold, "1% step frac=" + std::to_string(frac));
     EXPECT_LE(step.inner_evaluations, (6 * step_cold.inner_evaluations) / 10)
         << "1% step frac=" << frac << " cold=" << step_cold.inner_evaluations;
+    EXPECT_LE(step.inner_evaluations, static_cast<long>(10 * n)) << "1% step frac=" << frac;
 
     // The server carrying the most load fails.
     const std::size_t lost = static_cast<std::size_t>(
@@ -501,7 +504,71 @@ TEST(WarmStart, ChurnClusterReSolvesCostAtMostSixtyPercentOfCold) {
     expect_matches_cold(failover, failover_cold, "failover frac=" + std::to_string(frac));
     EXPECT_LE(failover.inner_evaluations, (6 * failover_cold.inner_evaluations) / 10)
         << "failover frac=" << frac << " cold=" << failover_cold.inner_evaluations;
+    EXPECT_LE(failover.inner_evaluations, static_cast<long>(10 * n)) << "failover frac=" << frac;
   }
+}
+
+/// `cluster` with server k's special preload raised until its generic
+/// headroom is `headroom`.
+model::Cluster with_headroom(const model::Cluster& cluster, std::size_t k, double headroom) {
+  std::vector<model::BladeServer> servers = cluster.servers();
+  const model::BladeServer& s = servers[k];
+  servers[k] = model::BladeServer(s.size(), s.speed(), s.capacity(cluster.rbar()) - headroom);
+  return model::Cluster(std::move(servers), cluster.rbar());
+}
+
+// A server's special stream jumps until its headroom is half the rate it
+// carries, so a warm re-solve starts it past its new saturation guard, on
+// the pole side of its new root. For each of the 56 servers the cold
+// optimum at 60% load gives more than 1e-9, the warm re-solve after that
+// jump matches cold within 12 evaluations per server: 399 on average and
+// 649 at worst. The bound catches an iteration that crawls toward the
+// pole from that side, and a warm search that converges an inner solve
+// at every outer probe (972 on average, 1,417 at worst).
+TEST(WarmStart, PreloadJumpReSolvesCostAtMostTwelveEvaluationsPerServer) {
+  const auto cluster = testsupport::churn_cluster();
+  const std::size_t n = cluster.size();
+  const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+  const double lambda = 0.6 * cluster.max_generic_rate();
+  opt::SolverWorkspace seeded;
+  const auto base = solver.optimize(lambda, seeded);
+  std::size_t loaded = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (base.rates[k] <= 1e-9) continue;
+    ++loaded;
+    const opt::LoadDistributionOptimizer after(with_headroom(cluster, k, 0.5 * base.rates[k]),
+                                               Discipline::Fcfs);
+    opt::SolverWorkspace ws = seeded;
+    const auto warm = after.optimize(lambda, ws);
+    const std::string what = "server " + std::to_string(k);
+    expect_matches_cold(warm, after.optimize(lambda), what);
+    EXPECT_LE(warm.inner_evaluations, static_cast<long>(12 * n)) << what;
+  }
+  EXPECT_EQ(loaded, 56u);
+}
+
+// A warm start clamps each carried rate to its saturation guard, 1 - 1e-9
+// of the server's generic capacity. At 60% load server 40 carries 6.2e-14;
+// once its preload leaves it half that as headroom, the clamped rate sits
+// within 1e-22 of capacity, its utilization rounds to 1 and the queueing
+// layer throws. The cold search never evaluates there and succeeds, so
+// the warm solve must fall back to it instead of failing with
+// ErrorCode::Internal.
+TEST(WarmStart, AnExceptionInTheWarmAttemptFallsBackToTheColdSearch) {
+  const auto cluster = testsupport::churn_cluster();
+  const opt::LoadDistributionOptimizer solver(cluster, Discipline::Fcfs);
+  const double lambda = 0.6 * cluster.max_generic_rate();
+  opt::SolverWorkspace ws;
+  const double carried = solver.optimize(lambda, ws).rates[40];
+  ASSERT_GT(carried, 0.0);
+  ASSERT_LT(carried, 1e-12);
+  const opt::LoadDistributionOptimizer after(with_headroom(cluster, 40, 0.5 * carried),
+                                             Discipline::Fcfs);
+  const auto cold = after.try_optimize(lambda);
+  ASSERT_TRUE(cold.has_value()) << cold.error().to_string();
+  const auto warm = after.try_optimize(lambda, ws);
+  ASSERT_TRUE(warm.has_value()) << warm.error().to_string();
+  expect_matches_cold(warm.value(), cold.value(), "server 40");
 }
 
 // --- batched solves ------------------------------------------------------
