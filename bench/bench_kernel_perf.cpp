@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks of the numerical and simulation
 // kernels underneath the optimizer: Erlang C (+ derivative), blade-queue
-// marginals, and raw DES event throughput.
+// marginals, the future-event list alone, and raw DES event throughput.
 #include <benchmark/benchmark.h>
 
 #include "model/cluster.hpp"
 #include "numerics/erlang.hpp"
 #include "obs/obs.hpp"
 #include "queueing/blade_queue.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -38,6 +40,22 @@ void BM_LagrangeMarginal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LagrangeMarginal);
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The hold model: with n events pending, each step pops the earliest
+  // and re-pushes its callback at now + Exp(1), so n stays fixed. Time
+  // per iteration is ns per event, one exponential draw included.
+  const auto n = state.range(0);
+  sim::EventQueue q;
+  sim::RngStream rng(1, 0);
+  for (std::int64_t i = 0; i < n; ++i) (void)q.push(rng.exponential(1.0), [] {});
+  for (auto _ : state) {
+    auto [now, fn] = q.pop();
+    benchmark::DoNotOptimize(now);
+    (void)q.push(now + rng.exponential(1.0), std::move(fn));
+  }
+}
+BENCHMARK(BM_EventQueueHold)->Arg(130)->Arg(4000);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Events per second for a loaded single server; horizon scaled to keep

@@ -17,7 +17,7 @@ class Engine {
   /// Schedules `fn` after `delay` (>= 0) simulated time units.
   EventId schedule(double delay, std::function<void()> fn);
 
-  /// Schedules `fn` at absolute time `t` (>= now()).
+  /// Schedules `fn` at absolute time `t` (>= now(), not NaN).
   EventId schedule_at(double t, std::function<void()> fn);
 
   /// Cancels a scheduled event (no-op if it already ran).
@@ -31,6 +31,9 @@ class Engine {
   void run();
 
  private:
+  /// Processes events in order while the next one is at or before t_end.
+  void drain(double t_end);
+
   double now_ = 0.0;
   std::uint64_t processed_ = 0;
   EventQueue queue_;

@@ -1,56 +1,83 @@
-// Future-event list: a binary heap of (time, sequence) keyed callbacks
-// with O(log n) insert/pop and lazy cancellation. Ties are broken by
-// insertion order so runs are fully deterministic.
+// Future-event list: a 4-ary min-heap of 16-byte (time, id) entries
+// whose callbacks live in a slot arena with a free list. Ties break by
+// insertion order, so runs are fully deterministic.
+//
+// An EventId packs the event's insertion sequence above its arena slot
+// index, so ids order by insertion. The sequence stamps the slot's
+// current occupant, so an id whose slot has since been vacated or
+// reused no longer matches it. Cancellation is lazy: cancel() vacates
+// the slot at once and the stale heap entry is dropped when it reaches
+// the top. The top entry is always live, so next_time() is a plain read
+// and each pop() drops stale entries once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace blade::sim {
 
+/// Issued ids are never 0, so callers may use 0 as "no event".
 using EventId = std::uint64_t;
 
 class EventQueue {
  public:
+  /// Bits of an EventId that hold the arena slot index; the insertion
+  /// sequence (starting at 1) fills the rest.
+  static constexpr unsigned kSlotBits = 24;
+  /// Most events pending at once.
+  static constexpr std::size_t kMaxPending = std::size_t{1} << kSlotBits;
+  /// Most pushes over the queue's lifetime.
+  static constexpr std::uint64_t kMaxPushes = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+
   /// Schedules `fn` at absolute time `t`; returns a cancellable id.
+  /// Throws std::invalid_argument for a NaN time (+/-inf are legal) and
+  /// std::length_error past kMaxPending pending events or kMaxPushes
+  /// pushes.
   EventId push(double t, std::function<void()> fn);
 
-  /// Marks an event cancelled; it is dropped when it reaches the top.
+  /// Cancels a pending event. A no-op for ids already popped or
+  /// cancelled, and for ids this queue never issued.
   void cancel(EventId id);
 
-  [[nodiscard]] bool empty() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+  /// Pending (pushed, not yet popped or cancelled) events.
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-  /// Time of the earliest live event; requires !empty().
+  /// Time of the earliest pending event; requires !empty().
   [[nodiscard]] double next_time() const;
 
-  /// Pops and returns the earliest live event's (time, callback);
+  /// Pops and returns the earliest pending event's (time, callback);
   /// requires !empty().
   [[nodiscard]] std::pair<double, std::function<void()>> pop();
 
  private:
   struct Entry {
     double time;
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
+    EventId id;  ///< insertion sequence << kSlotBits | slot
+    /// Earlier time first; equal times in push order.
+    [[nodiscard]] bool before(const Entry& o) const noexcept {
+      return time < o.time || (time == o.time && id < o.id);
     }
   };
+  struct Slot {
+    std::function<void()> fn;
+    EventId id = 0;  ///< the occupant's id; 0 while vacant
+  };
 
-  /// Drops cancelled entries from the top.
-  void skim() const;
+  [[nodiscard]] bool live(const Entry& e) const noexcept;
+  void vacate(std::size_t slot);
+  /// Removes the top entry, then drops stale entries until the top is
+  /// live or the heap is empty.
+  void pop_top() noexcept;
+  void remove_top() noexcept;
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> live_;  ///< pushed, not yet popped or cancelled
-  EventId next_id_ = 1;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< vacant slots, reused last-in first-out
+  std::uint64_t pushes_ = 0;
+  std::size_t live_ = 0;
 };
 
 }  // namespace blade::sim

@@ -460,6 +460,33 @@ TEST(Controller, SolverEvaluationsPerReSolveOnTheChurnCluster) {
   EXPECT_LE(per_resolve, 650.0);
 }
 
+// The serve loop's deterministic work counters on the same run, gated at
+// ±10% of their values when this gate was set: 34,567 simulated events
+// and 1,051 re-solves over 12,374 generic arrivals, i.e. 2.7935 events
+// per generic arrival and 84.94 re-solves per 1,000 generic arrivals. An
+// engine change that adds events per arrival, or a control-plane change
+// that re-solves more (or stops re-solving), moves one of them.
+TEST(Controller, ServeLoopCountersOnTheChurnCluster) {
+  const auto cluster = testsupport::churn_cluster();
+  auto trace = runtime::reference_failure_trace(cluster, 60.0);
+  trace.seed = 1;
+  runtime::ControllerConfig cfg;
+  cfg.half_life = 0.6;
+  cfg.health.enabled = true;
+  runtime::FaultInjector chaos(1, runtime::chaos_profile("moderate").value());
+  runtime::ReplayOptions o;
+  o.chaos = &chaos;
+  const auto r = runtime::replay(cluster, cfg, trace, o);
+  ASSERT_GT(r.stats.generic_arrivals, 10000u);
+  const auto arrivals = static_cast<double>(r.stats.generic_arrivals);
+  const double events_per_arrival = static_cast<double>(r.sim.events) / arrivals;
+  const double resolves_per_1k = 1000.0 * static_cast<double>(r.stats.resolves) / arrivals;
+  EXPECT_GE(events_per_arrival, 0.9 * 2.7935);
+  EXPECT_LE(events_per_arrival, 1.1 * 2.7935);
+  EXPECT_GE(resolves_per_1k, 0.9 * 84.94);
+  EXPECT_LE(resolves_per_1k, 1.1 * 84.94);
+}
+
 // ------------------------------------------------- replay options contract
 
 std::size_t dispatch_events(const obs::Dump& dump) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -104,6 +105,25 @@ TEST(EventQueue, EmptyQueriesThrow) {
   EXPECT_THROW((void)q.pop(), std::logic_error);
 }
 
+// A NaN time compares false against every other time, so once in the
+// heap it fires out of order. push() refuses it and leaves the queue as
+// it was; +inf stays a legal time.
+TEST(EventQueue, RejectsNaNTime) {
+  EventQueue q;
+  std::vector<double> order;
+  const auto push = [&](double t) { (void)q.push(t, [&order, t] { order.push_back(t); }); };
+  push(3.0);
+  push(1.0);
+  EXPECT_THROW((void)q.push(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_EQ(q.size(), 2u);
+  const double inf = std::numeric_limits<double>::infinity();
+  push(inf);
+  push(2.0);
+  push(0.5);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<double>{0.5, 1.0, 2.0, 3.0, inf}));
+}
+
 TEST(Engine, ClockAdvancesWithEvents) {
   Engine e;
   std::vector<double> times;
@@ -145,6 +165,24 @@ TEST(Engine, RejectsPastScheduling) {
   e.run();
   EXPECT_THROW((void)e.schedule(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW((void)e.schedule_at(1.0, [] {}), std::invalid_argument);
+}
+
+// schedule_at's past-time check is false for NaN, so the queue must
+// refuse it: a NaN at the top would end run_until early and skip every
+// later event.
+TEST(Engine, ScheduleAtRejectsNaN) {
+  Engine e;
+  std::vector<double> fired;
+  const auto at = [&](double t) { (void)e.schedule_at(t, [&] { fired.push_back(e.now()); }); };
+  at(3.0);
+  at(1.0);
+  EXPECT_THROW((void)e.schedule_at(std::nan(""), [] {}), std::invalid_argument);
+  at(2.0);
+  at(0.5);
+  at(2.5);
+  e.run_until(10.0);
+  EXPECT_EQ(fired, (std::vector<double>{0.5, 1.0, 2.0, 2.5, 3.0}));
+  EXPECT_EQ(e.events_processed(), 5u);
 }
 
 }  // namespace
