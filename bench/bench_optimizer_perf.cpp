@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/closed_form.hpp"
-#include "core/gradient_optimizer.hpp"
+#include "support/gradient_optimizer.hpp"
 #include "core/optimizer.hpp"
 #include "model/cluster.hpp"
 #include "model/paper_configs.hpp"

@@ -18,8 +18,6 @@
 #include "cloud/trace.hpp"                     // IWYU pragma: export
 #include "core/allocation.hpp"                 // IWYU pragma: export
 #include "core/closed_form.hpp"                // IWYU pragma: export
-#include "core/discrete_dp.hpp"                // IWYU pragma: export
-#include "core/gradient_optimizer.hpp"         // IWYU pragma: export
 #include "core/kkt.hpp"                        // IWYU pragma: export
 #include "core/objective.hpp"                  // IWYU pragma: export
 #include "core/optimizer.hpp"                  // IWYU pragma: export

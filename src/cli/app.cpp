@@ -33,12 +33,16 @@ namespace blade::cli {
 
 namespace {
 
-opt::LoadDistributionOptimizer make_solver(const model::Cluster& cluster,
-                                           const CommonOptions& opts) {
+opt::OptimizerOptions solver_options(const CommonOptions& opts) {
   opt::OptimizerOptions oo;
   oo.service_scv = opts.service_scv;
   oo.verbosity = opts.verbosity;
-  return opt::LoadDistributionOptimizer(cluster, opts.discipline, oo);
+  return oo;
+}
+
+opt::LoadDistributionOptimizer make_solver(const model::Cluster& cluster,
+                                           const CommonOptions& opts) {
+  return opt::LoadDistributionOptimizer(cluster, opts.discipline, solver_options(opts));
 }
 
 void check_lambda(const model::Cluster& cluster, double lambda) {
@@ -114,29 +118,46 @@ bool configures_controller(const std::string& flag) {
          flag == "--shards" || flag == "--prune-k";
 }
 
+/// The solver flags each command honours: --shards and --prune-k set the
+/// solve of optimize and serve-replay's controller, --threads the pool of
+/// sweep and of a multi-cell optimize. Every other use is rejected,
+/// naming the flag and the command, instead of being ignored.
+void check_solver_flags(const std::string& cmd, const std::vector<std::string>& given,
+                        const CommonOptions& opts) {
+  for (const std::string& flag : given) {
+    if (flag == "--threads") {
+      if (cmd == "sweep") continue;
+      if (cmd == "optimize") {
+        if (opts.shards > 1) continue;
+        throw std::invalid_argument(
+            "--threads needs --shards >= 2 with optimize (one cell solves on the calling thread)");
+      }
+    } else if (cmd == "optimize" || cmd == "serve-replay") {
+      if (flag == "--shards" || opts.shards > 0) continue;
+      throw std::invalid_argument(flag + " needs --shards with " + cmd);
+    }
+    throw std::invalid_argument(flag + " is not used by " + cmd);
+  }
+}
+
 }  // namespace
 
 std::string run_optimize(const model::Cluster& cluster, double lambda,
                          const CommonOptions& opts) {
   check_lambda(cluster, lambda);
-  opt::LoadDistribution sol;
+  opt::ShardOptions shard;
+  shard.cells = std::max<std::size_t>(opts.shards, 1);
+  shard.prune.top_k = opts.prune_k;
+  const opt::ShardedOptimizer solver(cluster, opts.discipline, solver_options(opts), shard);
+  opt::SolverWorkspace ws;
+  const opt::ShardedLoadDistribution sharded = [&] {
+    if (opts.threads == 0) return solver.optimize(lambda, ws);
+    par::ThreadPool pool(static_cast<std::size_t>(opts.threads));
+    return solver.optimize(lambda, pool, ws);
+  }();
+  const opt::LoadDistribution& sol = sharded.dist;
   std::string shard_line;
   if (opts.shards > 0) {
-    opt::OptimizerOptions oo;
-    oo.service_scv = opts.service_scv;
-    oo.verbosity = opts.verbosity;
-    opt::ShardOptions shard;
-    shard.cells = opts.shards;
-    shard.prune.top_k = opts.prune_k;
-    opt::ShardedOptimizer solver(cluster, opts.discipline, oo, shard);
-    opt::ShardedWorkspace ws;
-    opt::ShardedLoadDistribution sharded;
-    if (opts.threads > 0) {
-      par::ThreadPool pool(static_cast<std::size_t>(opts.threads));
-      sharded = solver.optimize(lambda, pool, ws);
-    } else {
-      sharded = solver.optimize(lambda, par::global_pool(), ws);
-    }
     std::ostringstream sl;
     sl << "sharded solve: " << sharded.cells << " cells, " << sharded.server_classes
        << " server classes (" << sharded.coalesced_servers << " coalesced";
@@ -146,10 +167,6 @@ std::string run_optimize(const model::Cluster& cluster, double lambda,
     }
     sl << ")\n";
     shard_line = sl.str();
-    sol = std::move(sharded.dist);
-  } else {
-    if (opts.prune_k > 0) throw std::invalid_argument("--prune-k requires --shards");
-    sol = make_solver(cluster, opts).optimize(lambda);
   }
   util::Table t({"i", "m_i", "s_i", "lambda'_i", "lambda''_i", "rho_i", "T'_i"});
   for (std::size_t i = 0; i < cluster.size(); ++i) {
@@ -601,10 +618,12 @@ std::string usage() {
          "                    (default 0 = final checkpoint only)\n"
          "  --checkpoint-in <path>      restore controller state before the replay\n"
          "  --verbose         solver convergence summaries on stderr\n"
-         "  --threads <n>     sweep: worker threads (default 0 = shared pool)\n"
-         "  --shards <n>      optimize / serve-replay: sharded hierarchical solver\n"
-         "                    with n cells (default 0 = flat paper solver)\n"
-         "  --prune-k <k>     sharded solver: keep top-k server classes per cell\n"
+         "  --threads <n>     sweep, optimize --shards: worker threads\n"
+         "                    (default 0 = shared pool)\n"
+         "  --shards <n>      optimize / serve-replay: solve in n cells on the\n"
+         "                    thread pool (default 0 = one cell, this thread)\n"
+         "  --prune-k <k>     with --shards: keep top-k servers per cell\n"
+         "                    (other commands reject the three solver flags)\n"
          "  --metrics-out <path>        export run metrics after the command\n"
          "                    ('-' appends the rendering to the report itself)\n"
          "  --metrics-format <f>        json (default), prom, or csv\n"
@@ -693,6 +712,8 @@ std::string run_cli(const std::vector<std::string>& args) {
   std::string metrics_out;
   obs::ExportFormat metrics_format = obs::ExportFormat::Json;
   std::string controller_flag;  // the first flag only the controller honours
+  // --shards, --prune-k and --threads, as given.
+  std::vector<std::string> solver_flags;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (controller_flag.empty() && configures_controller(a)) controller_flag = a;
@@ -761,8 +782,10 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--threads") {
       opts.threads = std::stoi(next("--threads"));
       if (opts.threads < 0) throw std::invalid_argument("--threads must be >= 0");
+      solver_flags.push_back(a);
     } else if (a == "--shards") {
       opts.shards = static_cast<std::size_t>(std::stoul(next("--shards")));
+      solver_flags.push_back(a);
     } else if (a == "--policy") {
       opts.policy = next("--policy");
     } else if (a == "--probe-d") {
@@ -771,6 +794,7 @@ std::string run_cli(const std::vector<std::string>& args) {
       opts.probe_d = static_cast<unsigned>(d);
     } else if (a == "--prune-k") {
       opts.prune_k = static_cast<std::size_t>(std::stoul(next("--prune-k")));
+      solver_flags.push_back(a);
     } else if (a == "--metrics-out") {
       metrics_out = next("--metrics-out");
     } else if (a == "--metrics-format") {
@@ -789,6 +813,7 @@ std::string run_cli(const std::vector<std::string>& args) {
                                 " configures the controller, which serve-replay --policy "
                                 "does not run");
   }
+  check_solver_flags(pos[0], solver_flags, opts);
   std::string out = dispatch(pos, opts, reps, seed, serve);
   // Export after the command so the file reflects the whole run. Workers
   // are idle here (every command drains its sweeps before returning), so

@@ -16,9 +16,11 @@ struct CommonOptions {
   queue::Discipline discipline = queue::Discipline::Fcfs;
   double service_scv = 1.0;  ///< task-size variability (1 = exponential)
   int verbosity = 0;         ///< --verbose: solver convergence summaries on stderr
-  int threads = 0;           ///< --threads: sweep worker count (0 = shared default pool)
-  /// --shards: optimize / serve-replay through the sharded hierarchical
-  /// solver with this many cells (0 = flat paper solver).
+  /// --threads: worker count of sweep and of a multi-cell optimize (0 =
+  /// shared default pool).
+  int threads = 0;
+  /// --shards: cells of the optimize / serve-replay solve (0 = one cell,
+  /// on the calling thread).
   std::size_t shards = 0;
   /// --prune-k: per-cell top-k rate-matrix pruning (requires --shards).
   std::size_t prune_k = 0;

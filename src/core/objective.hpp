@@ -19,9 +19,8 @@ namespace blade::opt {
 namespace detail {
 
 /// g_i = G_i(rate)/lambda', scaled by `inv_lambda` = 1/lambda' taken once
-/// per objective: the one scaling the flat ResponseTimeObjective and the
-/// sharded solver's per-cell objective share, so a one-cell sharded solve
-/// stays bitwise the flat one.
+/// per objective: the one scaling ResponseTimeObjective and the solver's
+/// per-cell objective share, so both give bitwise the same marginals.
 [[nodiscard]] inline double scaled_marginal(const queue::BladeQueue& q, double rate,
                                             double inv_lambda) {
   return q.lagrange_marginal(rate) * inv_lambda;

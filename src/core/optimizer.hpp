@@ -14,10 +14,13 @@
 //
 // A re-solve on a workspace holding a previous solve instead steps every
 // rate and phi together by Newton on the KKT system (SolverWorkspace).
+// There is one implementation of the solve, ShardedOptimizer
+// (core/sharded.hpp); LoadDistributionOptimizer is its one-cell case.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -100,10 +103,8 @@ struct LoadDistribution {
 namespace detail {
 
 /// The outer search's monotone bracket on the Lagrange multiplier:
-/// F(phi_lo) < lambda' <= F(phi_hi), plus the totals at both ends.
-/// Shared state shape of the flat SolverWorkspace and the sharded
-/// solver's workspace; core/solver_core.hpp holds the search that
-/// drives it.
+/// F(phi_lo) < lambda' <= F(phi_hi), plus the totals at both ends;
+/// core/solver_core.hpp holds the search that drives it.
 struct PhiBracket {
   double phi_lo = 0.0;
   double phi_hi = -1.0;  ///< < 0: no covering phi found yet
@@ -112,11 +113,11 @@ struct PhiBracket {
 };
 
 /// The warm solve's per-entry vectors (detail::joint_newton), one entry
-/// per server (flat) or server class (sharded). The caller fills `x`,
-/// `weight` and `hub`; the rest is per-round scratch.
+/// per server class. The caller fills `x`, `weight` and `hub`; the rest
+/// is per-round scratch.
 struct NewtonState {
   std::vector<double> x;       ///< rates: the start, then each accepted round
-  std::vector<double> weight;  ///< m_i: 1 per server, the member count per class
+  std::vector<double> weight;  ///< m_i: the class's member count
   std::vector<double> hub;     ///< saturation guards (1 - saturation_margin) * bound
   std::vector<double> g;       ///< g_i at x_i
   std::vector<double> dg;      ///< g'_i at x_i
@@ -126,27 +127,31 @@ struct NewtonState {
 
 }  // namespace detail
 
+class ShardedOptimizer;
+
 /// Mutable per-solve scratch reused across outer iterations — and, when
 /// the caller keeps one alive, across successive solves (optimize_many,
-/// sweeps). It caches the solver's monotone state:
+/// sweeps, the runtime controller). It caches the solver's monotone state:
 ///
-///   * the current outer bracket [phi_lo, phi_hi] with F(phi_lo) < lambda'
-///     <= F(phi_hi), and the full rate vector at BOTH ends — because each
-///     F_i(phi) is increasing, [rate_lo_i, rate_hi_i] brackets server i's
-///     rate for ANY phi inside the outer bracket, so inner searches
-///     warm-start from there instead of from [0, sup);
+///   * per cell, the class rates at both ends of the current outer
+///     bracket [phi_lo, phi_hi] with F(phi_lo) < lambda' <= F(phi_hi) —
+///     because each F_i(phi) is increasing, [rate_lo_k, rate_hi_k]
+///     brackets class k's rate for ANY phi inside the outer bracket, so
+///     inner searches warm-start from there instead of from [0, sup);
 ///   * the previous solve on this workspace: its converged phi and its
-///     per-server rates. The next solve is then warm: it steps every rate
-///     and phi together by Newton on the KKT system, starting from those
-///     rates (see detail::joint_newton). A stale start costs rounds,
-///     never correctness, and a warm attempt that fails falls back to the
-///     cold search inside the same call.
+///     per-server split. The next solve is then warm: it steps every rate
+///     and phi together by Newton on the KKT system, starting from that
+///     split mapped onto its own server classes (see
+///     detail::joint_newton), so the next solver may partition the
+///     cluster differently. A stale start costs rounds, never correctness,
+///     and a warm attempt that fails falls back to the cold search inside
+///     the same call.
 ///
 /// A fresh or clear()ed workspace solves cold, bit for bit the solve the
 /// plain optimize() runs. A workspace is NOT thread-safe: use one per
 /// thread (optimize_many hands one to each pool task). A
-/// default-constructed workspace is valid for any instance size;
-/// optimize() resizes it as needed.
+/// default-constructed workspace is valid for any instance size; the
+/// solver resizes it as needed.
 class SolverWorkspace {
  public:
   SolverWorkspace() = default;
@@ -167,21 +172,28 @@ class SolverWorkspace {
   [[nodiscard]] double seed_phi() const noexcept { return seed_phi_; }
 
  private:
-  friend class LoadDistributionOptimizer;
+  friend class ShardedOptimizer;
 
-  /// Re-arms the per-solve bracket state (keeps the previous solve).
-  void prepare(std::size_t n);
+  struct CellState {
+    std::vector<double> rates_lo;  ///< per-class rates at phi_lo
+    std::vector<double> rates_hi;  ///< per-class rates at phi_hi
+    std::vector<double> scratch;   ///< per-class rates at the probe phi
+    double total = 0.0;            ///< F_c at the probe phi
+    long evals = 0;                ///< marginal evaluations in this cell
+    Error err{ErrorCode::Ok, {}};  ///< first inner failure, if any
+  };
 
-  detail::PhiBracket br_;
-  std::vector<double> rates_lo_;  ///< rates at phi_lo
-  std::vector<double> rates_hi_;  ///< rates at phi_hi
-  std::vector<double> scratch_;   ///< rates at the phi being evaluated
-  /// The warm solve's state; between solves its `x` holds the last
-  /// solve's split (or the rates warm_start() handed in).
+  std::vector<CellState> cells_;
+  /// The warm solve's state over every kept class, cell after cell.
   detail::NewtonState newton_;
+  std::vector<double> rates_;  ///< the last solve's split (or warm_start's), per server
   double seed_phi_ = -1.0;
 };
 
+/// The paper's solver over a whole cluster. It solves as a one-cell
+/// ShardedOptimizer (core/sharded.hpp) on the caller's thread: servers
+/// with identical queueing parameters share one inner solve per probe,
+/// and the user budget is charged at every marginal evaluation.
 class LoadDistributionOptimizer {
  public:
   LoadDistributionOptimizer(model::Cluster cluster, queue::Discipline d,
@@ -191,12 +203,10 @@ class LoadDistributionOptimizer {
   LoadDistributionOptimizer(model::Cluster cluster, std::vector<queue::Discipline> ds,
                             OptimizerOptions opts = {});
 
-  [[nodiscard]] const model::Cluster& cluster() const noexcept { return cluster_; }
+  [[nodiscard]] const model::Cluster& cluster() const noexcept;
   /// The common discipline; for heterogeneous setups, that of server 0.
-  [[nodiscard]] queue::Discipline discipline() const noexcept { return discs_.front(); }
-  [[nodiscard]] const std::vector<queue::Discipline>& disciplines() const noexcept {
-    return discs_;
-  }
+  [[nodiscard]] queue::Discipline discipline() const noexcept { return disciplines().front(); }
+  [[nodiscard]] const std::vector<queue::Discipline>& disciplines() const noexcept;
 
   /// Solves for a given total generic rate lambda' in (0, lambda'_max).
   /// Throws std::invalid_argument when lambda' is infeasible.
@@ -246,11 +256,8 @@ class LoadDistributionOptimizer {
                                                          double hi, long* evals = nullptr) const;
 
  private:
-  Expected<LoadDistribution> optimize_core(double lambda_total, SolverWorkspace& ws) const;
-
-  model::Cluster cluster_;
-  std::vector<queue::Discipline> discs_;  // one per server
-  OptimizerOptions opts_;
+  /// Immutable once built, so copies of this optimizer share it.
+  std::shared_ptr<const ShardedOptimizer> solver_;
 };
 
 /// Maps a solver Error back onto the throwing API's exception types:

@@ -1,37 +1,34 @@
-// Sharded hierarchical solver for fleet-scale instances (n ~ 100,000).
+// Sharded hierarchical solver: the one implementation of the paper's
+// solve, from a 7-server example (LoadDistributionOptimizer runs it as
+// one cell) to fleets of n ~ 100,000.
 //
-// The paper's flat optimizer evaluates every server in every outer
-// phi-iteration, so solve cost is O(n * inner) and the reproduction is
-// effectively capped near n = 1,000. The Lagrange structure nests
-// cleanly across partitions: the optimality condition is ONE global
-// multiplier phi with g_i(lambda'_i) = phi for every active server, so
+// The paper's outer search evaluates every server at every phi probe,
+// so solve cost is O(n * inner). The Lagrange structure nests cleanly
+// across partitions: the optimality condition is ONE global multiplier
+// phi with g_i(lambda'_i) = phi for every active server, so
 //
 //   F(phi) = sum_i lambda'_i(phi) = sum_cells F_c(phi)
 //
 // where F_c is the cell's aggregate rate curve at the SAME phi. Each
 // F_c is increasing (a sum of increasing per-server curves), hence F is
-// too, and the outer search over phi is exactly the flat one — the
-// sharded solver reuses detail::run_phi_search (and, warm,
-// detail::joint_newton) verbatim and solves the IDENTICAL fixed point.
-// Sharded-vs-flat agreement is therefore an exact mathematical claim,
-// which is what the shard-vs-flat differential battery
-// (tests/test_sharded_differential.cpp) pins down; with a single cell and
-// coalescing disabled the call sequence is bitwise the flat one.
+// too, and every cell count runs the same outer search
+// (detail::run_phi_search and, warm, detail::joint_newton) and solves the
+// IDENTICAL fixed point; the shard differential battery
+// (tests/test_sharded_differential.cpp) pins cell-count invariance down.
 //
 // What makes it fast:
 //   * class coalescing — servers in a cell with identical (m, speed,
 //     special rate, discipline) share one inner solve per probe; a
 //     catalog fleet of 100,000 blades built from dozens of SKUs costs a
 //     few hundred inner solves per probe instead of 100,000;
-//   * warm state — the same monotone [rates_lo, rates_hi] brackets the
-//     flat workspace keeps across outer probes, held per cell, and the
-//     same cross-solve warm start: a re-solve runs the flat path's joint
-//     Newton iteration over the classes, each weighted by its member
-//     count, from the previous solve's split;
-//   * pool parallelism — cells are evaluated concurrently over a
+//   * warm state — per cell, the class rates at both ends of the outer
+//     bracket, so inner searches start bracketed, and across solves the
+//     previous split: a re-solve runs the joint Newton iteration over the
+//     classes, each weighted by its member count (SolverWorkspace);
+//   * pool parallelism — several cells are evaluated concurrently over a
 //     ThreadPool with cost-weighted deterministic chunking
 //     (par::for_each_weighted_chunk), so chunk boundaries never depend
-//     on the pool's thread count;
+//     on the pool's thread count; one cell runs on the caller's thread;
 //   * optional rate-matrix pruning (PruneOptions) — each cell routes to
 //     only its top-k most attractive servers, with a weak-duality
 //     optimality-loss bound computed from the converged multiplier and
@@ -39,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -64,12 +62,6 @@ struct ShardOptions {
   std::size_t cells = 0;
   /// Target lower bound on cell size used by the automatic cell count.
   std::size_t min_cell_size = 64;
-  /// Coalesce servers with identical (size, speed, special rate,
-  /// discipline) within a cell into one equivalence class solved once
-  /// per probe. Exact for the shared global multiplier (identical
-  /// marginal curves have identical roots); disable to force one class
-  /// per server, e.g. for the bitwise flat-identity tests.
-  bool coalesce_identical = true;
   /// Fill per-server utilizations / response times in the result. The
   /// minimized T', rates, and phi are always produced; the runtime
   /// controller turns this off to keep re-solves O(classes) except for
@@ -81,7 +73,7 @@ struct ShardOptions {
   void validate() const;
 };
 
-/// A flat LoadDistribution plus shard-layer diagnostics.
+/// A per-server LoadDistribution plus shard-layer diagnostics.
 struct ShardedLoadDistribution {
   LoadDistribution dist;
   std::size_t cells = 0;              ///< cells the cluster was split into
@@ -95,56 +87,23 @@ struct ShardedLoadDistribution {
   double prune_loss_bound = 0.0;
 };
 
-/// Per-cell bracket state reused across outer probes and, when the
-/// caller keeps one alive, the previous solve across solves — the sharded
-/// analogue of SolverWorkspace (same monotone-bracket caching, and the
-/// same warm start from the previous solve's split). NOT thread-safe: one
-/// workspace per concurrent solve. The solver resizes it as needed; a
-/// default-constructed workspace fits any instance.
-class ShardedWorkspace {
- public:
-  ShardedWorkspace() = default;
+/// The solver's workspace (one type for every cell count).
+using ShardedWorkspace = SolverWorkspace;
 
-  /// Drops every cached value, including the previous solve's phi and
-  /// rates: the next solve runs cold.
-  void clear();
-
-  /// The converged phi of the last solve on this workspace (< 0 when
-  /// the workspace has not completed a solve yet). Exposed for tests.
-  [[nodiscard]] double seed_phi() const noexcept { return seed_phi_; }
-
- private:
-  friend class ShardedOptimizer;
-
-  struct CellState {
-    std::vector<double> rates_lo;  ///< per-class rates at phi_lo
-    std::vector<double> rates_hi;  ///< per-class rates at phi_hi
-    std::vector<double> scratch;   ///< per-class rates at the probe phi
-    double total = 0.0;            ///< F_c at the probe phi
-    long evals = 0;                ///< marginal evaluations in this cell
-    Error err{ErrorCode::Ok, {}};  ///< first inner failure, if any
-  };
-
-  std::vector<CellState> cells_;
-  /// The warm solve's state over every kept class, cell after cell.
-  detail::NewtonState newton_;
-  std::vector<double> rates_;  ///< the last solve's split, per server
-  double seed_phi_ = -1.0;
-};
-
-/// Drop-in hierarchical counterpart of LoadDistributionOptimizer: same
-/// options, same error taxonomy (plus an Infeasible specific to pruned
+/// The solver: same options and error taxonomy as
+/// LoadDistributionOptimizer (plus an Infeasible specific to pruned
 /// capacity), a LoadDistribution inside the result. Construction
 /// partitions the cluster into contiguous cells and builds the class
 /// structure once; solves only touch class representatives until the
 /// final O(n) rate expansion.
 ///
 /// Budget semantics: OptimizerOptions::max_marginal_evaluations /
-/// max_solve_seconds are enforced BETWEEN outer probes (cells run
-/// concurrently, so a mid-probe global trip would be racy); a solve
-/// fails with BudgetExceeded after the first probe that crosses the
-/// budget. The flat solver trips mid-probe, so the two paths can differ
-/// in exactly when — never whether — a pathological solve is cut off.
+/// max_solve_seconds are charged at every marginal evaluation when there
+/// is one cell. Several cells run concurrently, so a mid-probe global
+/// trip would be racy: the budget is checked BETWEEN outer probes, and a
+/// solve fails with BudgetExceeded after the first probe that crosses
+/// it. The two can differ in exactly when — never whether — a
+/// pathological solve is cut off.
 class ShardedOptimizer {
  public:
   ShardedOptimizer(model::Cluster cluster, queue::Discipline d, OptimizerOptions opts = {},
@@ -158,23 +117,28 @@ class ShardedOptimizer {
   [[nodiscard]] const std::vector<queue::Discipline>& disciplines() const noexcept {
     return discs_;
   }
+  [[nodiscard]] const OptimizerOptions& options() const noexcept { return opts_; }
   [[nodiscard]] std::size_t cell_count() const noexcept { return cells_.size(); }
-  [[nodiscard]] std::size_t server_classes() const noexcept { return server_classes_; }
-  [[nodiscard]] std::size_t coalesced_servers() const noexcept { return coalesced_servers_; }
-  [[nodiscard]] std::size_t pruned_servers() const noexcept { return pruned_servers_; }
+  [[nodiscard]] std::size_t server_classes() const noexcept { return kept_.size(); }
+  [[nodiscard]] std::size_t coalesced_servers() const noexcept {
+    return cluster_.size() - kept_.size() - pruned_.size();
+  }
+  [[nodiscard]] std::size_t pruned_servers() const noexcept { return pruned_.members.size(); }
   /// Saturation point of the kept (non-pruned) servers; equals the
   /// cluster's lambda'_max when nothing is pruned.
   [[nodiscard]] double kept_capacity() const noexcept { return kept_capacity_; }
 
-  /// Solve on the global pool with a fresh workspace / the caller's
-  /// workspace / an explicit pool. Throws like the flat optimize().
+  /// Solve with a fresh workspace / the caller's workspace (several cells
+  /// on the global pool) / an explicit pool. One cell always runs on the
+  /// calling thread. Throws like LoadDistributionOptimizer::optimize().
   [[nodiscard]] ShardedLoadDistribution optimize(double lambda_total) const;
   ShardedLoadDistribution optimize(double lambda_total, ShardedWorkspace& ws) const;
   ShardedLoadDistribution optimize(double lambda_total, par::ThreadPool& pool,
                                    ShardedWorkspace& ws) const;
 
-  /// Non-throwing counterparts; the same containment contract as the
-  /// flat try_optimize (typed errors, never exceptions).
+  /// Non-throwing counterparts; the same containment contract as
+  /// LoadDistributionOptimizer::try_optimize (typed errors, never
+  /// exceptions).
   [[nodiscard]] Expected<ShardedLoadDistribution> try_optimize(double lambda_total) const;
   Expected<ShardedLoadDistribution> try_optimize(double lambda_total,
                                                  ShardedWorkspace& ws) const;
@@ -182,27 +146,44 @@ class ShardedOptimizer {
                                                  ShardedWorkspace& ws) const;
 
  private:
-  /// Servers of one cell sharing identical queueing behavior; the class
-  /// is solved once per probe through its representative
-  /// (members.front(), the lowest global index).
-  struct ServerClass {
-    std::vector<std::size_t> members;  ///< global indices, ascending
+  /// Server classes, every cell's in cell order: servers of one cell
+  /// sharing identical queueing behavior, solved once per probe through
+  /// their representative (the first member, the lowest global index).
+  /// Class k's members, global indices ascending, are
+  /// members[offset[k], offset[k + 1]); queues[k] is the representative's.
+  struct Classes {
+    std::vector<std::size_t> members;
+    std::vector<std::size_t> offset{0};
+    std::vector<queue::BladeQueue> queues;
+
+    [[nodiscard]] std::size_t size() const noexcept { return offset.size() - 1; }
+    [[nodiscard]] std::span<const std::size_t> of(std::size_t k) const {
+      return std::span(members).subspan(offset[k], offset[k + 1] - offset[k]);
+    }
+    /// Member count, the class's weight in every sum over servers.
+    [[nodiscard]] double count(std::size_t k) const {
+      return static_cast<double>(offset[k + 1] - offset[k]);
+    }
   };
 
   struct Cell {
     std::size_t begin = 0;  ///< contiguous global range [begin, end)
     std::size_t end = 0;
-    std::size_t first_class = 0;  ///< index of classes[0] among all cells' kept classes
-    std::vector<ServerClass> classes;        ///< kept, in first-occurrence order
-    std::vector<queue::BladeQueue> queues;   ///< one per kept class (representative's)
-    std::vector<ServerClass> pruned;         ///< classes cut by PruneOptions
-    std::vector<queue::BladeQueue> pruned_queues;
+    /// The cell's kept classes are kept_ classes [first_class, first_class
+    /// + classes); those cut by PruneOptions are pruned_ classes
+    /// [first_pruned, first_pruned + pruned).
+    std::size_t first_class = 0;
+    std::size_t classes = 0;
+    std::size_t first_pruned = 0;
+    std::size_t pruned = 0;
   };
 
   void build_cells();
-  void prepare_workspace(ShardedWorkspace& ws) const;
-  Expected<ShardedLoadDistribution> optimize_core(double lambda_total, par::ThreadPool& pool,
-                                                  ShardedWorkspace& ws) const;
+  void prepare_workspace(SolverWorkspace& ws) const;
+  Expected<ShardedLoadDistribution> optimize_core(double lambda_total, par::ThreadPool* pool,
+                                                  SolverWorkspace& ws) const;
+  Expected<ShardedLoadDistribution> solve(double lambda_total, double lambda_max,
+                                          par::ThreadPool* pool, SolverWorkspace& ws) const;
   void finalize(ShardedLoadDistribution& out, double lambda_total) const;
   [[nodiscard]] double prune_bound(const std::vector<double>& class_rates, double phi,
                                    double lambda_total, double t_prime, long* evals) const;
@@ -212,11 +193,10 @@ class ShardedOptimizer {
   OptimizerOptions opts_;
   ShardOptions shard_;
   std::vector<Cell> cells_;
-  std::vector<double> cell_cost_;  ///< classes per cell (chunking weights)
+  Classes kept_;
+  Classes pruned_;
+  std::vector<double> cell_cost_;  ///< kept classes per cell (chunking weights)
   std::size_t cell_chunk_ = 1;
-  std::size_t server_classes_ = 0;
-  std::size_t coalesced_servers_ = 0;
-  std::size_t pruned_servers_ = 0;
   double kept_capacity_ = 0.0;
 };
 

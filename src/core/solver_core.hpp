@@ -1,15 +1,13 @@
-// Shared numeric core of the flat and sharded load-distribution solvers.
-// Cold, the paper's nested search: the inner rate solve (Fig. 2 with the
-// rtsafe Newton loop), the outer phi search (doubling expansion, then
-// Brent and a polish that closes the bracket from its nearer end), and
-// the bracket-end rate extraction. Warm, from the previous solve's rates:
-// one joint Newton iteration over the whole KKT system, with the cold
-// search as its fallback inside the same call. The flat
-// LoadDistributionOptimizer and the sharded hierarchical solver
-// (core/sharded.hpp) both delegate here, which is what makes "sharded
-// with 1 cell" bitwise identical to the flat path: there is exactly one
-// implementation of every numeric step, parameterized only by how F(phi)
-// and the per-entry marginals are assembled.
+// Numeric core of the load-distribution solve. Cold, the paper's nested
+// search: the inner rate solve (Fig. 2 with the rtsafe Newton loop), the
+// outer phi search (doubling expansion, then Brent and a polish that
+// closes the bracket from its nearer end), and the bracket-end rate
+// extraction. Warm, from the previous solve's rates: one joint Newton
+// iteration over the whole KKT system, with the cold search as its
+// fallback inside the same call. ShardedOptimizer (core/sharded.hpp)
+// drives it at every cell count, assembling F(phi) and the per-class
+// marginals; the inner solve also backs LoadDistributionOptimizer's
+// find_rate test hooks.
 //
 // Everything here is an implementation detail (namespace opt::detail);
 // the stable surfaces are LoadDistributionOptimizer and ShardedOptimizer.
@@ -71,9 +69,9 @@ inline Error make_solver_error(ErrorCode code, std::string context) {
 /// call: a marginal-evaluation counter and (when armed) a wall-clock
 /// deadline. The clock is only read every 16th evaluation, so an armed
 /// time budget costs a fraction of one Erlang kernel per check. A
-/// default-constructed budget (max_evals = 0, untimed) never trips — the
-/// sharded solver hands one to each cell and enforces the user's budgets
-/// itself, between outer probes.
+/// default-constructed budget (max_evals = 0, untimed) never trips — a
+/// multi-cell solve hands one to each cell and enforces the user's
+/// budgets itself, between outer probes.
 struct SolveBudget {
   long max_evals = 0;
   bool timed = false;
@@ -139,9 +137,9 @@ inline Error non_convergence_error(std::size_t i, double width, int max_iteratio
 /// non-convergence) return typed errors instead of throwing.
 ///
 /// `Obj` is any objective exposing rate_bound(i), marginal(i, rate), and
-/// marginal_with_derivative(i, rate) — ResponseTimeObjective for the
-/// flat solver, the per-cell objective (global-lambda' marginal scaling
-/// over a cell sub-cluster) for the sharded one.
+/// marginal_with_derivative(i, rate) — the solver's per-cell objective
+/// (global-lambda' marginal scaling over a cell's class queues), or
+/// ResponseTimeObjective in the find_rate test hooks.
 template <class Obj>
 Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, std::size_t i,
                                 double phi, double lo, double hi, long* evals,
@@ -304,9 +302,9 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
 
 /// The warm solve: Newton on the whole KKT system at once (g_i(x_i) = phi
 /// on active entries, sum_i m_i x_i = lambda'), from the previous solve's
-/// rates in `s.x`. An entry is a server (m_i = 1) on the flat path and a
-/// server class (m_i its member count, x_i the per-member rate) on the
-/// sharded one. docs/optimizer.md gives each rule's reason. Each round:
+/// rates in `s.x`. An entry is a server class (m_i its member count, x_i
+/// the per-member rate). docs/optimizer.md gives each rule's reason. Each
+/// round:
 ///   * `eval_at(x, g, dg)` evaluates every entry once, charging the budget.
 ///   * phi' is the exact root of sum_i m_i max(0, x_i + (phi - g_i)/g'_i)
 ///     = lambda', by water-filling over the breakpoints b_i = g_i - g'_i x_i.
@@ -578,7 +576,7 @@ Expected<int> refine_phi(const OptimizerOptions& opts, double lambda_total, PhiB
   return outer_it;
 }
 
-/// The solve shared by the flat and sharded front ends.
+/// The outer solve, at every cell count.
 ///
 /// Warm (`warm` enters true: the workspace holds a previous solve):
 /// `warm_solve()` runs joint_newton from the previous solve's rates.
@@ -592,9 +590,9 @@ Expected<int> refine_phi(const OptimizerOptions& opts, double lambda_total, PhiB
 /// lambda', then refine_phi, every inner solve find_rate_core.
 /// `total_at(phi)` evaluates F(phi), parking any inner failure in `err`
 /// and returning NaN; `absorb(phi, total)` folds an evaluation into `br`
-/// (and whatever per-server/per-cell rate state the caller keeps at the
-/// bracket ends). Only monotone improvements may be kept: phi_lo only
-/// moves up, phi_hi only moves down.
+/// (and the per-cell rate state the caller keeps at the bracket ends).
+/// Only monotone improvements may be kept: phi_lo only moves up, phi_hi
+/// only moves down.
 ///
 /// Returns the warm rounds or the outer iteration count, or the cold
 /// search's typed error.

@@ -39,7 +39,7 @@ namespace blade::obs {
 /// payload contract (what id/a/b/c mean) is documented per enumerator
 /// and in docs/observability.md.
 enum class EventType : std::uint16_t {
-  SolveStart = 0,  ///< id = shard cells (0 = flat); a = lambda' target
+  SolveStart = 0,  ///< id = cells of a multi-cell solve (0 = one cell); a = lambda' target
   SolveEnd,        ///< id = ErrorCode (0 = ok); a = phi, b = outer iterations, c = inner evals
   ResolveTrigger,  ///< id = Cause; a = drift (when Cause::Drift), b = threshold
   ShedDecision,    ///< a = estimated lambda', b = admissible (ceiling * lambda'_max), c = shed prob

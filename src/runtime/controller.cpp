@@ -221,10 +221,6 @@ void Controller::on_failure(double t, std::size_t i, unsigned blades) {
   // carries the outage, so stale health state must not double-penalize
   // the blade when it returns.
   if (health_) health_->reset_server(i, t);
-  // The flat re-solve starts warm from the last split mapped onto the
-  // survivors (see resolve). The sharded workspace's per-class state
-  // belongs to the old cell partition, so that path restarts cold.
-  sws_.clear();
   BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Failure, 0.0, cfg_.drift_threshold, t);
   resolve(t);
 }
@@ -239,7 +235,6 @@ void Controller::on_recovery(double t, std::size_t i, unsigned blades) {
   avail_[i] = blades == 0 ? full : std::min(full, avail_[i] + blades);
   BLADE_OBS_EVENT(BladeRecover, i, avail_[i], avail_[i] - before, t);
   if (health_) health_->reset_server(i, t);
-  sws_.clear();  // as on_failure: the flat re-solve starts warm
   BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Recovery, 0.0, cfg_.drift_threshold, t);
   resolve(t);
 }
@@ -319,9 +314,7 @@ void Controller::evaluate_health(double t) {
                       static_cast<double>(health_->quarantined_count()));
   if (need_resolve) {
     // The effective topology changed (a blade's solver speed moved, the
-    // alive set may differ): same treatment as fail/recover — the flat
-    // re-solve starts warm from the last split, the sharded one cold.
-    sws_.clear();
+    // alive set may differ): same treatment as fail/recover.
     BLADE_OBS_EVENT(ResolveTrigger, cause, 0.0, cfg_.drift_threshold, t);
     resolve(t);
   } else if (need_redistribute) {
@@ -737,20 +730,6 @@ void Controller::resolve(double t) {
       BLADE_OBS_EVENT(ChaosInject, obs::Cause::InjectedFault, t, 0.0, 0.0);
       return Error{ErrorCode::NonConvergence, "injected solver fault"};
     }
-    if (cfg_.shard_cells > 0) {
-      // Fleet-scale path: class-coalesced cells keep the re-solve
-      // O(classes) per probe; the controller only needs rates, so the
-      // per-server metric expansion is skipped.
-      opt::ShardOptions shard;
-      shard.cells = std::min(cfg_.shard_cells, alive.size());
-      shard.prune.top_k = cfg_.prune_top_k;
-      shard.finalize_metrics = false;
-      const opt::ShardedOptimizer solver(std::move(surviving), cfg_.discipline, cfg_.solver,
-                                         shard);
-      auto res = solver.try_optimize(target, par::global_pool(), sws_);
-      if (!res) return res.error();
-      return std::move(res).value().dist;
-    }
     // Start from the last successful split over the servers this solve
     // sees: after a failover or a quarantine the workspace's own rates
     // are indexed by the previous alive set. A no-op on a workspace with
@@ -760,9 +739,16 @@ void Controller::resolve(double t) {
       for (std::size_t k = 0; k < alive.size(); ++k) start[k] = lkg_.weights[alive[k]];
       ws_.warm_start(start);
     }
-    const opt::LoadDistributionOptimizer solver(std::move(surviving), cfg_.discipline,
-                                                cfg_.solver);
-    return solver.try_optimize(target, ws_);
+    // shard_cells = 0 solves as one cell on this thread. The controller
+    // only needs rates, so the per-server metric expansion is skipped.
+    opt::ShardOptions shard;
+    shard.cells = std::clamp<std::size_t>(cfg_.shard_cells, 1, alive.size());
+    shard.prune.top_k = cfg_.prune_top_k;
+    shard.finalize_metrics = false;
+    const opt::ShardedOptimizer solver(std::move(surviving), cfg_.discipline, cfg_.solver, shard);
+    auto res = solver.try_optimize(target, ws_);
+    if (!res) return res.error();
+    return std::move(res).value().dist;
   }();
   if (!sol) {
     contain(t, shed_prob, sol.error());

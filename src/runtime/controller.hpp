@@ -8,10 +8,10 @@
 //   re-solve     the optimal split through a persistent SolverWorkspace
 //                with hysteresis — a drift check every check_interval
 //                arrivals, a re-solve only when the estimates moved past
-//                drift_threshold. Every flat re-solve, failovers and
+//                drift_threshold. Every re-solve, sharded, failovers and
 //                health-driven ones included, starts warm from the last
-//                successful split mapped onto the servers it sees and from
-//                the previous phi (see SolverWorkspace::warm_start);
+//                successful split mapped onto the servers it sees (see
+//                SolverWorkspace::warm_start);
 //   publish      routing weights as an O(1) alias-table sampler swapped
 //                through an atomic slot, so dispatch threads keep
 //                sampling while the control path reconverges;
@@ -120,13 +120,14 @@ struct ControllerConfig {
   /// (in event time); past that the controller degrades further to the
   /// capacity-proportional fallback. 0 (default) derives 8 half-lives.
   double lkg_max_age = 0.0;
-  /// When > 0, re-solves run through the sharded hierarchical solver
-  /// (core/sharded.hpp) with this many cells (clamped to the surviving
-  /// server count) — the fleet-scale path that keeps serve-replay
-  /// responsive at n = 50,000. 0 (default) keeps the flat solver.
+  /// Cells of the re-solve (core/sharded.hpp), clamped to [1, surviving
+  /// servers]: several cells evaluate in parallel on the global pool —
+  /// the fleet-scale setting that keeps serve-replay responsive at
+  /// n = 50,000. 0 (default) and 1 solve as one cell on the control
+  /// thread.
   std::size_t shard_cells = 0;
-  /// Per-cell top-k rate-matrix pruning for the sharded re-solve path;
-  /// requires shard_cells > 0. 0 (default) keeps every server.
+  /// Per-cell top-k rate-matrix pruning of the re-solve; requires
+  /// shard_cells > 0. 0 (default) keeps every server.
   std::size_t prune_top_k = 0;
   /// Marginal-drift mode: the hysteresis check evaluates the per-server
   /// Lagrange-marginal spread of the *published* split through the
@@ -412,7 +413,6 @@ class Controller {
   std::vector<WindowRateEstimator> window_;  ///< same layout
 
   opt::SolverWorkspace ws_;
-  opt::ShardedWorkspace sws_;  ///< warm state for the sharded re-solve path
   opt::MarginalCache mcache_;  ///< certified marginal surrogates (marginal_drift)
   double solved_lambda_ = -1.0;
   std::vector<double> solved_special_;

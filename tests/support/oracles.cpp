@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "core/closed_form.hpp"
-#include "core/discrete_dp.hpp"
-#include "core/gradient_optimizer.hpp"
+#include "support/discrete_dp.hpp"
+#include "support/gradient_optimizer.hpp"
 #include "core/kkt.hpp"
 #include "numerics/special.hpp"
 #include "sim/simulation.hpp"

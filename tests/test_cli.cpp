@@ -2,6 +2,7 @@
 // the command functions including the argv driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -419,6 +420,57 @@ TEST_F(CliServeReplay, PolicyReplayRejectsControllerFlags) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(flag[0]), std::string::npos) << e.what();
     }
+  }
+}
+
+// Every command honours each solver flag or rejects it with an error
+// naming the flag and the command: --shards sets the cells of optimize
+// and of serve-replay's controller, --prune-k needs --shards, and
+// --threads sizes the pool of sweep and of a multi-cell optimize.
+TEST_F(CliServeReplay, SolverFlagsAreHonouredOrRejected) {
+  const std::vector<std::vector<std::string>> commands = {
+      {"optimize", path_, "8.0"},
+      {"sweep", path_, "2", "9", "3"},
+      {"validate", path_, "6.0", "--reps", "2"},
+      {"sensitivity", path_, "6.0"},
+      {"percentiles", path_, "6.0"},
+      {"allocate", path_, "6.0"},
+      {"trace", path_, "3", "9"},
+      {"sim", path_, "6.0"},
+      {"serve-replay", path_, trace_path_},
+      {"figures", "12", "csv"},
+      {"consolidate", path_, "3", "8", "1.5"},
+  };
+  const std::vector<std::pair<std::vector<std::string>, std::vector<std::string>>> flags = {
+      {{"--shards", "2"}, {"optimize", "serve-replay"}},
+      {{"--prune-k", "1"}, {}},
+      {{"--threads", "2"}, {"sweep"}},
+  };
+  for (const auto& command : commands) {
+    for (const auto& [flag, honoured_by] : flags) {
+      std::vector<std::string> args = command;
+      args.insert(args.end(), flag.begin(), flag.end());
+      const std::string what = command[0] + " " + flag[0];
+      if (std::find(honoured_by.begin(), honoured_by.end(), command[0]) != honoured_by.end()) {
+        EXPECT_NO_THROW((void)cli::run_cli(args)) << what;
+        continue;
+      }
+      try {
+        (void)cli::run_cli(args);
+        ADD_FAILURE() << what << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(flag[0]), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find(command[0]), std::string::npos) << e.what();
+      }
+    }
+  }
+  const std::vector<std::vector<std::string>> combined = {
+      {"optimize", path_, "4.0", "--shards", "2", "--prune-k", "1"},
+      {"optimize", path_, "8.0", "--shards", "2", "--threads", "2"},
+      {"serve-replay", path_, trace_path_, "--shards", "2", "--prune-k", "1"},
+  };
+  for (const auto& args : combined) {
+    EXPECT_NO_THROW((void)cli::run_cli(args)) << args[0] << " " << args[3] << " " << args[5];
   }
 }
 

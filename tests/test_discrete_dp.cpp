@@ -6,7 +6,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/discrete_dp.hpp"
+#include "support/discrete_dp.hpp"
 #include "core/optimizer.hpp"
 #include "model/paper_configs.hpp"
 

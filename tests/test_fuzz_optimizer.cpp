@@ -9,8 +9,8 @@
 #include <cstdint>
 
 #include "core/closed_form.hpp"
-#include "core/discrete_dp.hpp"
-#include "core/gradient_optimizer.hpp"
+#include "support/discrete_dp.hpp"
+#include "support/gradient_optimizer.hpp"
 #include "core/kkt.hpp"
 #include "core/optimizer.hpp"
 #include "model/random_cluster.hpp"

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/gradient_optimizer.hpp"
+#include "support/gradient_optimizer.hpp"
 #include "core/optimizer.hpp"
 #include "model/paper_configs.hpp"
 

@@ -17,6 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/sharded.hpp"
+#include "model/cluster.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
@@ -111,6 +114,53 @@ TEST_F(RecorderTest, MacroRespectsBuildToggle) {
 #else
   EXPECT_EQ(dump.total_events(), 0u);
 #endif
+}
+
+// Every solve records solve_start, and solve_end on every exit, the
+// invalid and infeasible ones included; the start's id is the cell count
+// of a multi-cell solve and 0 for one cell. A one-cell solve counts
+// under optimizer.solves, a multi-cell one under solver.shard.solves.
+TEST_F(RecorderTest, SolvesRecordStartAndEndOnEveryExit) {
+  const std::vector<unsigned> sizes = {4, 2, 1, 3, 2, 1, 4, 2};
+  const std::vector<double> speeds = {1.0, 1.5, 2.0, 0.8, 1.2, 2.5, 0.6, 1.1};
+  const auto cluster = blade::model::make_cluster(sizes, speeds, 1.0, 0.2);
+  const double lambda_max = cluster.max_generic_rate();
+  auto count = [](const char* name) -> std::uint64_t {
+    const blade::obs::Snapshot snap = blade::obs::registry().snapshot();
+    const blade::obs::MetricValue* m = snap.find(name);
+    return m != nullptr ? m->count : 0;
+  };
+  for (const std::size_t cells : {std::size_t{1}, std::size_t{4}}) {
+    recorder().reset();
+    const std::uint64_t one_cell_before = count("optimizer.solves");
+    const std::uint64_t multi_cell_before = count("solver.shard.solves");
+    blade::opt::ShardOptions shard;
+    shard.cells = cells;
+    const blade::opt::ShardedOptimizer solver(cluster, blade::queue::Discipline::Fcfs, {}, shard);
+    EXPECT_TRUE(solver.try_optimize(0.5 * lambda_max).has_value());
+    EXPECT_FALSE(solver.try_optimize(-1.0).has_value());
+    EXPECT_FALSE(solver.try_optimize(2.0 * lambda_max).has_value());
+    std::vector<Event> starts;
+    std::vector<Event> ends;
+    for (const Event& e : recorder().dump().merged()) {
+      if (e.type == EventType::SolveStart) starts.push_back(e);
+      if (e.type == EventType::SolveEnd) ends.push_back(e);
+    }
+#if BLADE_OBS_ENABLED
+    ASSERT_EQ(starts.size(), 3u) << "cells=" << cells;
+    ASSERT_EQ(ends.size(), 3u) << "cells=" << cells;
+    for (const Event& e : starts) EXPECT_EQ(e.id, cells == 1 ? 0u : cells);
+    EXPECT_EQ(ends[0].id, static_cast<std::uint32_t>(blade::ErrorCode::Ok));
+    EXPECT_EQ(ends[1].id, static_cast<std::uint32_t>(blade::ErrorCode::InvalidArgument));
+    EXPECT_EQ(ends[2].id, static_cast<std::uint32_t>(blade::ErrorCode::Infeasible));
+    EXPECT_EQ(count("optimizer.solves") - one_cell_before, cells == 1 ? 1u : 0u);
+    EXPECT_EQ(count("solver.shard.solves") - multi_cell_before, cells == 1 ? 0u : 1u);
+#else
+    EXPECT_TRUE(starts.empty() && ends.empty());
+    EXPECT_EQ(count("optimizer.solves") + count("solver.shard.solves"),
+              one_cell_before + multi_cell_before);
+#endif
+  }
 }
 
 TEST_F(RecorderTest, JsonlParsesLineByLine) {

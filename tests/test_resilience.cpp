@@ -419,6 +419,50 @@ TEST(Checkpoint, KillAndRestoreMatchesUninterruptedRun) {
   for (std::size_t i = 0; i < fa.size(); ++i) EXPECT_NEAR(fa[i], fb[i], 1e-9);
 }
 
+// A restore clears the solver workspace: restoring one checkpoint into a
+// live controller, whose workspace holds solves made after the
+// checkpoint, and into a fresh one must publish the same split, at one
+// cell and at four.
+TEST(Checkpoint, RestoreInPlaceMatchesFreshRestore) {
+  std::vector<unsigned> sizes(32);
+  std::vector<double> speeds(32);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    sizes[i] = 1 + static_cast<unsigned>(i % 8);
+    speeds[i] = 0.5 + 2.0 * static_cast<double>(i) / 31.0;
+  }
+  const auto cluster = model::make_cluster(sizes, speeds, 1.0, 0.2);
+  for (const std::size_t cells : {std::size_t{0}, std::size_t{4}}) {
+    const std::string what = "shard_cells=" + std::to_string(cells);
+    auto cfg = contained_cfg(cluster);
+    cfg.shard_cells = cells;
+    runtime::Controller live(cluster, cfg);
+    sim::RngStream rng(9, 31);
+    double t = 0.0;
+    auto feed_until = [&](double end, double rate) {
+      for (int k = 0; t + 1.0 / rate < end; ++k) {
+        live.on_generic_arrival(t += 1.0 / rate, rng.uniform());
+        if (k % 5 == 0) live.on_special_arrival(t, static_cast<std::size_t>(k) % sizes.size());
+      }
+    };
+    feed_until(10.0, cfg.initial_lambda);
+    const std::string ckpt = live.checkpoint_json();
+    feed_until(20.0, 1.3 * cfg.initial_lambda);
+
+    runtime::Controller fresh(cluster, cfg);
+    ASSERT_TRUE(live.restore_checkpoint(ckpt).ok()) << what;
+    ASSERT_TRUE(fresh.restore_checkpoint(ckpt).ok()) << what;
+    const std::uint64_t live_evals = live.stats().solver_evaluations;
+    const std::uint64_t fresh_evals = fresh.stats().solver_evaluations;
+    live.resolve_now(10.0);
+    fresh.resolve_now(10.0);
+    EXPECT_EQ(live.mode(), runtime::Mode::Optimal) << what;
+    EXPECT_EQ(live.stats().solver_evaluations - live_evals,
+              fresh.stats().solver_evaluations - fresh_evals)
+        << what;
+    EXPECT_EQ(live.routing_fractions(), fresh.routing_fractions()) << what;
+  }
+}
+
 TEST(Checkpoint, WindowEstimatorRoundTrips) {
   const auto cluster = small_cluster();
   auto cfg = contained_cfg(cluster);

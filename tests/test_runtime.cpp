@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -441,23 +442,58 @@ TEST(Controller, PublishWhileSamplingIsRaceFree) {
 // The bound sits below the 898 of the nested warm search it replaced (an
 // inner solve converged at every outer probe), and far below the 1,874 a
 // solver needs whose inner loops crawl by bisection after landing on the
-// root and whose outer polish bisects from the bracket midpoint.
+// root and whose outer polish bisects from the bracket midpoint. A
+// 4-cell controller re-solves warm from the last split too, failovers
+// included, and meets the same bound (1,791 when its failovers and
+// health-driven re-solves restarted cold).
 TEST(Controller, SolverEvaluationsPerReSolveOnTheChurnCluster) {
   const auto cluster = testsupport::churn_cluster();
   auto trace = runtime::reference_failure_trace(cluster, 60.0);
   trace.seed = 1;
+  for (const std::size_t cells : {std::size_t{0}, std::size_t{4}}) {
+    runtime::ControllerConfig cfg;
+    cfg.half_life = 0.6;
+    cfg.health.enabled = true;
+    cfg.shard_cells = cells;
+    runtime::FaultInjector chaos(1, runtime::chaos_profile("moderate").value());
+    runtime::ReplayOptions o;
+    o.chaos = &chaos;
+    const auto r = runtime::replay(cluster, cfg, trace, o);
+    ASSERT_GT(r.stats.resolves, 500u) << "shard_cells=" << cells;
+    const double per_resolve = static_cast<double>(r.stats.solver_evaluations) /
+                               static_cast<double>(r.stats.resolves);
+    EXPECT_GT(per_resolve, 100.0) << "shard_cells=" << cells;
+    EXPECT_LE(per_resolve, 650.0) << "shard_cells=" << cells;
+  }
+}
+
+/// Threads of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// A one-cell solve runs on the calling thread: neither the paper solver
+// nor a shard_cells = 0 controller re-solve may start the global pool.
+// ctest runs every test in its own process, so nothing started it before.
+TEST(Controller, OneCellSolvesStartNoThreads) {
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  const auto cluster = testsupport::churn_cluster();
+  const double lambda = 0.6 * cluster.max_generic_rate();
+  const opt::LoadDistributionOptimizer solver(cluster, queue::Discipline::Fcfs);
+  ASSERT_TRUE(solver.try_optimize(lambda).has_value());
   runtime::ControllerConfig cfg;
-  cfg.half_life = 0.6;
-  cfg.health.enabled = true;
-  runtime::FaultInjector chaos(1, runtime::chaos_profile("moderate").value());
-  runtime::ReplayOptions o;
-  o.chaos = &chaos;
-  const auto r = runtime::replay(cluster, cfg, trace, o);
-  ASSERT_GT(r.stats.resolves, 500u);
-  const double per_resolve = static_cast<double>(r.stats.solver_evaluations) /
-                             static_cast<double>(r.stats.resolves);
-  EXPECT_GT(per_resolve, 100.0);
-  EXPECT_LE(per_resolve, 650.0);
+  cfg.initial_lambda = lambda;
+  runtime::Controller ctrl(cluster, cfg);
+  ctrl.on_failure(1.0, 0);
+  EXPECT_EQ(ctrl.stats().resolves, 2u);
+  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
+  EXPECT_EQ(process_threads(), before);
 }
 
 // The serve loop's deterministic work counters on the same run, gated at

@@ -5,10 +5,11 @@
 // the tests/support edge-regime generators (~100 instances per
 // discipline) and certifies every sharded solution against the KKT
 // oracle directly. On top of the corpus, the metamorphic layer pins the
-// cell structure itself: one cell with coalescing off IS the flat call
-// sequence (bitwise), n cells of size one is too, cell counts and
-// server permutations don't move the optimum, prune-k sweeps have
-// monotone T' with measured loss within the reported duality-gap bound.
+// cell structure itself: n cells of size one are bitwise the one-cell
+// solve, coalescing identical servers matches solving them apart, cell
+// counts and server permutations don't move the optimum, prune-k sweeps
+// have monotone T' with measured loss within the reported duality-gap
+// bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,10 +36,9 @@ using queue::Discipline;
 
 constexpr std::uint64_t kSeedsPerRegime = 17;  // x 6 regimes = 102 per discipline
 
-opt::ShardOptions cells_opt(std::size_t cells, bool coalesce = true, std::size_t top_k = 0) {
+opt::ShardOptions cells_opt(std::size_t cells, std::size_t top_k = 0) {
   opt::ShardOptions s;
   s.cells = cells;
-  s.coalesce_identical = coalesce;
   s.prune.top_k = top_k;
   return s;
 }
@@ -117,77 +117,35 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Metamorphic battery for the cell layer.
 
-void expect_bitwise(const opt::ShardedLoadDistribution& sol, const opt::LoadDistribution& flat,
+void expect_bitwise(const opt::ShardedLoadDistribution& sol, const opt::LoadDistribution& one,
                     const std::string& what) {
-  EXPECT_EQ(sol.dist.response_time, flat.response_time) << what;
-  EXPECT_EQ(sol.dist.phi, flat.phi) << what;
-  EXPECT_EQ(sol.dist.outer_iterations, flat.outer_iterations) << what;
-  EXPECT_EQ(sol.dist.inner_evaluations, flat.inner_evaluations) << what;
-  ASSERT_EQ(sol.dist.rates.size(), flat.rates.size()) << what;
-  for (std::size_t i = 0; i < flat.rates.size(); ++i) {
-    EXPECT_EQ(sol.dist.rates[i], flat.rates[i]) << what << " rate " << i;
-    EXPECT_EQ(sol.dist.utilizations[i], flat.utilizations[i]) << what << " rho " << i;
-    EXPECT_EQ(sol.dist.response_times[i], flat.response_times[i]) << what << " T' " << i;
-  }
-}
-
-// One cell with coalescing disabled runs the flat solver's exact call
-// sequence through the shared numeric core — every reported quantity
-// must be bitwise identical, not merely close. That holds for the warm
-// path too: solve, then move lambda' by 1% and perturb one server's
-// preload, and re-solve on the same workspaces.
-TEST(ShardedMetamorphic, OneCellIsFlatBitwise) {
-  for (const Discipline d : {Discipline::Fcfs, Discipline::SpecialPriority}) {
-    for (const Regime r : {Regime::Random, Regime::NearSaturation, Regime::SpeedExtremes}) {
-      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        const Instance inst = make_instance(r, seed, d);
-        opt::SolverWorkspace flat_ws;
-        opt::ShardedWorkspace shard_ws;
-        const auto flat = opt::LoadDistributionOptimizer(inst.cluster, inst.discipline)
-                              .optimize(inst.lambda, flat_ws);
-        const opt::ShardedOptimizer sharded(inst.cluster, inst.discipline, {},
-                                            cells_opt(1, /*coalesce=*/false));
-        ASSERT_EQ(sharded.cell_count(), 1u);
-        expect_bitwise(sharded.optimize(inst.lambda, shard_ws), flat, inst.name);
-
-        std::vector<model::BladeServer> servers = inst.cluster.servers();
-        const std::size_t k = seed % servers.size();
-        servers[k] = model::BladeServer(servers[k].size(), servers[k].speed(),
-                                        0.9 * servers[k].special_rate());
-        const model::Cluster moved(std::move(servers), inst.cluster.rbar());
-        const double lambda = std::min(1.01 * inst.lambda, 0.999 * moved.max_generic_rate());
-        const auto flat_warm = opt::LoadDistributionOptimizer(moved, inst.discipline)
-                                   .optimize(lambda, flat_ws);
-        const opt::ShardedOptimizer sharded_moved(moved, inst.discipline, {},
-                                                  cells_opt(1, /*coalesce=*/false));
-        expect_bitwise(sharded_moved.optimize(lambda, shard_ws), flat_warm, inst.name + " warm");
-      }
-    }
+  EXPECT_EQ(sol.dist.response_time, one.response_time) << what;
+  EXPECT_EQ(sol.dist.phi, one.phi) << what;
+  EXPECT_EQ(sol.dist.outer_iterations, one.outer_iterations) << what;
+  EXPECT_EQ(sol.dist.inner_evaluations, one.inner_evaluations) << what;
+  ASSERT_EQ(sol.dist.rates.size(), one.rates.size()) << what;
+  for (std::size_t i = 0; i < one.rates.size(); ++i) {
+    EXPECT_EQ(sol.dist.rates[i], one.rates[i]) << what << " rate " << i;
+    EXPECT_EQ(sol.dist.utilizations[i], one.utilizations[i]) << what << " rho " << i;
+    EXPECT_EQ(sol.dist.response_times[i], one.response_times[i]) << what << " T' " << i;
   }
 }
 
 // The other degenerate cut: n cells of size one. Per-cell Kahan totals
 // of a single term are exact and the outer compensated sum visits cells
 // in index order, so F(phi) — and with it every solver decision — is
-// again bitwise the flat evaluation.
+// bitwise the one-cell evaluation (LoadDistributionOptimizer), although
+// the cells run on the pool and check the budget between probes.
 TEST(ShardedMetamorphic, SingletonCellsAreFlatBitwise) {
   for (const Discipline d : {Discipline::Fcfs, Discipline::SpecialPriority}) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       const Instance inst = make_instance(Regime::Random, seed, d);
-      const auto flat =
+      const auto one =
           opt::LoadDistributionOptimizer(inst.cluster, inst.discipline).optimize(inst.lambda);
       const opt::ShardedOptimizer sharded(inst.cluster, inst.discipline, {},
                                           cells_opt(inst.cluster.size()));
       ASSERT_EQ(sharded.cell_count(), inst.cluster.size());
-      const auto sol = sharded.optimize(inst.lambda);
-
-      EXPECT_EQ(sol.dist.response_time, flat.response_time) << inst.name;
-      EXPECT_EQ(sol.dist.phi, flat.phi) << inst.name;
-      EXPECT_EQ(sol.dist.outer_iterations, flat.outer_iterations) << inst.name;
-      ASSERT_EQ(sol.dist.rates.size(), flat.rates.size());
-      for (std::size_t i = 0; i < flat.rates.size(); ++i) {
-        EXPECT_EQ(sol.dist.rates[i], flat.rates[i]) << inst.name << " rate " << i;
-      }
+      expect_bitwise(sharded.optimize(inst.lambda), one, inst.name);
     }
   }
 }
@@ -241,32 +199,41 @@ TEST(ShardedMetamorphic, PermutationAcrossCells) {
 }
 
 // Coalescing identical servers into classes is exact: a catalog fleet
-// solved with and without coalescing gives the same optimum, while the
-// coalesced solve works over far fewer classes than servers.
+// solves to the optimum of the same fleet with each duplicate's speed
+// nudged one ulp past the previous copy's, where every class is a single
+// server, while the coalesced solve works over far fewer classes.
 TEST(ShardedMetamorphic, CoalescingIsExact) {
   const auto cluster = catalog_cluster(96, 8);
+  std::vector<model::BladeServer> servers = cluster.servers();
+  for (std::size_t i = 1; i < servers.size(); ++i) {
+    if (!(cluster.server(i) == cluster.server(i - 1))) continue;
+    const double speed =
+        std::nextafter(servers[i - 1].speed(), std::numeric_limits<double>::infinity());
+    servers[i] = model::BladeServer(servers[i].size(), speed, servers[i].special_rate());
+  }
+  const model::Cluster nudged(std::move(servers), cluster.rbar());
   const double lambda = 0.55 * cluster.max_generic_rate();
   for (const Discipline d : {Discipline::Fcfs, Discipline::SpecialPriority}) {
-    const opt::ShardedOptimizer on(cluster, d, {}, cells_opt(4, /*coalesce=*/true));
-    const opt::ShardedOptimizer off(cluster, d, {}, cells_opt(4, /*coalesce=*/false));
-    EXPECT_GT(on.coalesced_servers(), 0u);
-    EXPECT_LT(on.server_classes(), cluster.size());
-    EXPECT_EQ(off.server_classes(), cluster.size());
+    for (const std::size_t cells : {std::size_t{1}, std::size_t{4}}) {
+      const std::string what = "cells=" + std::to_string(cells);
+      const opt::ShardedOptimizer coalesced(cluster, d, {}, cells_opt(cells));
+      const opt::ShardedOptimizer singletons(nudged, d, {}, cells_opt(cells));
+      EXPECT_GT(coalesced.coalesced_servers(), 0u) << what;
+      EXPECT_LT(coalesced.server_classes(), cluster.size()) << what;
+      EXPECT_EQ(singletons.server_classes(), cluster.size()) << what;
 
-    const auto a = on.optimize(lambda);
-    const auto b = off.optimize(lambda);
-    EXPECT_LE(num::rel_diff(a.dist.response_time, b.dist.response_time), 1e-9);
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      expect_close(a.dist.rates[i], b.dist.rates[i], 1e-6, 1e-9,
-                   "coalesce rate " + std::to_string(i));
-    }
-    // Identical servers must receive identical load under coalescing.
-    const auto& sol = a.dist.rates;
-    for (std::size_t i = 1; i < cluster.size(); ++i) {
-      if (cluster.server(i) == cluster.server(i - 1)) {
-        const std::size_t cell = 4 * i / cluster.size();
-        if (cell == 4 * (i - 1) / cluster.size()) {
-          EXPECT_EQ(sol[i], sol[i - 1]) << "class members diverged at " << i;
+      const auto a = coalesced.optimize(lambda);
+      const auto b = singletons.optimize(lambda);
+      EXPECT_LE(num::rel_diff(a.dist.response_time, b.dist.response_time), 1e-9) << what;
+      for (std::size_t i = 0; i < cluster.size(); ++i) {
+        expect_close(a.dist.rates[i], b.dist.rates[i], 1e-6, 1e-9,
+                     what + " coalesce rate " + std::to_string(i));
+      }
+      // Identical servers of one cell receive identical load.
+      for (std::size_t i = 1; i < cluster.size(); ++i) {
+        if (cluster.server(i) == cluster.server(i - 1) &&
+            cells * i / cluster.size() == cells * (i - 1) / cluster.size()) {
+          EXPECT_EQ(a.dist.rates[i], a.dist.rates[i - 1]) << what << " class diverged at " << i;
         }
       }
     }
@@ -286,7 +253,7 @@ TEST(ShardedMetamorphic, PruneSweepMonotoneWithinBound) {
     double prev = std::numeric_limits<double>::infinity();
     for (const std::size_t k : {std::size_t{2}, std::size_t{4}, std::size_t{8},
                                 std::size_t{12}, std::size_t{16}, std::size_t{24}}) {
-      const opt::ShardedOptimizer sharded(cluster, d, {}, cells_opt(4, true, k));
+      const opt::ShardedOptimizer sharded(cluster, d, {}, cells_opt(4, k));
       if (lambda >= sharded.kept_capacity()) {
         const auto res = sharded.try_optimize(lambda);
         ASSERT_FALSE(res.has_value()) << "k=" << k;
