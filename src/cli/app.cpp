@@ -114,7 +114,7 @@ bool configures_controller(const std::string& flag) {
   for (const char* prefix : {"--health", "--checkpoint-", "--slo-", "--recorder-"}) {
     if (flag.rfind(prefix, 0) == 0) return true;
   }
-  return flag == "--half-life" || flag == "--ceiling" || flag == "--drift" ||
+  return flag == "--half-life" || flag == "--ceiling" || flag == "--loss-threshold" ||
          flag == "--shards" || flag == "--prune-k";
 }
 
@@ -412,7 +412,7 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
   cfg.discipline = opts.discipline;
   cfg.half_life = serve.half_life > 0.0 ? serve.half_life : trace.horizon / 100.0;
   cfg.utilization_ceiling = serve.utilization_ceiling;
-  cfg.drift_threshold = serve.drift_threshold;
+  cfg.loss_threshold = serve.loss_threshold;
   cfg.shard_cells = opts.shards;
   cfg.prune_top_k = opts.prune_k;
   if (serve.health) {
@@ -511,9 +511,14 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
      << "special arrivals  " << res.stats.special_arrivals << '\n'
      << "controller        " << res.stats.resolves << " resolves ("
      << util::fixed(evals_per_resolve, 1) << " solver evaluations each), "
-     << res.stats.skipped_by_hysteresis << " drift checks skipped, "
      << res.stats.infeasible_resolves << " infeasible, " << res.stats.publications
      << " weight publications\n"
+     << "drift checks      "
+     << res.stats.shedding_checks + res.stats.unevaluated_checks + res.stats.loss_checks
+     << " fired (" << res.stats.shedding_checks << " shedding, " << res.stats.unevaluated_checks
+     << " unevaluated, " << res.stats.loss_checks << " predicted loss), "
+     << res.stats.skipped_by_hysteresis << " skipped (threshold " << cfg.loss_threshold
+     << ")\n"
      << "events            " << res.stats.failures << " failures, " << res.stats.recoveries
      << " recoveries\n"
      << chaos_line
@@ -595,7 +600,8 @@ std::string usage() {
          "  --seed <n>        validate / serve-replay: base seed (default 1)\n"
          "  --half-life <t>   serve-replay: estimator half-life (default horizon/100)\n"
          "  --ceiling <u>     serve-replay: admission utilization ceiling (default 0.95)\n"
-         "  --drift <x>       serve-replay: hysteresis re-solve threshold (default 0.02)\n"
+         "  --loss-threshold <x>        serve-replay: re-solve when a drift check\n"
+         "                    predicts a relative T' loss above x (default 0.003)\n"
          "  --chaos-seed <n>  serve-replay: enable deterministic fault injection\n"
          "  --chaos-profile <p>         none, light, moderate (default), or heavy\n"
          "  --slo-target <t>  serve-replay: per-epoch mean-T' objective; prints\n"
@@ -734,8 +740,13 @@ std::string run_cli(const std::vector<std::string>& args) {
       serve.half_life = std::stod(next("--half-life"));
     } else if (a == "--ceiling") {
       serve.utilization_ceiling = std::stod(next("--ceiling"));
+    } else if (a == "--loss-threshold") {
+      serve.loss_threshold = std::stod(next("--loss-threshold"));
     } else if (a == "--drift") {
-      serve.drift_threshold = std::stod(next("--drift"));
+      // Not read as the new threshold: the two measure different things.
+      throw std::invalid_argument(
+          "--drift is gone: the re-solve trigger is a predicted T' loss, set with "
+          "--loss-threshold <x>");
     } else if (a == "--chaos-seed") {
       serve.chaos_seed = static_cast<std::uint64_t>(std::stoull(next("--chaos-seed")));
     } else if (a == "--chaos-profile") {

@@ -84,7 +84,7 @@ struct CommonOptions {
 struct ServeOptions {
   double half_life = 0.0;           ///< --half-life: estimator memory
   double utilization_ceiling = 0.95;  ///< --ceiling: admission-control cap
-  double drift_threshold = 0.02;    ///< --drift: hysteresis threshold
+  double loss_threshold = 3e-3;     ///< --loss-threshold: predicted-loss re-solve threshold
   std::uint64_t seed = 0;           ///< --seed: overrides the trace's seed
   std::uint64_t chaos_seed = 0;     ///< --chaos-seed: fault-injection seed (0 = off)
   std::string chaos_profile = "moderate";  ///< --chaos-profile: none/light/moderate/heavy

@@ -421,6 +421,22 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
   // is not read.
   double warm_phi = 0.0;
   detail::NewtonState& ns = ws.newton_;
+  // A round handed over by the caller serves this solve only.
+  const double handed_lambda = std::exchange(ws.handed_.lambda, -1.0);
+  auto takes_handed_round = [&](const std::vector<double>& x) {
+    const auto& hr = ws.handed_;
+    if (hr.x.size() != cluster_.size() ||
+        std::bit_cast<std::uint64_t>(handed_lambda) != std::bit_cast<std::uint64_t>(lambda_total)) {
+      return false;
+    }
+    for (std::size_t e = 0; e < x.size(); ++e) {
+      if (std::bit_cast<std::uint64_t>(x[e]) !=
+          std::bit_cast<std::uint64_t>(hr.x[kept_.of(e).front()])) {
+        return false;
+      }
+    }
+    return true;
+  };
   auto warm_solve = [&]() -> Expected<int> {
     const std::size_t classes = kept_.size();
     ns.x.resize(classes);
@@ -432,8 +448,13 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
       ns.weight[e] = kept_.count(e);
       ns.hub[e] = (1.0 - opts_.saturation_margin) * kept_.queues[e].max_generic_rate();
     }
+    // The first round takes the handed values when they match lambda' and
+    // the whole clamped start, and is charged as if it evaluated them.
+    bool first_round = true;
     auto eval_at = [&](const std::vector<double>& x, std::vector<double>& g,
                        std::vector<double>& dg) -> std::optional<Error> {
+      const bool handed = first_round && takes_handed_round(x);
+      first_round = false;
       for_each_cell([&](const Cell& cell, auto& st, const CellObjective& obj,
                         detail::SolveBudget& b) {
         for (std::size_t k = 0; k < cell.classes; ++k) {
@@ -443,7 +464,13 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
           }
           ++st.evals;
           const std::size_t e = cell.first_class + k;
-          std::tie(g[e], dg[e]) = obj.marginal_with_derivative(k, x[e]);
+          if (handed) {
+            const std::size_t rep = kept_.of(e).front();
+            g[e] = ws.handed_.g[rep];
+            dg[e] = ws.handed_.dg[rep];
+          } else {
+            std::tie(g[e], dg[e]) = obj.marginal_with_derivative(k, x[e]);
+          }
         }
       });
       return check_cells();

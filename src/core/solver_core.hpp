@@ -300,30 +300,125 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
   return result;
 }
 
+/// One Newton round's linear model, the water-fill. With g_i and g'_i
+/// evaluated at s.x, phi' is the exact root of
+/// sum_i m_i max(0, x_i + (phi - g_i)/g'_i) = lambda', found by
+/// water-filling over the breakpoints b_i = g_i - g'_i x_i. An idle
+/// entry's slope m_i/g'_i is capped at the flattest loaded entry's (its
+/// tangent at zero can be almost flat, or flat, and would pin phi' at its
+/// breakpoint, far below the loaded entries' multiplier), so s.dg leaves
+/// holding the round's slopes. Afterwards s.order's first `active`
+/// entries are the active set, cheapest breakpoint first. A typed error
+/// when a marginal is not finite, a loaded entry has no slope, or no
+/// entry is loaded.
+struct WaterFill {
+  double phi = 0.0;          ///< phi', the round's multiplier
+  std::size_t active = 0;    ///< s.order[0, active) step
+  std::size_t flattest = 0;  ///< the active entry of largest slope m_i/g'_i
+};
+
+inline Expected<WaterFill> water_fill(double lambda_total, NewtonState& s) {
+  const std::size_t n = s.x.size();
+  auto slope = [&](std::size_t i) { return s.weight[i] / s.dg[i]; };  // m_i/g'_i
+  double loaded_slope = 0.0;  // the flattest loaded entry's
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(s.g[i])) return non_finite_marginal_error(i, s.x[i], s.g[i]);
+    if (s.x[i] == 0.0) continue;
+    if (!(s.dg[i] > 0.0) || !std::isfinite(slope(i))) {
+      return Error{ErrorCode::NonConvergence, "optimize: no marginal slope at a loaded entry"};
+    }
+    loaded_slope = std::max(loaded_slope, slope(i));
+  }
+  if (loaded_slope == 0.0) return Error{ErrorCode::NonConvergence, "optimize: no loaded entry"};
+  // Sorted as (breakpoint, index) pairs, each breakpoint computed once.
+  s.keyed.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double least = s.weight[i] / loaded_slope;
+    if (s.x[i] == 0.0 && !(s.dg[i] >= least && std::isfinite(s.dg[i]))) s.dg[i] = least;
+    s.keyed[i] = {s.g[i] - s.dg[i] * s.x[i], i};
+  }
+  std::sort(s.keyed.begin(), s.keyed.end());
+  s.order.resize(n);
+  for (std::size_t k = 0; k < n; ++k) s.order[k] = s.keyed[k].second;
+
+  // Over the k cheapest breakpoints the linearized total is
+  // sum m_i x_i + sum (m_i/g'_i)(phi - g_i), so its root is
+  // (sum (m_i/g'_i) g_i + lambda' - sum m_i x_i) / sum m_i/g'_i; the
+  // active set grows until the next breakpoint lies at or above it.
+  num::KahanSum wg;
+  num::KahanSum mx;
+  num::KahanSum w;
+  WaterFill fill;
+  fill.flattest = s.order.front();
+  while (fill.active < n) {
+    const std::size_t i = s.order[fill.active++];
+    wg.add(slope(i) * s.g[i]);
+    mx.add(s.weight[i] * s.x[i]);
+    w.add(slope(i));
+    if (slope(i) > slope(fill.flattest)) fill.flattest = i;
+    fill.phi = (wg.value() + (lambda_total - mx.value())) / w.value();
+    if (fill.active < n && s.keyed[fill.active].first >= fill.phi) break;
+  }
+  return fill;
+}
+
+/// Entry i's Newton step target at multiplier `phi`:
+/// max(0, x_i + (phi - g_i)/g'_i).
+inline double newton_target(const NewtonState& s, std::size_t i, double phi) {
+  return std::max(0.0, s.x[i] + (phi - s.g[i]) / s.dg[i]);
+}
+
+/// Flat plateau: the rate the constraint leaves the flattest active
+/// entry once every other entry takes its s.next, unclamped. Its own
+/// target would divide a rounding error in phi' by its near-zero g'_i.
+inline double plateau_residual(const NewtonState& s, double lambda_total, std::size_t flattest) {
+  num::KahanSum others;
+  for (std::size_t i = 0; i < s.x.size(); ++i) {
+    if (i != flattest) others.add(s.weight[i] * s.next[i]);
+  }
+  return (lambda_total - others.value()) / s.weight[flattest];
+}
+
+/// The decrease of T' that the round's quadratic model predicts for its
+/// step without the safeguards' pins: every entry to newton_target at
+/// phi', the plateau entry to the residual. With d = s.next - s.x (s.next
+/// is overwritten), that is -sum_i m_i ((g_i - phi') d_i + g'_i d_i^2 / 2);
+/// the phi' term vanishes on a step that meets the constraint and keeps
+/// the sum free of cancellation.
+inline double model_decrease(NewtonState& s, double lambda_total, const WaterFill& fill) {
+  const std::size_t n = s.x.size();
+  s.next.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.next[i] = newton_target(s, i, fill.phi);
+  s.next[fill.flattest] = std::max(0.0, plateau_residual(s, lambda_total, fill.flattest));
+  num::KahanSum change;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = s.next[i] - s.x[i];
+    change.add(s.weight[i] * ((s.g[i] - fill.phi) + 0.5 * s.dg[i] * d) * d);
+  }
+  return -change.value();
+}
+
 /// The warm solve: Newton on the whole KKT system at once (g_i(x_i) = phi
 /// on active entries, sum_i m_i x_i = lambda'), from the previous solve's
 /// rates in `s.x`. An entry is a server class (m_i its member count, x_i
 /// the per-member rate). docs/optimizer.md gives each rule's reason. Each
 /// round:
 ///   * `eval_at(x, g, dg)` evaluates every entry once, charging the budget.
-///   * phi' is the exact root of sum_i m_i max(0, x_i + (phi - g_i)/g'_i)
-///     = lambda', by water-filling over the breakpoints b_i = g_i - g'_i x_i.
-///     An idle entry's slope m_i/g'_i is capped at the flattest loaded
-///     entry's: its tangent at zero can be almost flat, or flat.
-///   * Every active entry steps to max(0, x_i + (phi' - g_i)/g'_i), except
-///     that safeguards pin some: a loaded entry with g_i > 2 phi' (pole
-///     side) is solved exactly at phi' on [0, x_i] (`exact_at(i, phi, lo,
-///     hi)`, find_rate_core); a step past half the headroom to the
-///     saturation guard is cut to half, or solved exactly, cold, from zero
-///     rate. phi' then moves by the pinned entries' shortfall over the free
-///     entries' total slope, and the free entries step to it.
+///   * water_fill gives phi' and the active set.
+///   * Every active entry steps to newton_target(i, phi'), except that
+///     safeguards pin some: a loaded entry with g_i > 2 phi' (pole side)
+///     is solved exactly at phi' on [0, x_i] (`exact_at(i, phi, lo, hi)`,
+///     find_rate_core); a step past half the headroom to the saturation
+///     guard is cut to half, or solved exactly, cold, from zero rate. phi'
+///     then moves by the pinned entries' shortfall over the free entries'
+///     total slope, and the free entries step to it.
 ///   * Flat plateau: the flattest active entry (largest m_i/g'_i) takes the
-///     constraint residual instead of its own step.
+///     constraint residual instead of its own step (plateau_residual).
 ///   * Stop once every step is within rate_tolerance/2 (the plateau
 ///     entry's test adds 4 eps lambda'/m_i, the resolution of a residual of
 ///     size lambda'); phi' is the multiplier.
 /// Returns the round count, or a typed error when an evaluation or an
-/// exact solve fails, no entry is loaded, or no round settles within
+/// exact solve fails, water_fill fails, or no round settles within
 /// Brent's cap (min(60, max_iterations)); the caller then runs the cold
 /// search instead.
 template <class EvalAt, class ExactAt>
@@ -338,10 +433,6 @@ Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, Ne
     s.x[i] = std::isfinite(s.x[i]) ? std::clamp(s.x[i], 0.0, s.hub[i]) : 0.0;
   }
   auto slope = [&](std::size_t i) { return s.weight[i] / s.dg[i]; };  // m_i/g'_i
-  auto breakpoint = [&](std::size_t i) { return s.g[i] - s.dg[i] * s.x[i]; };
-  auto newton_step = [&](std::size_t i, double at) {
-    return std::max(0.0, s.x[i] + (at - s.g[i]) / s.dg[i]);
-  };
   auto trust = [&](std::size_t i) { return s.x[i] + 0.5 * (s.hub[i] - s.x[i]); };
   auto solve_exactly = [&](std::size_t i, double at, double hi) -> std::optional<Error> {
     auto r = exact_at(i, at, 0.0, hi);
@@ -353,48 +444,11 @@ Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, Ne
   const int cap = std::min(60, opts.max_iterations);
   for (int round = 1; round <= cap; ++round) {
     if (auto e = eval_at(s.x, s.g, s.dg)) return std::move(*e);
-    double loaded_slope = 0.0;  // the flattest loaded entry's
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(s.g[i])) return non_finite_marginal_error(i, s.x[i], s.g[i]);
-      if (s.x[i] == 0.0) continue;
-      if (!(s.dg[i] > 0.0) || !std::isfinite(slope(i))) {
-        return Error{ErrorCode::NonConvergence, "optimize: no marginal slope at a loaded entry"};
-      }
-      loaded_slope = std::max(loaded_slope, slope(i));
-    }
-    if (loaded_slope == 0.0) return Error{ErrorCode::NonConvergence, "optimize: no loaded entry"};
-    // An idle entry's tangent at zero can be almost flat (or flat: m >= 2
-    // without preload) and would pin phi' at its breakpoint, far below
-    // the loaded entries' multiplier; its slope is capped at theirs.
-    s.order.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double least = s.weight[i] / loaded_slope;
-      if (s.x[i] == 0.0 && !(s.dg[i] >= least && std::isfinite(s.dg[i]))) s.dg[i] = least;
-      s.order[i] = i;
-    }
-    std::sort(s.order.begin(), s.order.end(), [&](std::size_t a, std::size_t b) {
-      return std::pair{breakpoint(a), a} < std::pair{breakpoint(b), b};
-    });
-
-    // Water-filling: over the k cheapest breakpoints the linearized total
-    // is sum m_i x_i + sum (m_i/g'_i)(phi - g_i), so its root is
-    // (sum (m_i/g'_i) g_i + lambda' - sum m_i x_i) / sum m_i/g'_i; the
-    // active set grows until the next breakpoint lies at or above it.
-    num::KahanSum wg;
-    num::KahanSum mx;
-    num::KahanSum w;
-    std::size_t active = 0;
-    double next_phi = 0.0;
-    std::size_t flattest = s.order.front();
-    while (active < s.order.size()) {
-      const std::size_t i = s.order[active++];
-      wg.add(slope(i) * s.g[i]);
-      mx.add(s.weight[i] * s.x[i]);
-      w.add(slope(i));
-      if (slope(i) > slope(flattest)) flattest = i;
-      next_phi = (wg.value() + (lambda_total - mx.value())) / w.value();
-      if (active < s.order.size() && breakpoint(s.order[active]) >= next_phi) break;
-    }
+    const auto fill = water_fill(lambda_total, s);
+    if (!fill) return fill.error();
+    double next_phi = fill.value().phi;
+    const std::size_t active = fill.value().active;
+    const std::size_t flattest = fill.value().flattest;
 
     // Steps, and the safeguards' pins: s.order keeps the active entries
     // that step freely, the plateau entry among them.
@@ -403,7 +457,7 @@ Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, Ne
     for (std::size_t k = 0; k < active; ++k) {
       const std::size_t i = s.order[k];
       const double x = s.x[i];
-      s.next[i] = newton_step(i, next_phi);
+      s.next[i] = newton_target(s, i, next_phi);
       if (i != flattest && x > 0.0 && s.g[i] > 2.0 * next_phi) {
         if (auto e = solve_exactly(i, next_phi, x)) return std::move(*e);  // pole side
       } else if (i != flattest && s.next[i] > trust(i)) {
@@ -426,14 +480,10 @@ Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, Ne
     for (const std::size_t i : s.order) free_slope.add(slope(i));
     next_phi += (lambda_total - assigned.value()) / free_slope.value();
     for (const std::size_t i : s.order) {
-      if (i != flattest) s.next[i] = std::min(newton_step(i, next_phi), trust(i));
+      if (i != flattest) s.next[i] = std::min(newton_target(s, i, next_phi), trust(i));
     }
-    num::KahanSum others;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != flattest) others.add(s.weight[i] * s.next[i]);
-    }
-    s.next[flattest] = std::clamp((lambda_total - others.value()) / s.weight[flattest], 0.0,
-                                  trust(flattest));
+    s.next[flattest] =
+        std::clamp(plateau_residual(s, lambda_total, flattest), 0.0, trust(flattest));
 
     // A residual of size lambda' is resolved to a few ulps of lambda' (as
     // Brent's test allows 2 eps |b|).

@@ -60,16 +60,6 @@ double poisson_cdf(unsigned K, double a) noexcept {
   return std::min(1.0, s.value());
 }
 
-void KahanSum::add(double x) noexcept {
-  const double t = sum_ + x;
-  if (std::abs(sum_) >= std::abs(x)) {
-    c_ += (sum_ - t) + x;
-  } else {
-    c_ += (x - t) + sum_;
-  }
-  sum_ = t;
-}
-
 double ksum(std::span<const double> xs) noexcept {
   KahanSum s;
   for (double x : xs) s.add(x);

@@ -2,6 +2,7 @@
 // Poisson partial sums, and compensated summation.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -19,9 +20,19 @@ namespace blade::num {
 [[nodiscard]] double poisson_cdf(unsigned K, double a) noexcept;
 
 /// Kahan–Babuska compensated accumulator for long sums of mixed magnitude.
+/// add() is inline: the solver's Newton rounds make about 1,500 per warm
+/// re-solve.
 class KahanSum {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    const double t = sum_ + x;
+    if (std::abs(sum_) >= std::abs(x)) {
+      c_ += (sum_ - t) + x;
+    } else {
+      c_ += (x - t) + sum_;
+    }
+    sum_ = t;
+  }
   [[nodiscard]] double value() const noexcept { return sum_ + c_; }
   void reset() noexcept { sum_ = c_ = 0.0; }
 

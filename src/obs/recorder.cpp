@@ -56,6 +56,7 @@ const char* to_string(Cause c) noexcept {
     case Cause::Quarantine: return "quarantine";
     case Cause::Probation: return "probation";
     case Cause::HealthRecovered: return "health_recovered";
+    case Cause::Shedding: return "shedding";
   }
   return "unknown";
 }

@@ -41,7 +41,10 @@ namespace blade::obs {
 enum class EventType : std::uint16_t {
   SolveStart = 0,  ///< id = cells of a multi-cell solve (0 = one cell); a = lambda' target
   SolveEnd,        ///< id = ErrorCode (0 = ok); a = phi, b = outer iterations, c = inner evals
-  ResolveTrigger,  ///< id = Cause; a = drift (when Cause::Drift), b = threshold
+  /// id = Cause. Drift: a = predicted relative T' loss (-1: fired without
+  /// evaluating), b = loss_threshold. Shedding: a = estimated lambda',
+  /// b = admissible (ceiling * lambda'_max). Others: b = loss_threshold.
+  ResolveTrigger,
   ShedDecision,    ///< a = estimated lambda', b = admissible (ceiling * lambda'_max), c = shed prob
   ModeTransition,  ///< id = Cause; a = from Mode, b = to Mode
   AliasPublish,    ///< id = publication version; a = shed prob
@@ -65,7 +68,7 @@ inline constexpr std::size_t kEventTypeCount =
 /// trigger instead of leaving a bare counter bump.
 enum class Cause : std::uint32_t {
   None = 0,
-  Drift,          ///< hysteresis check saw drift past the threshold
+  Drift,          ///< drift check: predicted T' loss past the threshold, or unevaluated
   Warmup,         ///< first estimate-driven solve after estimator warmup
   DegradedRetry,  ///< degraded mode retries every check until a solve lands
   Failure,        ///< blade-failure event forced the re-solve
@@ -83,6 +86,7 @@ enum class Cause : std::uint32_t {
   Quarantine,     ///< health scoring quarantined a blade; weights redistributed
   Probation,      ///< quarantine dwell elapsed; degraded re-solve probes the blade
   HealthRecovered,  ///< probation cleared; nominal re-solve restored the blade
+  Shedding,       ///< drift check: lambda' at the admission ceiling, or shedding
 };
 
 [[nodiscard]] const char* to_string(Cause c) noexcept;

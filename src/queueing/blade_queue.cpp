@@ -1,10 +1,11 @@
 #include "queueing/blade_queue.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <tuple>
-#include <vector>
 
 #include "numerics/erlang.hpp"
 #include "numerics/erlang_batch.hpp"
@@ -142,22 +143,32 @@ void check_batch_sizes(std::size_t n, std::size_t got, const char* what) {
 /// scalar path's validation and saturation throw), one lane-blocked
 /// Erlang kernel sweep, then `epilogue(j, rho_j, k_j)` per element.
 /// `queue_at(j)` lets the same code serve the many-queues and
-/// one-queue-many-rates shapes.
+/// one-queue-many-rates shapes. The sweep runs over fixed blocks on the
+/// stack, each a whole number of kernel lane blocks, so a batch allocates
+/// nothing and every element sees exactly the lanes one sweep would give.
 template <typename QueueAt, typename Epilogue>
 void batch_marginals(QueueAt&& queue_at, std::span<const double> lambda1s, Epilogue&& epilogue) {
+  constexpr std::size_t kBlock = 8 * num::kErlangBatchLanes;
+  std::array<unsigned, kBlock> m;
+  std::array<double, kBlock> rho;
+  std::array<double, kBlock> c;
+  std::array<double, kBlock> dc;
+  std::array<double, kBlock> d2c;
   const std::size_t n = lambda1s.size();
-  std::vector<unsigned> m(n);
-  std::vector<double> rho(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const BladeQueue& q = queue_at(j);
-    m[j] = q.blades();
-    rho[j] = q.utilization(lambda1s[j]);
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t len = std::min(kBlock, n - base);
+    for (std::size_t j = 0; j < len; ++j) {
+      const BladeQueue& q = queue_at(base + j);
+      m[j] = q.blades();
+      rho[j] = q.utilization(lambda1s[base + j]);
+    }
+    num::erlang_c_derivs_batch(std::span(m).first(len), std::span(rho).first(len),
+                               std::span(c).first(len), std::span(dc).first(len),
+                               std::span(d2c).first(len));
+    for (std::size_t j = 0; j < len; ++j) {
+      epilogue(base + j, rho[j], num::ErlangCDerivs{c[j], dc[j], d2c[j]});
+    }
   }
-  std::vector<double> c(n);
-  std::vector<double> dc(n);
-  std::vector<double> d2c(n);
-  num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-  for (std::size_t j = 0; j < n; ++j) epilogue(j, rho[j], num::ErlangCDerivs{c[j], dc[j], d2c[j]});
 }
 
 template <typename QueueAt>

@@ -265,7 +265,7 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
   ewma_ = std::move(ewma);
   window_ = std::move(window);
   ws_.clear();  // cached brackets describe the pre-restore problem
-  mcache_.invalidate();  // fitted to the pre-restore epoch's queues
+  reference_tprime_ = -1.0;  // the next drift check fires until a re-solve lands
   // Health state is deliberately not serialized (the schema stays v1):
   // gray scores are short-half-life observations of a live fleet, and a
   // restored process has been dark for an unknown interval. Scoring

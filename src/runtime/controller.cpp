@@ -15,8 +15,8 @@ void ControllerConfig::validate() const {
   if (!(window >= 0.0) || !std::isfinite(window)) {
     throw std::invalid_argument("ControllerConfig: window must be >= 0");
   }
-  if (!(drift_threshold >= 0.0) || !std::isfinite(drift_threshold)) {
-    throw std::invalid_argument("ControllerConfig: drift_threshold must be >= 0");
+  if (!(loss_threshold >= 0.0) || !std::isfinite(loss_threshold)) {
+    throw std::invalid_argument("ControllerConfig: loss_threshold must be finite and >= 0");
   }
   if (check_interval < 1) {
     throw std::invalid_argument("ControllerConfig: check_interval must be >= 1");
@@ -32,22 +32,6 @@ void ControllerConfig::validate() const {
   }
   if (prune_top_k > 0 && shard_cells == 0) {
     throw std::invalid_argument("ControllerConfig: prune_top_k requires shard_cells > 0");
-  }
-  if (marginal_drift) {
-    // Surrogate options are validated up front so a bad configuration
-    // throws at construction, not from a drift check mid-stream.
-    if (marginal_cache.segments < 2) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.segments must be >= 2");
-    }
-    if (marginal_cache.certify_samples < 1) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.certify_samples must be >= 1");
-    }
-    if (!(marginal_cache.safety_factor >= 1.0)) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.safety_factor must be >= 1");
-    }
-    if (!(marginal_cache.domain_margin > 0.0) || !(marginal_cache.domain_margin < 1.0)) {
-      throw std::invalid_argument("ControllerConfig: marginal_cache.domain_margin must be in (0, 1)");
-    }
   }
   health.validate();
   solver.validate();
@@ -69,12 +53,15 @@ double ControllerStats::shed_fraction() const noexcept {
 }
 
 Controller::Controller(model::Cluster cluster, ControllerConfig cfg)
-    : cluster_(std::move(cluster)), cfg_(cfg), mcache_(cfg_.marginal_cache) {
+    : cluster_(std::move(cluster)), cfg_(cfg) {
   cfg_.validate();
   const std::size_t n = cluster_.size();
   avail_.resize(n);
   for (std::size_t i = 0; i < n; ++i) avail_[i] = cluster_.server(i).size();
   solved_special_.assign(n, -1.0);
+  model_alive_.reserve(n);
+  model_special_.reserve(n);
+  round_.queues.reserve(n);
 
   const double win = cfg_.window > 0.0 ? cfg_.window : 4.0 * cfg_.half_life;
   if (cfg_.estimator == EstimatorKind::Ewma) {
@@ -221,7 +208,7 @@ void Controller::on_failure(double t, std::size_t i, unsigned blades) {
   // carries the outage, so stale health state must not double-penalize
   // the blade when it returns.
   if (health_) health_->reset_server(i, t);
-  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Failure, 0.0, cfg_.drift_threshold, t);
+  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Failure, 0.0, cfg_.loss_threshold, t);
   resolve(t);
 }
 
@@ -235,13 +222,13 @@ void Controller::on_recovery(double t, std::size_t i, unsigned blades) {
   avail_[i] = blades == 0 ? full : std::min(full, avail_[i] + blades);
   BLADE_OBS_EVENT(BladeRecover, i, avail_[i], avail_[i] - before, t);
   if (health_) health_->reset_server(i, t);
-  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Recovery, 0.0, cfg_.drift_threshold, t);
+  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Recovery, 0.0, cfg_.loss_threshold, t);
   resolve(t);
 }
 
 void Controller::resolve_now(double t) {
   t = sanitize_time(t);
-  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Forced, 0.0, cfg_.drift_threshold, t);
+  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Forced, 0.0, cfg_.loss_threshold, t);
   resolve(t);
 }
 
@@ -315,7 +302,7 @@ void Controller::evaluate_health(double t) {
   if (need_resolve) {
     // The effective topology changed (a blade's solver speed moved, the
     // alive set may differ): same treatment as fail/recover.
-    BLADE_OBS_EVENT(ResolveTrigger, cause, 0.0, cfg_.drift_threshold, t);
+    BLADE_OBS_EVENT(ResolveTrigger, cause, 0.0, cfg_.loss_threshold, t);
     resolve(t);
   } else if (need_redistribute) {
     publish_quarantine(t);
@@ -381,7 +368,7 @@ void Controller::check_drift(double t) {
       cfg_.estimator == EstimatorKind::Ewma ? ewma_[0].count() : window_[0].count();
   if (seen < cfg_.min_arrivals) return;  // estimator still warming up
   if (solved_lambda_ < 0.0) {
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Warmup, 0.0, cfg_.drift_threshold, t);
+    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Warmup, 0.0, cfg_.loss_threshold, t);
     resolve(t);
     return;
   }
@@ -389,148 +376,95 @@ void Controller::check_drift(double t) {
     // Degraded: keep retrying every check until a solve lands, bypassing
     // hysteresis -- serving a stale or proportional split is a condition
     // to exit, not a steady state to settle into.
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::DegradedRetry, 0.0, cfg_.drift_threshold, t);
+    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::DegradedRetry, 0.0, cfg_.loss_threshold, t);
     resolve(t);
     return;
   }
+  round_.started_ns = obs::monotonic_ns();
   const double lam = estimated_lambda(t);
-  if (cfg_.marginal_drift && marginal_drift_check(t, lam)) return;
-  double drift = std::abs(lam - solved_lambda_) / std::max(solved_lambda_, 1e-12);
-  for (std::size_t i = 0; i < cluster_.size(); ++i) {
-    if (avail_[i] == 0 || solved_special_[i] < 0.0) continue;
-    // Special-stream drift normalized by the server's capacity: a tiny
-    // absolute move on a near-idle stream should not force a re-solve.
-    drift = std::max(drift, std::abs(special_rate_for_solve(i, t) - solved_special_[i]) /
-                                std::max(capacity(i), 1e-12));
-  }
-  if (drift > cfg_.drift_threshold) {
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, drift, cfg_.drift_threshold, t);
+  const double ceiling = cfg_.utilization_ceiling * build_model(t);
+  // Feasibility first: only a re-solve engages admission control at the
+  // ceiling, and only a re-solve tracks lambda' while it sheds.
+  if (!(lam < ceiling) || shed_prob_.load(std::memory_order_relaxed) > 0.0) {
+    ++stats_.shedding_checks;
+    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Shedding, lam, ceiling, t);
     resolve(t);
+    return;
+  }
+  const double loss = predict_loss(lam);
+  if (loss < 0.0) {
+    ++stats_.unevaluated_checks;
+    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, loss, cfg_.loss_threshold, t);
+    resolve(t);
+    return;
+  }
+  BLADE_OBS_OBSERVE("runtime.predicted_loss", loss);
+  if (loss > cfg_.loss_threshold) {
+    ++stats_.loss_checks;
+    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, loss, cfg_.loss_threshold, t);
+    resolve(t, &round_);
   } else {
     ++stats_.skipped_by_hysteresis;
+    stats_.check_evaluations += round_.x.size();
     BLADE_OBS_COUNT("runtime.skipped_by_hysteresis");
   }
 }
 
-bool Controller::marginal_drift_check(double t, double lam) {
-  // Feasibility dimension first, still estimate-based: the marginal
-  // spread cannot see a pure load-level change (a near-optimal split
-  // stays near-optimal as lambda' scales), but admission control must
-  // engage the moment lam crosses the admissible ceiling — and track it
-  // while shedding — which only a re-solve does.
-  double lambda_max = 0.0;
-  std::vector<std::size_t> alive;
-  alive.reserve(cluster_.size());
-  for (std::size_t i = 0; i < cluster_.size(); ++i) {
-    if (avail_[i] == 0) continue;
-    // Quarantined blades were excluded from the last solve (their solved
-    // preload is the -1 sentinel) and carry no published weight; they are
-    // outside the optimality question until probation re-solves.
-    if (health_ && !health_->routable(i)) continue;
-    if (solved_special_[i] < 0.0) return false;  // no solved preloads: legacy criterion
-    alive.push_back(i);
-    lambda_max += capacity(i) - solved_special_[i];
-  }
-  if (alive.empty() || !(lambda_max > 0.0)) return false;
-  const double ceiling = cfg_.utilization_ceiling * lambda_max;
-  if (lam >= ceiling || shed_prob_.load(std::memory_order_relaxed) > 0.0) {
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, lam, ceiling, t);
-    resolve(t);
-    return true;
-  }
-
+double Controller::predict_loss(double lam) {
+  // Without a reference T', a table, or a split the round can be taken
+  // at, there is nothing to evaluate: the check fires.
   const auto table = weights();
-  if (!table) return false;
+  if (!(reference_tprime_ > 0.0) || !(lam > 0.0) || !table ||
+      table->fractions().size() != cluster_.size()) {
+    return -1.0;
+  }
   const auto& frac = table->fractions();
-  if (frac.size() != cluster_.size()) return false;
-
-  if (!mcache_.valid()) {
-    // New solve epoch: pin the surviving queues (solved preloads, current
-    // blade counts). Per-server surrogates still build lazily inside the
-    // cache, so only servers the check touches pay the fit.
-    std::vector<queue::BladeQueue> queues;
-    queues.reserve(alive.size());
-    for (std::size_t i : alive) {
-      queues.emplace_back(avail_[i], cluster_.rbar() / cluster_.server(i).speed(),
-                          solved_special_[i], cfg_.discipline);
+  std::size_t next = 0;  // model_alive_ is in index order
+  for (std::size_t i = 0; i < frac.size(); ++i) {
+    const bool modelled = next < model_alive_.size() && model_alive_[next] == i;
+    if (modelled) {
+      ++next;
+    } else if (frac[i] > 0.0) {
+      return -1.0;  // weight on a server the re-solve leaves out
     }
-    mcache_.configure(std::move(queues));
   }
-
-  // Marginal spread of the published split at the estimated load. Active
-  // servers (positive fraction) should sit at one common marginal phi;
-  // zero-rate servers satisfy the KKT side g_i(0) >= phi, so for them
-  // only a marginal *below* the active level counts as drift.
-  std::vector<double> rates(alive.size());
-  for (std::size_t j = 0; j < alive.size(); ++j) rates[j] = frac[alive[j]] * lam;
-  double gmin = 0.0, gmax = 0.0, gsum = 0.0, emax = 0.0;
-  std::size_t active = 0;
-  for (std::size_t j = 0; j < alive.size(); ++j) {
-    if (!(rates[j] > 0.0)) continue;
-    const auto ev = mcache_.eval(j, rates[j]);
-    if (!ev) {
-      ++stats_.mcache_out_of_domain;
-      BLADE_OBS_COUNT("runtime.mcache.out_of_domain_checks");
-      BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, rates[j], 0.0, t);
-      resolve(t);
-      return true;
+  const std::size_t n = model_alive_.size();
+  round_.lambda = lam;
+  round_.queues.clear();
+  round_.x.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = model_alive_[k];
+    round_.queues.push_back(
+        model_server(i).queue(cluster_.rbar(), cfg_.discipline, cfg_.solver.service_scv));
+    round_.x[k] = frac[i] * lam;
+    // The solve's own guard: a split at or past it cannot be evaluated
+    // (nor would the solve start from it).
+    if (!(round_.x[k] < (1.0 - cfg_.solver.saturation_margin) *
+                            round_.queues.back().max_generic_rate())) {
+      return -1.0;
     }
-    gmin = active == 0 ? ev->g : std::min(gmin, ev->g);
-    gmax = active == 0 ? ev->g : std::max(gmax, ev->g);
-    gsum += ev->g;
-    emax = std::max(emax, ev->bound);
-    ++active;
-  }
-  if (active == 0) return false;
-  const double mean = gsum / static_cast<double>(active);
-  double stat = (gmax - gmin) / std::max(mean, 1e-300);
-  for (std::size_t j = 0; j < alive.size(); ++j) {
-    if (rates[j] > 0.0) continue;
-    const auto ev = mcache_.eval(j, 0.0);
-    if (!ev) continue;  // zero is always in domain; defensive only
-    emax = std::max(emax, ev->bound);
-    stat = std::max(stat, (mean - ev->g) / std::max(mean, 1e-300));
   }
 
-  // Certified error of the spread statistic: every surrogate value is
-  // within emax of exact, so the statistic is within roughly
-  // (2 emax + stat * emax) / (mean - emax) of its exact value.
-  const double err = (2.0 + stat) * emax / std::max(mean - emax, 1e-300);
-  if (std::abs(stat - cfg_.drift_threshold) <= err) {
-    // Certified error straddles the hysteresis band: the surrogate
-    // cannot decide — fall through to the exact batched kernel.
-    ++stats_.mcache_fallthroughs;
-    BLADE_OBS_COUNT("runtime.mcache.fallthrough");
-    std::vector<double> ge(alive.size());
-    mcache_.exact(rates, ge);
-    double egmin = 0.0, egmax = 0.0, egsum = 0.0;
-    std::size_t eactive = 0;
-    for (std::size_t j = 0; j < alive.size(); ++j) {
-      if (!(rates[j] > 0.0)) continue;
-      egmin = eactive == 0 ? ge[j] : std::min(egmin, ge[j]);
-      egmax = eactive == 0 ? ge[j] : std::max(egmax, ge[j]);
-      egsum += ge[j];
-      ++eactive;
-    }
-    const double emean = egsum / static_cast<double>(eactive);
-    stat = (egmax - egmin) / std::max(emean, 1e-300);
-    for (std::size_t j = 0; j < alive.size(); ++j) {
-      if (rates[j] > 0.0) continue;
-      stat = std::max(stat, (emean - ge[j]) / std::max(emean, 1e-300));
-    }
-  } else {
-    ++stats_.mcache_hits;
-    BLADE_OBS_COUNT("runtime.mcache.hit");
+  // One batched kernel sweep, scaled by 1/lambda' as the solve scales its
+  // own evaluations, so a fired check's round is bitwise its re-solve's.
+  round_.g.resize(n);
+  round_.dg.resize(n);
+  queue::batch_lagrange_marginal_with_derivative(round_.queues, round_.x, round_.g, round_.dg);
+  const double inv_lambda = 1.0 / lam;
+  auto& ns = round_.newton;
+  ns.x.assign(round_.x.begin(), round_.x.end());
+  ns.weight.assign(n, 1.0);
+  ns.g.resize(n);
+  ns.dg.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    round_.g[k] *= inv_lambda;
+    round_.dg[k] *= inv_lambda;
+    ns.g[k] = round_.g[k];
+    ns.dg[k] = round_.dg[k];
   }
-
-  if (stat > cfg_.drift_threshold) {
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, stat, cfg_.drift_threshold, t);
-    resolve(t);
-  } else {
-    ++stats_.skipped_by_hysteresis;
-    BLADE_OBS_COUNT("runtime.skipped_by_hysteresis");
-  }
-  return true;
+  const auto decrease = opt::newton_round_decrease(lam, ns);
+  if (!decrease) return -1.0;  // no round to take (a non-finite marginal)
+  return std::max(0.0, decrease.value()) / reference_tprime_;
 }
 
 void Controller::set_mode(Mode m, obs::Cause cause) {
@@ -645,24 +579,47 @@ void Controller::contain(double t, double shed_prob, Error err) {
   publish_fallback(shed_prob, obs::Cause::SolverError);
 }
 
-void Controller::resolve(double t) {
+double Controller::build_model(double t) {
+  // Quarantined blades are excluded (their solved preload stays the -1
+  // sentinel) unless the fleet is otherwise dark — then degraded service
+  // beats blackout.
+  const bool dark = health_ && !any_routable_alive();
+  model_alive_.clear();
+  model_special_.assign(cluster_.size(), -1.0);
+  double lambda_max = 0.0;
+  for (std::size_t i = 0; i < cluster_.size(); ++i) {
+    if (avail_[i] == 0) continue;
+    if (health_ && !dark && !health_->routable(i)) continue;
+    model_alive_.push_back(i);
+    model_special_[i] = special_rate_for_solve(i, t);
+    lambda_max += capacity(i) - model_special_[i];
+  }
+  return lambda_max;
+}
+
+model::BladeServer Controller::model_server(std::size_t i) const {
+  // The solver sees the health-degraded effective speed: a Probation
+  // blade gets its frozen quarantine-era estimate (floored), so the
+  // optimizer allocates probe-sized flow instead of the nominal share.
+  return {avail_[i], cluster_.server(i).speed() * health_factor(i), model_special_[i]};
+}
+
+void Controller::resolve(double t, const CheckRound* handed) {
   ++stats_.resolves;
   BLADE_OBS_COUNT("runtime.resolves");
-  // Whatever this solve concludes, the surrogates fitted for the
-  // previous epoch (old topology, old solved preloads) are stale.
-  if (cfg_.marginal_drift) mcache_.invalidate();
   BLADE_OBS_TIMER("runtime.resolve_seconds");
   // Unconditional wall timing (two clock reads per re-solve): the SLO
   // resolve-latency monitor needs it even in BLADE_OBS=OFF builds.
   struct ResolveTimer {
     ControllerStats& stats;
-    std::uint64_t t0 = obs::monotonic_ns();
+    std::uint64_t t0;
     ~ResolveTimer() {
       const double elapsed = static_cast<double>(obs::monotonic_ns() - t0) * 1e-9;
       stats.last_resolve_seconds = elapsed;
       stats.resolve_seconds_total += elapsed;
     }
-  } resolve_timer{stats_};
+  } resolve_timer{stats_, handed != nullptr ? handed->started_ns : obs::monotonic_ns()};
+  reference_tprime_ = -1.0;  // until this solve succeeds
 
   const std::uint64_t seen =
       cfg_.estimator == EstimatorKind::Ewma ? ewma_[0].count() : window_[0].count();
@@ -671,25 +628,11 @@ void Controller::resolve(double t) {
   BLADE_OBS_GAUGE_SET("runtime.estimated_lambda", lam_hat);
 
   // Surviving topology and the special preloads the solve will assume.
-  // Quarantined blades are excluded (their solved preload stays the -1
-  // sentinel, so the drift check skips them too) unless the fleet is
-  // otherwise dark — then degraded service beats blackout.
-  const bool dark = health_ && !any_routable_alive();
-  std::vector<std::size_t> alive;
-  alive.reserve(cluster_.size());
-  std::vector<double> special(cluster_.size(), -1.0);
-  double lambda_max = 0.0;
-  for (std::size_t i = 0; i < cluster_.size(); ++i) {
-    if (avail_[i] == 0) continue;
-    if (health_ && !dark && !health_->routable(i)) continue;
-    alive.push_back(i);
-    special[i] = special_rate_for_solve(i, t);
-    lambda_max += capacity(i) - special[i];
-  }
-
+  const double lambda_max = build_model(t);
+  const std::vector<std::size_t>& alive = model_alive_;
   if (alive.empty() || !(lambda_max > 0.0)) {
     solved_lambda_ = lam_hat;
-    solved_special_ = special;
+    solved_special_ = model_special_;
     ++stats_.infeasible_resolves;
     BLADE_OBS_COUNT("runtime.infeasible_resolves");
     publish_blackout(obs::Cause::Infeasible);
@@ -699,7 +642,7 @@ void Controller::resolve(double t) {
   const double target = std::min(lam_hat, cfg_.utilization_ceiling * lambda_max);
   const double shed_prob = lam_hat > 0.0 ? std::max(0.0, 1.0 - target / lam_hat) : 0.0;
   solved_lambda_ = lam_hat;
-  solved_special_ = special;
+  solved_special_ = model_special_;
   if (shed_prob > 0.0) {
     ++stats_.infeasible_resolves;
     BLADE_OBS_COUNT("runtime.infeasible_resolves");
@@ -715,12 +658,7 @@ void Controller::resolve(double t) {
 
   std::vector<model::BladeServer> servers;
   servers.reserve(alive.size());
-  for (std::size_t i : alive) {
-    // The solver sees the health-degraded effective speed: a Probation
-    // blade gets its frozen quarantine-era estimate (floored), so the
-    // optimizer allocates probe-sized flow instead of the nominal share.
-    servers.emplace_back(avail_[i], cluster_.server(i).speed() * health_factor(i), special[i]);
-  }
+  for (std::size_t i : alive) servers.push_back(model_server(i));
   model::Cluster surviving(std::move(servers), cluster_.rbar());
   const auto sol = [&]() -> Expected<opt::LoadDistribution> {
     if (armed_faults_ > 0) {
@@ -730,11 +668,15 @@ void Controller::resolve(double t) {
       BLADE_OBS_EVENT(ChaosInject, obs::Cause::InjectedFault, t, 0.0, 0.0);
       return Error{ErrorCode::NonConvergence, "injected solver fault"};
     }
-    // Start from the last successful split over the servers this solve
-    // sees: after a failover or a quarantine the workspace's own rates
-    // are indexed by the previous alive set. A no-op on a workspace with
-    // no previous solve (boot, checkpoint restore), which stays cold.
-    if (lkg_.valid) {
+    if (handed != nullptr) {
+      // The check's split, already at lambda-hat, and its round.
+      ws_.hand_round(handed->lambda, handed->x, handed->g, handed->dg);
+    } else if (lkg_.valid) {
+      // Start from the last successful split over the servers this solve
+      // sees: after a failover or a quarantine the workspace's own rates
+      // are indexed by the previous alive set. A no-op on a workspace
+      // with no previous solve (boot, checkpoint restore), which stays
+      // cold.
       std::vector<double> start(alive.size());
       for (std::size_t k = 0; k < alive.size(); ++k) start[k] = lkg_.weights[alive[k]];
       ws_.warm_start(start);
@@ -762,6 +704,7 @@ void Controller::resolve(double t) {
     set_mode(Mode::Optimal, obs::Cause::None);
     last_error_ = Error{ErrorCode::Ok, {}};
     remember_lkg(t, target, w);
+    reference_tprime_ = sol.value().response_time;
   } else {
     BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Unpublishable, 0.0, 0.0, t);
     contain(t, shed_prob,

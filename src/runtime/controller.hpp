@@ -7,11 +7,14 @@
 //                configurable half-life);
 //   re-solve     the optimal split through a persistent SolverWorkspace
 //                with hysteresis — a drift check every check_interval
-//                arrivals, a re-solve only when the estimates moved past
-//                drift_threshold. Every re-solve, sharded, failovers and
-//                health-driven ones included, starts warm from the last
-//                successful split mapped onto the servers it sees (see
-//                SolverWorkspace::warm_start);
+//                arrivals, a re-solve only when one round of the warm
+//                solve's Newton iteration, evaluated at the published
+//                split under the current estimates, predicts a relative
+//                T' loss above loss_threshold; the re-solve then takes
+//                that round as its first. Every re-solve, sharded,
+//                failovers and health-driven ones included, starts warm
+//                from the last successful split mapped onto the servers
+//                it sees (see SolverWorkspace::warm_start);
 //   publish      routing weights as an O(1) alias-table sampler swapped
 //                through an atomic slot, so dispatch threads keep
 //                sampling while the control path reconverges;
@@ -33,7 +36,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/marginal_cache.hpp"
 #include "core/optimizer.hpp"
 #include "core/sharded.hpp"
 #include "model/cluster.hpp"
@@ -98,10 +100,10 @@ struct ControllerConfig {
   /// `window` (default 4 half-lives when 0).
   double half_life = 1.0;
   double window = 0.0;
-  /// Hysteresis: re-solve only when the estimated lambda' (relative) or
-  /// any lambda''_i (relative to that server's capacity) drifted past
-  /// this threshold since the last solve.
-  double drift_threshold = 0.02;
+  /// Hysteresis: a drift check re-solves only when one Newton round at the
+  /// published split predicts a T' loss above this fraction of the last
+  /// solve's T' (see Controller::check_drift). Finite, >= 0.
+  double loss_threshold = 3e-3;
   /// Arrivals between drift checks (each check either re-solves or
   /// counts as skipped_by_hysteresis).
   std::uint64_t check_interval = 16;
@@ -127,20 +129,10 @@ struct ControllerConfig {
   /// thread.
   std::size_t shard_cells = 0;
   /// Per-cell top-k rate-matrix pruning of the re-solve; requires
-  /// shard_cells > 0. 0 (default) keeps every server.
+  /// shard_cells > 0. 0 (default) keeps every server. The drift check
+  /// models every server, so it may fire on load a pruned solve cannot
+  /// move.
   std::size_t prune_top_k = 0;
-  /// Marginal-drift mode: the hysteresis check evaluates the per-server
-  /// Lagrange-marginal spread of the *published* split through the
-  /// certified surrogate cache (core/marginal_cache.hpp) instead of the
-  /// raw rate-estimate deltas — the re-solve trigger then fires on lost
-  /// optimality (unequal marginals) rather than on any estimator
-  /// movement. Falls through to the exact batched kernel only when the
-  /// certified error straddles drift_threshold; rates outside the
-  /// certified domain force a re-solve. OFF by default: the drift
-  /// *criterion* changes, so opting in is a policy decision.
-  bool marginal_drift = false;
-  /// Surrogate fit/certification knobs for marginal_drift mode.
-  opt::MarginalSurrogate::Options marginal_cache;
   /// Gray-failure detection: per-blade health scoring + the quarantine
   /// state machine (runtime/health.hpp). Off by default; when enabled the
   /// caller must feed on_dispatch()/on_completion().
@@ -161,7 +153,16 @@ struct ControllerStats {
   /// solution's inner_evaluations): divided by resolves, the solver work
   /// per re-solve, with or without an observability build.
   std::uint64_t solver_evaluations = 0;
-  std::uint64_t skipped_by_hysteresis = 0;  ///< drift checks below threshold
+  // Drift checks in mode Optimal with a warm estimator, by outcome (see
+  // Controller::check_drift):
+  std::uint64_t shedding_checks = 0;     ///< fired: lambda' at the ceiling, or shedding
+  std::uint64_t unevaluated_checks = 0;  ///< fired without evaluating the round
+  std::uint64_t loss_checks = 0;         ///< fired: predicted loss above loss_threshold
+  std::uint64_t skipped_by_hysteresis = 0;  ///< predicted loss within loss_threshold
+  /// Marginal evaluations of the checks that did not fire (a fired
+  /// check's round is its re-solve's first, counted in
+  /// solver_evaluations).
+  std::uint64_t check_evaluations = 0;
   std::uint64_t infeasible_resolves = 0;    ///< re-solves that engaged shedding
   std::uint64_t failures = 0;           ///< blade-failure events ingested
   std::uint64_t recoveries = 0;
@@ -181,14 +182,16 @@ struct ControllerStats {
   std::uint64_t health_recoveries = 0;   ///< Probation -> Healthy clears
   std::uint64_t quarantine_publications = 0;  ///< cheap redistributions (no re-solve)
 
-  // Marginal-drift mode only (zero when marginal_drift is off):
-  std::uint64_t mcache_hits = 0;          ///< drift checks settled by the surrogate
-  std::uint64_t mcache_fallthroughs = 0;  ///< checks that needed the exact kernel
-  std::uint64_t mcache_out_of_domain = 0; ///< checks escalated: rate left the domain
+  // Always 0: the surrogate-cache drift mode these counted is gone, but
+  // servebench/src/replay.cpp still lists them.
+  std::uint64_t mcache_hits = 0;
+  std::uint64_t mcache_fallthroughs = 0;
+  std::uint64_t mcache_out_of_domain = 0;
 
   /// Wall-clock cost of re-solves (control-loop latency, fed to the SLO
   /// resolve_latency monitor): total seconds across all resolves and the
-  /// most recent one.
+  /// most recent one. A re-solve a drift check fired is timed from the
+  /// check's start, since its first round is the check's.
   double resolve_seconds_total = 0.0;
   double last_resolve_seconds = 0.0;
 
@@ -293,11 +296,6 @@ class Controller {
     return solved_special_;
   }
   [[nodiscard]] const ControllerStats& stats() const noexcept { return stats_; }
-  /// Surrogate-cache internals (builds, invalidations, hits) for the
-  /// marginal_drift mode; all-zero when the mode is off.
-  [[nodiscard]] const opt::MarginalCache::Stats& marginal_cache_stats() const noexcept {
-    return mcache_.stats();
-  }
   [[nodiscard]] const model::Cluster& cluster() const noexcept { return cluster_; }
   [[nodiscard]] std::size_t size() const noexcept { return cluster_.size(); }
 
@@ -366,15 +364,41 @@ class Controller {
     publish_epoch_.fetch_add(1, std::memory_order_release);
   }
   [[nodiscard]] double special_rate_for_solve(std::size_t i, double t) const;
+  /// The servers a re-solve at time t models, into model_alive_ (index
+  /// order) and model_special_ (their preloads, special_rate_for_solve;
+  /// -1 for the servers left out): alive, and not quarantined unless the
+  /// fleet is otherwise dark. Returns their lambda'_max.
+  double build_model(double t);
+  /// Server i as a re-solve models it: surviving blades, health-degraded
+  /// speed, the preload in model_special_.
+  [[nodiscard]] model::BladeServer model_server(std::size_t i) const;
+  /// The drift check, every check_interval generic arrivals (see
+  /// docs/runtime.md): re-solves during warmup, in a degraded mode, at
+  /// the admission ceiling or while shedding, when predict_loss has
+  /// nothing to evaluate, and when its loss exceeds loss_threshold;
+  /// otherwise counts a skip.
   void check_drift(double t);
-  /// Marginal-drift criterion (cfg_.marginal_drift): surrogate-evaluated
-  /// marginal spread of the published split vs drift_threshold, exact
-  /// batched fallthrough inside the certified-error band. Returns true
-  /// when it decided the check (resolve or skip); false to fall back to
-  /// the estimate-based criterion (cache unusable, e.g. right after a
-  /// checkpoint restore with no solved special rates).
-  bool marginal_drift_check(double t, double lam);
-  void resolve(double t);
+  /// The drift check's round at lambda' = `lam` over the modelled servers:
+  /// fills round_ and returns the predicted relative T' loss, or -1 when
+  /// the check must fire without evaluating.
+  double predict_loss(double lam);
+
+  /// A drift check's evaluated Newton round, kept as scratch across
+  /// checks so a check allocates nothing.
+  struct CheckRound {
+    std::uint64_t started_ns = 0;  ///< when the check began
+    double lambda = 0.0;           ///< lambda-hat it was evaluated at
+    std::vector<queue::BladeQueue> queues;  ///< per modelled server
+    std::vector<double> x;         ///< published fraction * lambda-hat
+    std::vector<double> g;         ///< g_i at x, scaled by 1/lambda-hat
+    std::vector<double> dg;        ///< g'_i at x, same scaling
+    opt::detail::NewtonState newton;  ///< the water-fill's copy of the round
+  };
+  /// Re-solves at time t. With `handed`, the drift check that fired it
+  /// hands over its round: the solve starts from its split and takes its
+  /// evaluations as the first round, and its time counts from the
+  /// check's start.
+  void resolve(double t, const CheckRound* handed = nullptr);
   /// Validated publication: rejects any weight vector AliasTable would
   /// not accept (NaN/negative/all-zero) instead of publishing it.
   /// Returns false and leaves the previous table in place on rejection.
@@ -413,9 +437,14 @@ class Controller {
   std::vector<WindowRateEstimator> window_;  ///< same layout
 
   opt::SolverWorkspace ws_;
-  opt::MarginalCache mcache_;  ///< certified marginal surrogates (marginal_drift)
   double solved_lambda_ = -1.0;
   std::vector<double> solved_special_;
+  /// T' the last re-solve reported when it succeeded; < 0 when there is no
+  /// reference (boot, after a restore, after any other re-solve exit).
+  double reference_tprime_ = -1.0;
+  std::vector<std::size_t> model_alive_;
+  std::vector<double> model_special_;
+  CheckRound round_;
   std::uint64_t arrivals_since_check_ = 0;
   ControllerStats stats_;
 

@@ -398,7 +398,7 @@ TEST_F(CliServeReplay, PolicyReplayRejectsControllerFlags) {
   const std::vector<std::vector<std::string>> flags = {
       {"--half-life", "3"},
       {"--ceiling", "0.9"},
-      {"--drift", "0.05"},
+      {"--loss-threshold", "0.05"},
       {"--health"},
       {"--health-suspect", "0.6"},
       {"--checkpoint-out", "x.ckpt"},
@@ -421,6 +421,35 @@ TEST_F(CliServeReplay, PolicyReplayRejectsControllerFlags) {
       EXPECT_NE(std::string(e.what()).find(flag[0]), std::string::npos) << e.what();
     }
   }
+}
+
+// --drift set the old estimate-movement threshold; it is rejected rather
+// than read as the predicted-loss threshold, which measures something
+// else, and the error names the flag that replaced it.
+TEST_F(CliServeReplay, DriftFlagIsRejectedNamingLossThreshold) {
+  try {
+    (void)cli::run_cli({"serve-replay", path_, trace_path_, "--drift", "0.02"});
+    ADD_FAILURE() << "--drift was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--loss-threshold"), std::string::npos) << e.what();
+  }
+}
+
+// The controller report splits the drift checks by the test that fired
+// them, and --loss-threshold moves the split between fired and skipped.
+TEST_F(CliServeReplay, LossThresholdIsHonoured) {
+  auto checks_line = [&](const char* threshold) {
+    const auto out = cli::run_cli(
+        {"serve-replay", path_, trace_path_, "--loss-threshold", threshold});
+    const std::size_t at = out.find("drift checks");
+    EXPECT_NE(at, std::string::npos) << out;
+    return at == std::string::npos ? "" : out.substr(at, out.find('\n', at) - at);
+  };
+  const std::string eager = checks_line("0");
+  const std::string lazy = checks_line("0.5");
+  EXPECT_NE(eager.find("predicted loss"), std::string::npos) << eager;
+  EXPECT_NE(lazy.find("(threshold 0.5)"), std::string::npos) << lazy;
+  EXPECT_NE(eager, lazy);
 }
 
 // Every command honours each solver flag or rejects it with an error

@@ -1,0 +1,366 @@
+// The controller's drift check: one joint-Newton round at the published
+// split under the current estimates predicts the relative T' loss of
+// holding that split, and a check re-solves only when the prediction
+// exceeds loss_threshold. This suite holds the check to the truth (T' of
+// the held split against a cold optimize() at the same estimates), pins
+// the handover of a fired check's round to its re-solve bit for bit, and
+// pins the cost of a check that does not fire.
+//
+// The harness drives a controller whose sliding-window estimators cover
+// every arrival fed at one instant, so each estimate is an arrival count
+// over the window: a test sets the published state and each perturbation
+// exactly, through the controller's own event API.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/objective.hpp"
+#include "core/optimizer.hpp"
+#include "core/sharded.hpp"
+#include "model/cluster.hpp"
+#include "model/paper_configs.hpp"
+#include "obs/metrics.hpp"
+#include "queueing/blade_queue.hpp"
+#include "runtime/controller.hpp"
+#include "support/generators.hpp"
+
+namespace {
+
+using namespace blade;
+
+const double kCeiling = runtime::ControllerConfig{}.utilization_ceiling;
+
+/// A controller with every estimate an arrival count over a window of
+/// length w, published at the optimum of those estimates at time at().
+class Published {
+ public:
+  /// Feeds `generic` generic arrivals (the first `early` of them half a
+  /// window before the rest, so they leave the window first) and
+  /// round(lambda''_i w) special arrivals per server, then re-solves.
+  /// The next drift check comes with the `next_check`-th generic arrival
+  /// after that.
+  Published(const model::Cluster& c, queue::Discipline d, double w, std::uint64_t generic,
+            std::uint64_t early, std::uint64_t next_check)
+      : w_(w) {
+    runtime::ControllerConfig cfg;
+    cfg.discipline = d;
+    cfg.estimator = runtime::EstimatorKind::Window;
+    cfg.window = w;
+    cfg.half_life = w;
+    cfg.min_arrivals = 1;
+    cfg.check_interval = generic + next_check;
+    ctrl_ = std::make_unique<runtime::Controller>(c, cfg);
+    for (std::uint64_t k = 0; k < early; ++k) ctrl_->on_generic_arrival(at() - 0.5 * w, 0.5);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const auto count = std::llround(c.server(i).special_rate() * w);
+      for (long long k = 0; k < count; ++k) ctrl_->on_special_arrival(at(), i);
+    }
+    for (std::uint64_t k = early; k < generic; ++k) ctrl_->on_generic_arrival(at(), 0.5);
+    ctrl_->resolve_now(at());
+  }
+
+  [[nodiscard]] double at() const { return 2.0 * w_; }
+  /// After at() + w/2 the early arrivals have left the window.
+  [[nodiscard]] double after_early() const { return at() + 0.75 * w_; }
+  runtime::Controller& ctrl() { return *ctrl_; }
+
+ private:
+  double w_;
+  std::unique_ptr<runtime::Controller> ctrl_;
+};
+
+std::uint64_t checks_run(const runtime::ControllerStats& s) {
+  return s.shedding_checks + s.unevaluated_checks + s.loss_checks + s.skipped_by_hysteresis;
+}
+
+/// The truth behind one check at time t: the relative T' loss of holding
+/// `held` (the fractions published before the check) at the estimates the
+/// check saw, against a cold optimize() of that instance; +inf when the
+/// held split saturates a server; NaN at or past the admission ceiling,
+/// where the check re-solves by its feasibility test.
+double true_loss(const model::Cluster& c, queue::Discipline d, const runtime::Controller& ctrl,
+                 const std::vector<double>& held, double t) {
+  const double lambda = ctrl.estimated_lambda(t);
+  std::vector<model::BladeServer> servers;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const auto& s = c.server(i);
+    const double capacity = s.size() * s.speed() / c.rbar();
+    servers.emplace_back(s.size(), s.speed(),
+                         std::min(ctrl.estimated_special_rate(i, t), kCeiling * capacity));
+  }
+  const model::Cluster now(std::move(servers), c.rbar());
+  if (!(lambda < kCeiling * now.max_generic_rate())) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  std::vector<double> x(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    x[i] = held[i] * lambda;
+    if (!(x[i] < (1.0 - 1e-9) * now.server(i).max_generic_rate(now.rbar()))) {
+      return std::numeric_limits<double>::infinity();
+    }
+  }
+  const double held_t = opt::ResponseTimeObjective(now, d, lambda).value(x);
+  const double best_t = opt::LoadDistributionOptimizer(now, d).optimize(lambda).response_time;
+  return (held_t - best_t) / best_t;
+}
+
+struct Tally {
+  int judged = 0;
+  int fired = 0;
+  double worst_skipped = 0.0;  ///< largest true loss among skipped checks
+  double least_fired = std::numeric_limits<double>::infinity();  ///< smallest among fired
+};
+
+/// Runs one perturbation's single drift check and judges it against the
+/// truth: above 2 theta it must fire, below theta/4 it must not.
+template <class Perturb>
+void judge(const std::string& what, const model::Cluster& c, queue::Discipline d, Published& p,
+           double t, Perturb&& perturb, Tally& tally) {
+  runtime::Controller& ctrl = p.ctrl();
+  ASSERT_EQ(ctrl.mode(), runtime::Mode::Optimal) << what;
+  const std::vector<double> held = ctrl.routing_fractions();
+  const auto before = ctrl.stats();
+  perturb(ctrl);
+  const auto& after = ctrl.stats();
+  ASSERT_EQ(checks_run(after), checks_run(before) + 1) << what;
+  const bool fired = after.resolves > before.resolves;
+  const double loss = true_loss(c, d, ctrl, held, t);
+  if (std::isnan(loss)) return;  // past the ceiling: the feasibility test's case
+  const double theta = runtime::ControllerConfig{}.loss_threshold;
+  ++tally.judged;
+  if (fired) {
+    ++tally.fired;
+    tally.least_fired = std::min(tally.least_fired, loss);
+  } else {
+    tally.worst_skipped = std::max(tally.worst_skipped, loss);
+  }
+  if (loss > 2.0 * theta) {
+    EXPECT_TRUE(fired) << what << ": true loss " << loss << " skipped";
+  }
+  if (loss < 0.25 * theta) {
+    EXPECT_FALSE(fired) << what << ": true loss " << loss << " fired";
+  }
+}
+
+/// Every perturbation of one instance at one load: lambda' steps of +-1%
+/// and +-5% and one special arrival at each server, each from the
+/// published optimum.
+void judge_instance(const std::string& name, const model::Cluster& c, queue::Discipline d,
+                    double load, Tally& tally) {
+  const double lambda0 = load * c.max_generic_rate();
+  std::ostringstream tag;
+  tag << name << " (" << queue::to_string(d) << ") at " << load << " of lambda'_max";
+
+  // Steps: 2,000 generic arrivals per window, so 1% is 20 arrivals.
+  constexpr std::uint64_t kStepArrivals = 2000;
+  const double w_step = static_cast<double>(kStepArrivals) / lambda0;
+  for (const double delta : {0.01, 0.05}) {
+    const auto moved = static_cast<std::uint64_t>(std::llround(delta * kStepArrivals));
+    {
+      Published up(c, d, w_step, kStepArrivals, 0, moved);
+      judge(tag.str() + " step +" + std::to_string(delta), c, d, up, up.at(),
+            [&](runtime::Controller& ctrl) {
+              for (std::uint64_t k = 0; k < moved; ++k) ctrl.on_generic_arrival(up.at(), 0.5);
+            },
+            tally);
+    }
+    {
+      Published down(c, d, w_step, kStepArrivals, moved, 1);
+      judge(tag.str() + " step -" + std::to_string(delta), c, d, down, down.after_early(),
+            [&](runtime::Controller& ctrl) {
+              ctrl.on_generic_arrival(down.after_early(), 0.5);
+            },
+            tally);
+    }
+  }
+
+  // Bumps: one special arrival adds 1/w to its server's estimate; w makes
+  // that 3.4% of the mean server capacity, as one arrival adds ln 2 /
+  // half-life = 0.23 on serve-churn.
+  double capacity = 0.0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    capacity += c.server(i).size() * c.server(i).speed() / c.rbar();
+  }
+  const double w_bump = 1.0 / (0.034 * capacity / static_cast<double>(c.size()));
+  const auto generic = static_cast<std::uint64_t>(std::max(1LL, std::llround(lambda0 * w_bump)));
+  for (std::size_t j = 0; j < c.size(); ++j) {
+    Published p(c, d, w_bump, generic, 0, 1);
+    judge(tag.str() + " bump at server " + std::to_string(j), c, d, p, p.at(),
+          [&](runtime::Controller& ctrl) {
+            ctrl.on_special_arrival(p.at(), j);
+            ctrl.on_generic_arrival(p.at(), 0.5);
+          },
+          tally);
+  }
+}
+
+// No false skip and no pointless fire. Over the differential corpus and
+// serve-churn's cluster at 35, 57 and 80% of lambda'_max: every check
+// whose true relative loss exceeds 2 loss_threshold re-solves, and none
+// whose true loss is below loss_threshold/4 does. (An estimate-movement
+// trigger fails the second half: a single special arrival moves an
+// estimate by several percent of a server's capacity while the held split
+// loses far less than that.)
+TEST(DriftCheck, NoFalseSkipsAndNoPointlessFires) {
+  Tally tally;
+  for (const double load : {0.35, 0.57, 0.80}) {
+    for (const auto d : {queue::Discipline::Fcfs, queue::Discipline::SpecialPriority}) {
+      judge_instance("churn", testsupport::churn_cluster(), d, load, tally);
+      for (const auto& inst : testsupport::instance_corpus(3, d)) {
+        judge_instance(inst.name, inst.cluster, d, load, tally);
+      }
+    }
+  }
+  // Both sides of the threshold were exercised.
+  EXPECT_GT(tally.fired, 0);
+  EXPECT_LT(tally.fired, tally.judged);
+  RecordProperty("judged", tally.judged);
+  RecordProperty("fired", tally.fired);
+  std::ostringstream os;
+  os << "worst skipped true loss " << tally.worst_skipped << ", least fired " << tally.least_fired;
+  RecordProperty("extremes", os.str());
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise(const opt::ShardedLoadDistribution& a, const opt::ShardedLoadDistribution& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.dist.rates.size(), b.dist.rates.size()) << what;
+  for (std::size_t i = 0; i < a.dist.rates.size(); ++i) {
+    EXPECT_EQ(bits(a.dist.rates[i]), bits(b.dist.rates[i])) << what << " server " << i;
+  }
+  EXPECT_EQ(bits(a.dist.phi), bits(b.dist.phi)) << what;
+  EXPECT_EQ(bits(a.dist.response_time), bits(b.dist.response_time)) << what;
+  EXPECT_EQ(a.dist.inner_evaluations, b.dist.inner_evaluations) << what;
+  EXPECT_EQ(a.dist.outer_iterations, b.dist.outer_iterations) << what;
+}
+
+// A round handed over by a drift check is the solve's own first round:
+// the same rates, phi, T' and evaluation count, bit for bit, as a solve
+// that evaluates it, on one cell and on several, with coalesced classes
+// reading their representative's values. A round handed for another
+// lambda' or another start is not taken.
+TEST(DriftCheck, HandedRoundIsTheSolvesOwnFirstRound) {
+  const std::vector<std::pair<std::string, model::Cluster>> clusters = {
+      {"churn", testsupport::churn_cluster()},
+      {"paper", model::paper_example_cluster()},
+      {"classes", model::make_cluster({2, 2, 4, 4, 4, 1, 8, 8}, {1.0, 1.0, 2.0, 2.0, 2.0, 0.5,
+                                                                 1.5, 1.5},
+                                      1.0, 0.2)},
+  };
+  for (const auto& [name, cluster] : clusters) {
+    for (const std::size_t cells : {std::size_t{1}, std::size_t{3}}) {
+      const std::string what = name + " cells=" + std::to_string(cells);
+      opt::ShardOptions shard;
+      shard.cells = cells;
+      const opt::ShardedOptimizer solver(cluster, queue::Discipline::Fcfs, {}, shard);
+      const double published = 0.55 * cluster.max_generic_rate();
+      const double lambda = 0.57 * cluster.max_generic_rate();
+      opt::SolverWorkspace base;
+      const auto first = solver.optimize(published, base);
+
+      // The check's round: the published split scaled to the new lambda',
+      // one batched sweep, scaled by 1/lambda'.
+      std::vector<double> x(cluster.size());
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] = first.dist.rates[i] / published * lambda;
+      std::vector<double> g(x.size());
+      std::vector<double> dg(x.size());
+      queue::batch_lagrange_marginal_with_derivative(cluster.queues(queue::Discipline::Fcfs), x,
+                                                     g, dg);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        g[i] *= 1.0 / lambda;
+        dg[i] *= 1.0 / lambda;
+      }
+
+      opt::SolverWorkspace own = base;
+      own.warm_start(x);
+      const auto evaluated = solver.optimize(lambda, own);
+      opt::SolverWorkspace handed = base;
+      handed.hand_round(lambda, x, g, dg);
+      expect_bitwise(evaluated, solver.optimize(lambda, handed), what + " handed");
+
+      // The handed values are what the first round uses: a skewed copy
+      // changes the iterates.
+      std::vector<double> skewed = g;
+      for (double& v : skewed) v *= 1.01;
+      opt::SolverWorkspace poisoned = base;
+      poisoned.hand_round(lambda, x, skewed, dg);
+      const auto taken = solver.optimize(lambda, poisoned);
+      bool differs = bits(taken.dist.phi) != bits(evaluated.dist.phi);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        differs = differs || bits(taken.dist.rates[i]) != bits(evaluated.dist.rates[i]);
+      }
+      EXPECT_TRUE(differs) << what << ": the handed round was not taken";
+
+      // Another lambda' or another start: the skewed round is ignored.
+      opt::SolverWorkspace other_lambda = base;
+      other_lambda.hand_round(std::nextafter(lambda, 0.0), x, skewed, dg);
+      expect_bitwise(evaluated, solver.optimize(lambda, other_lambda), what + " other lambda'");
+      std::vector<double> y = x;
+      for (double& v : y) v = std::nextafter(v, 0.0);
+      opt::SolverWorkspace own_y = base;
+      own_y.warm_start(y);
+      opt::SolverWorkspace other_start = base;
+      other_start.hand_round(lambda, x, skewed, dg);
+      other_start.warm_start(y);
+      expect_bitwise(solver.optimize(lambda, own_y), solver.optimize(lambda, other_start),
+                     what + " other start");
+      // And a round serves one solve only, taken or not.
+      opt::SolverWorkspace once = base;
+      once.hand_round(lambda, x, skewed, dg);
+      (void)solver.optimize(published, once);
+      once.warm_start(x);
+      expect_bitwise(evaluated, solver.optimize(lambda, once), what + " one solve only");
+    }
+  }
+}
+
+// A check that does not fire costs a fixed count: one evaluation per
+// modelled server (the dark server is not modelled) through the batched
+// kernel, and no scalar Erlang-C evaluation. It keeps checking over the
+// surviving topology after a failover.
+TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
+  const auto c = testsupport::churn_cluster();
+  const double lambda0 = 0.57 * c.max_generic_rate();
+  constexpr std::uint64_t kArrivals = 2000;
+  Published p(c, queue::Discipline::Fcfs, kArrivals / lambda0, kArrivals, 0, 1);
+  runtime::Controller& ctrl = p.ctrl();
+  ctrl.on_failure(p.at(), 5);
+  ASSERT_EQ(ctrl.mode(), runtime::Mode::Optimal);
+  ASSERT_EQ(ctrl.routing_fractions()[5], 0.0);
+
+  const auto before = ctrl.stats();
+  obs::Snapshot snap = obs::registry().snapshot();
+  auto count = [&](const char* name) {
+    const obs::MetricValue* m = snap.find(name);
+    return m != nullptr ? m->count : 0u;
+  };
+  const auto scalar_before =
+      count("numerics.erlang_c_evals") - count("numerics.erlang_c_batch_evals");
+  const auto batched_before = count("numerics.erlang_c_batch_evals");
+  ctrl.on_generic_arrival(p.at(), 0.5);  // the check: lambda' moved by one arrival in 2,000
+  const auto& after = ctrl.stats();
+  snap = obs::registry().snapshot();
+
+  EXPECT_EQ(after.skipped_by_hysteresis, before.skipped_by_hysteresis + 1);
+  EXPECT_EQ(after.resolves, before.resolves);
+  EXPECT_EQ(after.solver_evaluations, before.solver_evaluations);
+  EXPECT_EQ(after.check_evaluations, before.check_evaluations + (c.size() - 1));
+#if BLADE_OBS_ENABLED
+  EXPECT_EQ(count("numerics.erlang_c_evals") - count("numerics.erlang_c_batch_evals"),
+            scalar_before);
+  EXPECT_EQ(count("numerics.erlang_c_batch_evals"), batched_before + (c.size() - 1));
+#else
+  EXPECT_EQ(scalar_before, 0u);
+  EXPECT_EQ(batched_before, 0u);
+#endif
+}
+
+}  // namespace

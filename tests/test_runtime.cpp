@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -226,7 +227,11 @@ TEST(Controller, ConfigValidation) {
   bad.check_interval = 0;
   EXPECT_THROW(runtime::Controller(c, bad), std::invalid_argument);
   bad = quick_config();
-  bad.drift_threshold = -1.0;
+  bad.loss_threshold = -1.0;
+  EXPECT_THROW(runtime::Controller(c, bad), std::invalid_argument);
+  bad.loss_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(runtime::Controller(c, bad), std::invalid_argument);
+  bad.loss_threshold = std::numeric_limits<double>::infinity();
   EXPECT_THROW(runtime::Controller(c, bad), std::invalid_argument);
 }
 
@@ -356,7 +361,7 @@ TEST(Controller, HysteresisSkipsStationaryDriftChecks) {
   auto cfg = quick_config();
   cfg.check_interval = 8;
   cfg.min_arrivals = 64;  // first estimate-driven solve sees a settled rate
-  cfg.drift_threshold = 0.05;
+  cfg.loss_threshold = 1e-3;
   runtime::Controller ctrl(c, cfg);
   const double lambda = 20.0;
   double t = 0.0;
@@ -372,7 +377,7 @@ TEST(Controller, HysteresisSkipsStationaryDriftChecks) {
 TEST(Controller, LoadSwingTriggersAReSolve) {
   const auto c = model::paper_example_cluster();
   auto cfg = quick_config();
-  cfg.drift_threshold = 0.05;
+  cfg.loss_threshold = 1e-2;
   runtime::Controller ctrl(c, cfg);
   double t = 0.0;
   for (int k = 0; k < 1000; ++k) ctrl.on_generic_arrival(t += 1.0 / 10.0, 0.5);

@@ -71,7 +71,11 @@ std::string describe(const JsonValue& e) {
     }
   } else if (type == "resolve_trigger") {
     os << "re-solve (" << cause << ")";
-    if (cause == "drift") os << " drift=" << sig(a) << " threshold=" << sig(b);
+    if (cause == "drift") {
+      os << " loss=" << (a < 0.0 ? std::string("unevaluated") : sig(a)) << " threshold=" << sig(b);
+    } else if (cause == "shedding") {
+      os << " lambda'_hat=" << sig(a) << " admissible=" << sig(b);
+    }
     os << " t=" << sig(c);
   } else if (type == "shed_decision") {
     os << "admission ceiling hit: lambda'_hat=" << sig(a) << " admissible=" << sig(b)
