@@ -1,8 +1,11 @@
 #include "cli/app.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "cli/spec.hpp"
@@ -106,38 +109,6 @@ std::string policy_tail(const runtime::PolicyReplayResult& res) {
      << " per task (" << c.redraws << " redraws, " << c.ties << " ties, " << c.herd_events
      << " herd events, " << c.fallback_scans << " fallback scans)\n";
   return os.str();
-}
-
-/// Flags that configure the controller, which `serve-replay --policy`
-/// does not run: that path rejects them instead of ignoring them.
-bool configures_controller(const std::string& flag) {
-  for (const char* prefix : {"--health", "--checkpoint-", "--slo-", "--recorder-"}) {
-    if (flag.rfind(prefix, 0) == 0) return true;
-  }
-  return flag == "--half-life" || flag == "--ceiling" || flag == "--loss-threshold" ||
-         flag == "--shards" || flag == "--prune-k";
-}
-
-/// The solver flags each command honours: --shards and --prune-k set the
-/// solve of optimize and serve-replay's controller, --threads the pool of
-/// sweep and of a multi-cell optimize. Every other use is rejected,
-/// naming the flag and the command, instead of being ignored.
-void check_solver_flags(const std::string& cmd, const std::vector<std::string>& given,
-                        const CommonOptions& opts) {
-  for (const std::string& flag : given) {
-    if (flag == "--threads") {
-      if (cmd == "sweep") continue;
-      if (cmd == "optimize") {
-        if (opts.shards > 1) continue;
-        throw std::invalid_argument(
-            "--threads needs --shards >= 2 with optimize (one cell solves on the calling thread)");
-      }
-    } else if (cmd == "optimize" || cmd == "serve-replay") {
-      if (flag == "--shards" || opts.shards > 0) continue;
-      throw std::invalid_argument(flag + " needs --shards with " + cmd);
-    }
-    throw std::invalid_argument(flag + " is not used by " + cmd);
-  }
 }
 
 }  // namespace
@@ -288,6 +259,9 @@ std::string run_percentiles(const model::Cluster& cluster, double lambda,
 std::string run_allocate(const model::Cluster& cluster, double lambda,
                          const CommonOptions& opts) {
   check_lambda(cluster, lambda);
+  if (opts.service_scv != 1.0) {
+    throw std::invalid_argument("allocate designs with the exact (scv = 1) model");
+  }
   opt::AllocationProblem p;
   for (const auto& s : cluster.servers()) p.speeds.push_back(s.speed());
   p.blade_budget = cluster.total_blades();
@@ -587,32 +561,37 @@ std::string usage() {
          "  figures <number> <csv|json|ascii>       regenerate a paper figure (4..15)\n"
          "  consolidate <spec> <trough> <peak> <slo> blade power-down plan\n"
          "\n"
-         "flags:\n"
-         "  --priority        special tasks get non-preemptive priority\n"
-         "  --scv <x>         task-size SCV (default 1 = exponential)\n"
+         "flags (a flag the command does not read is rejected):\n"
+         "  --priority        special tasks get non-preemptive priority (not figures)\n"
+         "  --scv <x>         task-size SCV (default 1 = exponential; not figures)\n"
          "  --reps <n>        validate: replications (default 6)\n"
          "  --policy <name>   sim / serve-replay: dispatch policy (random,\n"
          "                    round-robin, jsq, jsq-d, sb-d, ha-jsq-d, wjsq-d,\n"
          "                    opt-split); sim defaults to opt-split. With\n"
          "                    serve-replay it replaces the controller, so the\n"
          "                    controller's flags are rejected\n"
-         "  --probe-d <k>     probes per arrival for d-choices policies (default 2)\n"
-         "  --seed <n>        validate / serve-replay: base seed (default 1)\n"
+         "  --probe-d <k>     with --policy: probes per arrival for d-choices\n"
+         "                    policies (default 2)\n"
+         "  --seed <n>        validate / sim / serve-replay: base seed (default 1)\n"
          "  --half-life <t>   serve-replay: estimator half-life (default horizon/100)\n"
          "  --ceiling <u>     serve-replay: admission utilization ceiling (default 0.95)\n"
          "  --loss-threshold <x>        serve-replay: re-solve when a drift check\n"
          "                    predicts a relative T' loss above x (default 0.003)\n"
          "  --chaos-seed <n>  serve-replay: enable deterministic fault injection\n"
-         "  --chaos-profile <p>         none, light, moderate (default), or heavy\n"
+         "  --chaos-profile <p>         with --chaos-seed: none, light, moderate\n"
+         "                    (default), heavy, or gray-light/-moderate/-heavy\n"
          "  --slo-target <t>  serve-replay: per-epoch mean-T' objective; prints\n"
          "                    burn-rate SLO lines per epoch\n"
-         "  --slo-max-shed <f>          shed-fraction objective (default 0.05)\n"
-         "  --slo-epochs <n>  serve-replay: SLO windows across the horizon (default 12)\n"
+         "  --slo-max-shed <f>          with --slo-target: shed-fraction objective\n"
+         "                    (default 0.05)\n"
+         "  --slo-epochs <n>  with --slo-target: SLO windows across the horizon\n"
+         "                    (default 12)\n"
          "  --recorder-out <path>       serve-replay: dump the flight recorder\n"
          "                    (.json = Chrome trace for Perfetto, else JSONL)\n"
-         "  --recorder-capacity <n>     per-thread ring slots for the dump\n"
+         "  --recorder-capacity <n>     with --recorder-out: per-thread ring slots\n"
          "  --health          serve-replay: gray-failure detection (per-blade\n"
-         "                    health scoring + the quarantine state machine)\n"
+         "                    health scoring + the quarantine state machine);\n"
+         "                    the health knobs below need it\n"
          "  --health-suspect / --health-quarantine / --health-recover <score>\n"
          "                    state-machine thresholds (default 0.7 / 0.45 / 0.9)\n"
          "  --health-suspect-dwell / --health-quarantine-dwell /\n"
@@ -620,23 +599,133 @@ std::string usage() {
          "  --health-half-life <t>      score EWMA memory (default 20)\n"
          "  --checkpoint-out <path>     serve-replay: crash-safe controller\n"
          "                    checkpoints (atomic temp-file + rename)\n"
-         "  --checkpoint-every <t>      periodic checkpoint interval in sim time\n"
-         "                    (default 0 = final checkpoint only)\n"
+         "  --checkpoint-every <t>      with --checkpoint-out: periodic checkpoint\n"
+         "                    interval in sim time (default 0 = final only)\n"
          "  --checkpoint-in <path>      restore controller state before the replay\n"
-         "  --verbose         solver convergence summaries on stderr\n"
-         "  --threads <n>     sweep, optimize --shards: worker threads\n"
-         "                    (default 0 = shared pool)\n"
+         "  --verbose         optimize, sweep, validate, percentiles, allocate, sim,\n"
+         "                    serve-replay --policy: solver convergence summaries\n"
+         "                    on stderr\n"
+         "  --threads <n>     sweep, and optimize with --shards >= 2: worker\n"
+         "                    threads (default 0 = shared pool)\n"
          "  --shards <n>      optimize / serve-replay: solve in n cells on the\n"
          "                    thread pool (default 0 = one cell, this thread)\n"
          "  --prune-k <k>     with --shards: keep top-k servers per cell\n"
-         "                    (other commands reject the three solver flags)\n"
          "  --metrics-out <path>        export run metrics after the command\n"
          "                    ('-' appends the rendering to the report itself)\n"
-         "  --metrics-format <f>        json (default), prom, or csv\n"
-         "  --version         build attribution (git hash, compiler, BLADE_OBS)\n";
+         "  --metrics-format <f>        with --metrics-out: json (default), prom, or csv\n"
+         "  --version         build attribution (git hash, compiler, BLADE_OBS);\n"
+         "                    prints it instead of running any command\n";
 }
 
 namespace {
+
+/// What run_cli parses out of its arguments.
+struct Parsed {
+  std::vector<std::string> pos;
+  std::vector<std::string> flags;  ///< every flag given, as spelled
+  CommonOptions opts;
+  ServeOptions serve;
+  int reps = 6;
+  std::uint64_t seed = 1;
+  std::string metrics_out;
+  obs::ExportFormat metrics_format = obs::ExportFormat::Json;
+};
+
+/// A flag that another flag needs alongside it: its name in the error,
+/// and whether the parsed arguments switch it on.
+struct Need {
+  std::string_view flag;
+  bool (*on)(const Parsed&);
+};
+
+/// One row of the flag table: `flags` are read by `commands`, there only
+/// alongside `needs` when set. A flag whose need differs by command has
+/// one row per need.
+struct FlagUse {
+  std::vector<std::string_view> flags;
+  std::vector<std::string_view> commands;
+  std::optional<Need> needs;
+};
+
+/// `serve-replay --policy` replays a fixed policy instead of the
+/// controller, so it reads other flags and counts as a command of its own.
+constexpr std::string_view kPolicyReplay = "serve-replay --policy";
+
+const std::vector<std::string_view> kCommands = {
+    "optimize", "sweep", "validate",     "sensitivity", "percentiles", "allocate",
+    "trace",    "sim",   "serve-replay", kPolicyReplay, "figures",     "consolidate"};
+
+const std::vector<FlagUse>& flag_uses() {
+  static const std::vector<FlagUse> table = [] {
+    // Every command but figures models a spec's discipline and task
+    // sizes (the exact-model ones read --scv to reject all but 1).
+    std::vector<std::string_view> modelled = kCommands;
+    std::erase(modelled, "figures");
+    const std::vector<std::string_view> replay = {"serve-replay"};
+    const std::vector<std::string_view> replays = {"serve-replay", kPolicyReplay};
+    const Need shards{"--shards", [](const Parsed& p) { return p.opts.shards > 0; }};
+    // One cell solves on the calling thread, without the pool.
+    const Need two_shards{"--shards >= 2", [](const Parsed& p) { return p.opts.shards >= 2; }};
+    const Need chaos{"--chaos-seed", [](const Parsed& p) { return p.serve.chaos_seed > 0; }};
+    const Need slo{"--slo-target", [](const Parsed& p) { return p.serve.slo_target > 0.0; }};
+    const Need recorder{"--recorder-out",
+                        [](const Parsed& p) { return !p.serve.recorder_out.empty(); }};
+    const Need health{"--health", [](const Parsed& p) { return p.serve.health; }};
+    const Need checkpoint{"--checkpoint-out",
+                          [](const Parsed& p) { return !p.serve.checkpoint_out.empty(); }};
+    const Need metrics{"--metrics-out", [](const Parsed& p) { return !p.metrics_out.empty(); }};
+    return std::vector<FlagUse>{
+        {{"--priority", "--scv"}, modelled, {}},
+        {{"--reps"}, {"validate"}, {}},
+        {{"--seed"}, {"validate", "sim", "serve-replay", kPolicyReplay}, {}},
+        {{"--policy", "--probe-d"}, {"sim", kPolicyReplay}, {}},
+        {{"--verbose"},
+         {"optimize", "sweep", "validate", "percentiles", "allocate", "sim", kPolicyReplay},
+         {}},
+        {{"--threads"}, {"sweep"}, {}},
+        {{"--threads"}, {"optimize"}, two_shards},
+        {{"--shards"}, {"optimize", "serve-replay"}, {}},
+        {{"--prune-k"}, {"optimize", "serve-replay"}, shards},
+        {{"--half-life", "--ceiling", "--loss-threshold", "--slo-target", "--recorder-out",
+          "--health", "--checkpoint-out", "--checkpoint-in"},
+         replay,
+         {}},
+        {{"--chaos-seed"}, replays, {}},
+        {{"--chaos-profile"}, replays, chaos},
+        {{"--slo-max-shed", "--slo-epochs"}, replay, slo},
+        {{"--recorder-capacity"}, replay, recorder},
+        {{"--health-suspect", "--health-quarantine", "--health-recover", "--health-suspect-dwell",
+          "--health-quarantine-dwell", "--health-probation-dwell", "--health-half-life"},
+         replay,
+         health},
+        {{"--checkpoint-every"}, replay, checkpoint},
+        {{"--metrics-out"}, kCommands, {}},
+        {{"--metrics-format"}, kCommands, metrics},
+    };
+  }();
+  return table;
+}
+
+/// Every flag is honoured or rejected, never ignored: a flag `command`
+/// does not read, or one given without the flag it needs there, throws
+/// naming the flag and the command. An unknown command is left to
+/// dispatch.
+void check_flags(std::string_view command, const Parsed& p) {
+  if (std::ranges::find(kCommands, command) == kCommands.end()) return;
+  const std::vector<FlagUse>& table = flag_uses();
+  const std::string cmd(command);
+  for (const std::string& flag : p.flags) {
+    const auto use = std::ranges::find_if(table, [&](const FlagUse& row) {
+      return std::ranges::find(row.flags, flag) != row.flags.end() &&
+             std::ranges::find(row.commands, command) != row.commands.end();
+    });
+    if (use == table.end()) throw std::invalid_argument(flag + " is not used by " + cmd);
+    if (use->needs && !use->needs->on(p)) {
+      throw std::invalid_argument(flag + " needs " + std::string(use->needs->flag) + " with " +
+                                  cmd);
+    }
+  }
+}
 
 std::string dispatch(const std::vector<std::string>& pos, const CommonOptions& opts, int reps,
                      std::uint64_t seed, const ServeOptions& serve) {
@@ -710,19 +799,12 @@ std::string dispatch(const std::vector<std::string>& pos, const CommonOptions& o
 }  // namespace
 
 std::string run_cli(const std::vector<std::string>& args) {
-  std::vector<std::string> pos;
-  CommonOptions opts;
-  ServeOptions serve;
-  int reps = 6;
-  std::uint64_t seed = 1;
-  std::string metrics_out;
-  obs::ExportFormat metrics_format = obs::ExportFormat::Json;
-  std::string controller_flag;  // the first flag only the controller honours
-  // --shards, --prune-k and --threads, as given.
-  std::vector<std::string> solver_flags;
+  Parsed p;
+  CommonOptions& opts = p.opts;
+  ServeOptions& serve = p.serve;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (controller_flag.empty() && configures_controller(a)) controller_flag = a;
+    if (a.rfind("--", 0) == 0) p.flags.push_back(a);
     auto next = [&](const char* flag) -> std::string {
       if (i + 1 >= args.size()) throw std::invalid_argument(std::string(flag) + " needs a value");
       return args[++i];
@@ -732,10 +814,10 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--scv") {
       opts.service_scv = std::stod(next("--scv"));
     } else if (a == "--reps") {
-      reps = std::stoi(next("--reps"));
+      p.reps = std::stoi(next("--reps"));
     } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(std::stoull(next("--seed")));
-      serve.seed = seed;
+      p.seed = static_cast<std::uint64_t>(std::stoull(next("--seed")));
+      serve.seed = p.seed;
     } else if (a == "--half-life") {
       serve.half_life = std::stod(next("--half-life"));
     } else if (a == "--ceiling") {
@@ -793,10 +875,8 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--threads") {
       opts.threads = std::stoi(next("--threads"));
       if (opts.threads < 0) throw std::invalid_argument("--threads must be >= 0");
-      solver_flags.push_back(a);
     } else if (a == "--shards") {
       opts.shards = static_cast<std::size_t>(std::stoul(next("--shards")));
-      solver_flags.push_back(a);
     } else if (a == "--policy") {
       opts.policy = next("--policy");
     } else if (a == "--probe-d") {
@@ -805,35 +885,29 @@ std::string run_cli(const std::vector<std::string>& args) {
       opts.probe_d = static_cast<unsigned>(d);
     } else if (a == "--prune-k") {
       opts.prune_k = static_cast<std::size_t>(std::stoul(next("--prune-k")));
-      solver_flags.push_back(a);
     } else if (a == "--metrics-out") {
-      metrics_out = next("--metrics-out");
+      p.metrics_out = next("--metrics-out");
     } else if (a == "--metrics-format") {
-      metrics_format = obs::parse_export_format(next("--metrics-format"));
+      p.metrics_format = obs::parse_export_format(next("--metrics-format"));
     } else if (a == "--version") {
       return obs::build_info_text();
     } else if (!a.empty() && a[0] == '-') {
       throw std::invalid_argument("unknown flag '" + a + "'\n" + usage());
     } else {
-      pos.push_back(a);
+      p.pos.push_back(a);
     }
   }
-  if (pos.empty()) throw std::invalid_argument(usage());
-  if (pos[0] == "serve-replay" && !opts.policy.empty() && !controller_flag.empty()) {
-    throw std::invalid_argument(controller_flag +
-                                " configures the controller, which serve-replay --policy "
-                                "does not run");
-  }
-  check_solver_flags(pos[0], solver_flags, opts);
-  std::string out = dispatch(pos, opts, reps, seed, serve);
+  if (p.pos.empty()) throw std::invalid_argument(usage());
+  check_flags(p.pos[0] == "serve-replay" && !opts.policy.empty() ? kPolicyReplay : p.pos[0], p);
+  std::string out = dispatch(p.pos, opts, p.reps, p.seed, serve);
   // Export after the command so the file reflects the whole run. Workers
   // are idle here (every command drains its sweeps before returning), so
   // the snapshot is an exact cut.
-  if (!metrics_out.empty()) {
-    if (metrics_out == "-") {
-      out += obs::render(obs::registry().snapshot(), metrics_format);
+  if (!p.metrics_out.empty()) {
+    if (p.metrics_out == "-") {
+      out += obs::render(obs::registry().snapshot(), p.metrics_format);
     } else {
-      obs::write_metrics_file(metrics_out, metrics_format);
+      obs::write_metrics_file(p.metrics_out, p.metrics_format);
     }
   }
   return out;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -115,149 +114,6 @@ RootResult solve_increasing(const std::function<double(double)>& f, double targe
   BLADE_OBS_COUNT("roots.solve_increasing_calls");
   BLADE_OBS_OBSERVE("roots.solve_increasing_iterations", it);
   return res;
-}
-
-RootResult bisect(const std::function<double(double)>& f, double a, double b,
-                  const RootOptions& opts) {
-  const Deadline deadline(opts.max_seconds);
-  double fa = checked("bisect", a, f(a));
-  double fb = checked("bisect", b, f(b));
-  if (fa == 0.0) return {a, 0.0, 0, 0, false};
-  if (fb == 0.0) return {b, 0.0, 0, 0, false};
-  if ((fa > 0.0) == (fb > 0.0)) {
-    throw RootFindingError("bisect: root not bracketed");
-  }
-  int it = 0;
-  while (b - a > opts.tolerance && it < opts.max_iterations) {
-    deadline.check("bisect");
-    const double mid = 0.5 * (a + b);
-    const double fm = checked("bisect", mid, f(mid));
-    if ((fm > 0.0) == (fa > 0.0)) {
-      a = mid;
-      fa = fm;
-    } else {
-      b = mid;
-    }
-    ++it;
-  }
-  const double x = 0.5 * (a + b);
-  BLADE_OBS_COUNT("roots.bisect_calls");
-  BLADE_OBS_OBSERVE("roots.bisect_iterations", it);
-  return {x, f(x), it, 0, false};
-}
-
-RootResult brent(const std::function<double(double)>& f, double a, double b,
-                 const RootOptions& opts) {
-  const Deadline deadline(opts.max_seconds);
-  double fa = checked("brent", a, f(a));
-  double fb = checked("brent", b, f(b));
-  if (fa == 0.0) return {a, 0.0, 0, 0, false};
-  if (fb == 0.0) return {b, 0.0, 0, 0, false};
-  if ((fa > 0.0) == (fb > 0.0)) {
-    throw RootFindingError("brent: root not bracketed");
-  }
-  if (std::abs(fa) < std::abs(fb)) {
-    std::swap(a, b);
-    std::swap(fa, fb);
-  }
-  double c = a;
-  double fc = fa;
-  double d = b - a;  // previous step sizes for the safeguard
-  double e = d;
-  int it = 0;
-  for (; it < opts.max_iterations; ++it) {
-    deadline.check("brent");
-    if ((fb > 0.0) == (fc > 0.0)) {
-      c = a;
-      fc = fa;
-      d = e = b - a;
-    }
-    if (std::abs(fc) < std::abs(fb)) {
-      a = b; b = c; c = a;
-      fa = fb; fb = fc; fc = fa;
-    }
-    const double tol = 2.0 * std::numeric_limits<double>::epsilon() * std::abs(b) +
-                       0.5 * opts.tolerance;
-    const double m = 0.5 * (c - b);
-    if (std::abs(m) <= tol || fb == 0.0) break;
-    if (std::abs(e) >= tol && std::abs(fa) > std::abs(fb)) {
-      // Inverse quadratic interpolation (secant when only two points differ).
-      const double s = fb / fa;
-      double p, q;
-      if (a == c) {
-        p = 2.0 * m * s;
-        q = 1.0 - s;
-      } else {
-        const double qq = fa / fc;
-        const double r = fb / fc;
-        p = s * (2.0 * m * qq * (qq - r) - (b - a) * (r - 1.0));
-        q = (qq - 1.0) * (r - 1.0) * (s - 1.0);
-      }
-      if (p > 0.0) q = -q; else p = -p;
-      if (2.0 * p < std::min(3.0 * m * q - std::abs(tol * q), std::abs(e * q))) {
-        e = d;
-        d = p / q;
-      } else {
-        d = m;
-        e = m;
-      }
-    } else {
-      d = m;
-      e = m;
-    }
-    a = b;
-    fa = fb;
-    b += (std::abs(d) > tol) ? d : (m > 0.0 ? tol : -tol);
-    fb = checked("brent", b, f(b));
-  }
-  BLADE_OBS_COUNT("roots.brent_calls");
-  BLADE_OBS_OBSERVE("roots.brent_iterations", it);
-  return {b, fb, it, /*expansions=*/0, /*clamped_at_upper=*/false};
-}
-
-RootResult newton_safeguarded(const std::function<std::pair<double, double>(double)>& fdf,
-                              double a, double b, const RootOptions& opts) {
-  const Deadline deadline(opts.max_seconds);
-  auto [fa, dfa] = fdf(a);
-  auto [fb, dfb] = fdf(b);
-  (void)dfa;
-  (void)dfb;
-  checked("newton_safeguarded", a, fa);
-  checked("newton_safeguarded", b, fb);
-  if (fa == 0.0) return {a, 0.0, 0, 0, false};
-  if (fb == 0.0) return {b, 0.0, 0, 0, false};
-  if ((fa > 0.0) == (fb > 0.0)) {
-    throw RootFindingError("newton_safeguarded: root not bracketed");
-  }
-  double x = 0.5 * (a + b);
-  double fx_last = fa;
-  int it = 0;
-  for (; it < opts.max_iterations; ++it) {
-    deadline.check("newton_safeguarded");
-    auto [fx, dfx] = fdf(x);
-    checked("newton_safeguarded", x, fx);
-    fx_last = fx;
-    if (fx == 0.0) break;
-    // Shrink the bracket around the root.
-    if ((fx > 0.0) == (fa > 0.0)) {
-      a = x;
-      fa = fx;
-    } else {
-      b = x;
-    }
-    if (b - a <= opts.tolerance) break;
-    double next = (dfx != 0.0) ? x - fx / dfx : 0.5 * (a + b);
-    if (!(next > a && next < b)) next = 0.5 * (a + b);  // safeguard
-    if (std::abs(next - x) <= 0.25 * opts.tolerance) {
-      x = next;
-      fx_last = fdf(x).first;
-      break;
-    }
-    x = next;
-  }
-  BLADE_OBS_COUNT("roots.newton_calls");
-  BLADE_OBS_OBSERVE("roots.newton_iterations", it);
-  return {x, fx_last, it, /*expansions=*/0, /*clamped_at_upper=*/false};
 }
 
 }  // namespace blade::num

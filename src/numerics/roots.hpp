@@ -1,8 +1,9 @@
 // Root finding for monotone equations. The paper's two algorithms
 // (Find_lambda'_i, Calculate T') are both "expand an upper bracket by
-// doubling, then bisect"; BracketedBisection generalizes that pattern.
-// Brent's method is provided as a faster alternative used by the
-// closed-form solvers.
+// doubling, then bisect"; solve_increasing generalizes that pattern for
+// the closed forms, the baseline policies and the waiting-time quantile
+// inversions. The optimizer runs its own safeguarded Newton and Brent
+// iterations (core/solver_core.hpp), not these.
 #pragma once
 
 #include <functional>
@@ -17,15 +18,15 @@ class RootFindingError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Options shared by the solvers.
+/// Options of solve_increasing.
 struct RootOptions {
   double tolerance = 1e-12;   ///< absolute width of the final bracket
-  int max_iterations = 200;   ///< bisection/Brent iteration cap
+  int max_iterations = 200;   ///< bisection iteration cap
   int max_expansions = 200;   ///< doubling steps allowed when bracketing
   /// Wall-clock watchdog: a solve exceeding this many seconds throws
   /// RootFindingError ("time budget exceeded"). 0 disables the check
-  /// (and its per-iteration clock read) — the default, since these
-  /// solvers are usually budgeted by max_iterations alone.
+  /// (and its per-iteration clock read) — the default, since a solve is
+  /// usually budgeted by max_iterations alone.
   double max_seconds = 0.0;
 };
 
@@ -46,27 +47,12 @@ struct RootResult {
 /// saturation point); then the bracket is bisected. If f(lower) >= target
 /// the root is reported at `lower` (the "inactive server" case).
 ///
-/// All four solvers reject a non-finite f(x) (NaN/Inf) with a
-/// RootFindingError naming the evaluation point instead of iterating on
-/// garbage, and honor RootOptions::max_seconds when set.
+/// Rejects a non-finite f(x) (NaN/Inf) with a RootFindingError naming
+/// the evaluation point instead of iterating on garbage, and honors
+/// RootOptions::max_seconds when set.
 [[nodiscard]] RootResult solve_increasing(const std::function<double(double)>& f, double target,
                                           double lower, std::optional<double> sup,
                                           std::optional<double> initial_ub = std::nullopt,
                                           const RootOptions& opts = {});
-
-/// Classic bisection on [a, b] with f(a), f(b) of opposite sign.
-[[nodiscard]] RootResult bisect(const std::function<double(double)>& f, double a, double b,
-                                const RootOptions& opts = {});
-
-/// Brent's method on [a, b] with f(a), f(b) of opposite sign. Superlinear;
-/// used where we can afford to require a pre-established bracket.
-[[nodiscard]] RootResult brent(const std::function<double(double)>& f, double a, double b,
-                               const RootOptions& opts = {});
-
-/// Safeguarded Newton: falls back to bisection steps whenever the Newton
-/// step leaves the bracket or stalls. `fdf` returns {f(x), f'(x)}.
-[[nodiscard]] RootResult newton_safeguarded(
-    const std::function<std::pair<double, double>(double)>& fdf, double a, double b,
-    const RootOptions& opts = {});
 
 }  // namespace blade::num

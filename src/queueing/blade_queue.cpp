@@ -141,13 +141,14 @@ void check_batch_sizes(std::size_t n, std::size_t got, const char* what) {
 
 /// Shared body of both batch forms: per-element utilization (with the
 /// scalar path's validation and saturation throw), one lane-blocked
-/// Erlang kernel sweep, then `epilogue(j, rho_j, k_j)` per element.
-/// `queue_at(j)` lets the same code serve the many-queues and
-/// one-queue-many-rates shapes. The sweep runs over fixed blocks on the
-/// stack, each a whole number of kernel lane blocks, so a batch allocates
-/// nothing and every element sees exactly the lanes one sweep would give.
-template <typename QueueAt, typename Epilogue>
-void batch_marginals(QueueAt&& queue_at, std::span<const double> lambda1s, Epilogue&& epilogue) {
+/// Erlang kernel sweep, then `epilogue(j, rho_j, k_j)` per element. The
+/// sweep runs over fixed blocks on the stack, each a whole number of
+/// kernel lane blocks, so a batch allocates nothing and every element
+/// sees exactly the lanes one sweep would give.
+template <typename Epilogue>
+void batch_marginals(std::span<const BladeQueue> queues, std::span<const double> lambda1s,
+                     Epilogue&& epilogue) {
+  check_batch_sizes(lambda1s.size(), queues.size(), "queue count mismatch");
   constexpr std::size_t kBlock = 8 * num::kErlangBatchLanes;
   std::array<unsigned, kBlock> m;
   std::array<double, kBlock> rho;
@@ -158,9 +159,8 @@ void batch_marginals(QueueAt&& queue_at, std::span<const double> lambda1s, Epilo
   for (std::size_t base = 0; base < n; base += kBlock) {
     const std::size_t len = std::min(kBlock, n - base);
     for (std::size_t j = 0; j < len; ++j) {
-      const BladeQueue& q = queue_at(base + j);
-      m[j] = q.blades();
-      rho[j] = q.utilization(lambda1s[base + j]);
+      m[j] = queues[base + j].blades();
+      rho[j] = queues[base + j].utilization(lambda1s[base + j]);
     }
     num::erlang_c_derivs_batch(std::span(m).first(len), std::span(rho).first(len),
                                std::span(c).first(len), std::span(dc).first(len),
@@ -171,55 +171,24 @@ void batch_marginals(QueueAt&& queue_at, std::span<const double> lambda1s, Epilo
   }
 }
 
-template <typename QueueAt>
-void batch_marginal_impl(QueueAt&& queue_at, std::span<const double> lambda1s,
-                         std::span<double> g) {
-  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
-  batch_marginals(queue_at, lambda1s,
-                  [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
-                    g[j] = queue_at(j).lagrange_marginal_at(lambda1s[j], rho, k);
-                  });
-}
-
-template <typename QueueAt>
-void batch_marginal_deriv_impl(QueueAt&& queue_at, std::span<const double> lambda1s,
-                               std::span<double> g, std::span<double> dg) {
-  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
-  check_batch_sizes(lambda1s.size(), dg.size(), "dg size mismatch");
-  batch_marginals(queue_at, lambda1s,
-                  [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
-                    std::tie(g[j], dg[j]) =
-                        queue_at(j).lagrange_marginal_with_derivative_at(lambda1s[j], rho, k);
-                  });
-}
-
 }  // namespace
 
 void batch_lagrange_marginal(std::span<const BladeQueue> queues,
                              std::span<const double> lambda1s, std::span<double> g) {
-  check_batch_sizes(lambda1s.size(), queues.size(), "queue count mismatch");
-  batch_marginal_impl([&](std::size_t j) -> const BladeQueue& { return queues[j]; },
-                      lambda1s, g);
-}
-
-void batch_lagrange_marginal(const BladeQueue& q, std::span<const double> lambda1s,
-                             std::span<double> g) {
-  batch_marginal_impl([&](std::size_t) -> const BladeQueue& { return q; }, lambda1s, g);
+  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
+  batch_marginals(queues, lambda1s, [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
+    g[j] = queues[j].lagrange_marginal_at(lambda1s[j], rho, k);
+  });
 }
 
 void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
                                              std::span<const double> lambda1s,
                                              std::span<double> g, std::span<double> dg) {
-  check_batch_sizes(lambda1s.size(), queues.size(), "queue count mismatch");
-  batch_marginal_deriv_impl([&](std::size_t j) -> const BladeQueue& { return queues[j]; },
-                            lambda1s, g, dg);
-}
-
-void batch_lagrange_marginal_with_derivative(const BladeQueue& q,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg) {
-  batch_marginal_deriv_impl([&](std::size_t) -> const BladeQueue& { return q; }, lambda1s,
-                            g, dg);
+  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
+  check_batch_sizes(lambda1s.size(), dg.size(), "dg size mismatch");
+  batch_marginals(queues, lambda1s, [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
+    std::tie(g[j], dg[j]) = queues[j].lagrange_marginal_with_derivative_at(lambda1s[j], rho, k);
+  });
 }
 
 }  // namespace blade::queue

@@ -136,22 +136,11 @@ class BladeQueue {
 void batch_lagrange_marginal(std::span<const BladeQueue> queues,
                              std::span<const double> lambda1s, std::span<double> g);
 
-/// One queue, many rates — the surrogate-cache build sweep. Bitwise
-/// identical to calling q.lagrange_marginal(lambda1s[j]) per element.
-void batch_lagrange_marginal(const BladeQueue& q, std::span<const double> lambda1s,
-                             std::span<double> g);
-
 /// Batched {G, dG} across servers via num::erlang_c_derivs_batch —
 /// bitwise identical to lagrange_marginal_with_derivative per element
 /// (both end in lagrange_marginal_with_derivative_at), including its
 /// guarded central-difference curvature fallback.
 void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg);
-
-/// One queue, many rates variant of the derivative form (spline nodes of
-/// the marginal surrogate need G and dG at every knot).
-void batch_lagrange_marginal_with_derivative(const BladeQueue& q,
                                              std::span<const double> lambda1s,
                                              std::span<double> g, std::span<double> dg);
 

@@ -87,7 +87,7 @@ std::string Controller::checkpoint_json() const {
   w.begin_object();
   w.key("version").value(1LL);
   w.key("n").value(static_cast<long long>(cluster_.size()));
-  w.key("estimator").value(cfg_.estimator == EstimatorKind::Ewma ? "ewma" : "window");
+  w.key("estimator").value("ewma");
   w.key("time").value(last_event_time_);
   w.key("avail").begin_array();
   for (unsigned a : avail_) w.value(static_cast<long long>(a));
@@ -111,29 +111,15 @@ std::string Controller::checkpoint_json() const {
   w.end_array();
   w.end_object();
   w.key("estimators").begin_array();
-  if (cfg_.estimator == EstimatorKind::Ewma) {
-    for (const EwmaRateEstimator& e : ewma_) {
-      const EwmaState s = e.state();
-      w.begin_object();
-      w.key("half_life").value(s.half_life);
-      w.key("start").value(s.start);
-      w.key("last").value(s.last);
-      w.key("weight").value(s.weight);
-      w.key("count").value(static_cast<long long>(s.count));
-      w.end_object();
-    }
-  } else {
-    for (const WindowRateEstimator& e : window_) {
-      const WindowState s = e.state();
-      w.begin_object();
-      w.key("window").value(s.window);
-      w.key("start").value(s.start);
-      w.key("last").value(s.last);
-      w.key("count").value(static_cast<long long>(s.count));
-      w.key("times");
-      write_array(w, s.times);
-      w.end_object();
-    }
+  for (const EwmaRateEstimator& e : ewma_) {
+    const EwmaState s = e.state();
+    w.begin_object();
+    w.key("half_life").value(s.half_life);
+    w.key("start").value(s.start);
+    w.key("last").value(s.last);
+    w.key("weight").value(s.weight);
+    w.key("count").value(static_cast<long long>(s.count));
+    w.end_object();
   }
   w.end_array();
   w.end_object();
@@ -160,16 +146,20 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
   std::vector<double> fractions;
   Mode mode = Mode::Fallback;
   Lkg lkg;
-  std::string estimator_kind;
   std::size_t doc_n = 0;
   std::vector<EwmaState> ewma_states;
-  std::vector<WindowState> window_states;
   try {
     if (doc.type != util::JsonValue::Type::Object) throw ParseFail{"checkpoint: root is not an object"};
     if (count(doc, "version") != 1) throw ParseFail{"checkpoint: unsupported version"};
     doc_n = count(doc, "n");
-    estimator_kind = text(doc, "estimator");
-    if (estimator_kind != "ewma" && estimator_kind != "window") {
+    const std::string estimator_kind = text(doc, "estimator");
+    if (estimator_kind == "window") {
+      // An older build's sliding-window snapshot: well formed, but there
+      // is no window estimator left to restore it into.
+      return make_error(ErrorCode::StaleState,
+                        "checkpoint: estimator kind 'window' is not restorable (EWMA only)");
+    }
+    if (estimator_kind != "ewma") {
       throw ParseFail{"checkpoint: unknown estimator '" + estimator_kind + "'"};
     }
     time = num(doc, "time");
@@ -197,21 +187,15 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
     const util::JsonValue& ests = field(doc, "estimators", util::JsonValue::Type::Array, "array");
     for (const util::JsonValue& e : ests.array) {
       if (e.type != util::JsonValue::Type::Object) throw ParseFail{"checkpoint: estimator entry is not an object"};
-      if (estimator_kind == "ewma") {
-        ewma_states.push_back(
-            EwmaState{num(e, "half_life"), num(e, "start"), num(e, "last"), num(e, "weight"),
-                      count(e, "count")});
-      } else {
-        window_states.push_back(WindowState{num(e, "window"), num(e, "start"), num(e, "last"),
-                                            num_array(e, "times"), count(e, "count")});
-      }
+      ewma_states.push_back(EwmaState{num(e, "half_life"), num(e, "start"), num(e, "last"),
+                                      num(e, "weight"), count(e, "count")});
     }
     // Internal size consistency is a document property, not a topology
     // match: enforce it here as ParseError.
     if (avail.size() != doc_n || solved_special.size() != doc_n ||
         (!fractions.empty() && fractions.size() != doc_n) ||
         (lkg.valid && (lkg.weights.size() != doc_n || lkg.avail.size() != doc_n)) ||
-        (ewma_states.size() + window_states.size()) != doc_n + 1) {
+        ewma_states.size() != doc_n + 1) {
       throw ParseFail{"checkpoint: array sizes disagree with n"};
     }
     if (!fractions.empty()) {
@@ -231,11 +215,6 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
                                                  std::to_string(doc_n) + " servers, cluster has " +
                                                  std::to_string(n));
   }
-  const bool want_ewma = cfg_.estimator == EstimatorKind::Ewma;
-  if (want_ewma != (estimator_kind == "ewma")) {
-    return make_error(ErrorCode::StaleState,
-                      "checkpoint: estimator kind '" + estimator_kind + "' does not match config");
-  }
   for (std::size_t i = 0; i < n; ++i) {
     if (avail[i] > cluster_.server(i).size()) {
       return make_error(ErrorCode::StaleState,
@@ -245,13 +224,8 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
 
   // --- estimator snapshots, restored into copies first ---
   std::vector<EwmaRateEstimator> ewma = ewma_;
-  std::vector<WindowRateEstimator> window = window_;
   for (std::size_t i = 0; i < ewma_states.size(); ++i) {
     const blade::Status s = ewma[i].restore(ewma_states[i]);
-    if (!s.ok()) return s.error();
-  }
-  for (std::size_t i = 0; i < window_states.size(); ++i) {
-    const blade::Status s = window[i].restore(window_states[i]);
     if (!s.ok()) return s.error();
   }
 
@@ -263,7 +237,6 @@ blade::Status Controller::restore_checkpoint(const std::string& json) {
   arrivals_since_check_ = arrivals_since_check;
   lkg_ = std::move(lkg);
   ewma_ = std::move(ewma);
-  window_ = std::move(window);
   ws_.clear();  // cached brackets describe the pre-restore problem
   reference_tprime_ = -1.0;  // the next drift check fires until a re-solve lands
   // Health state is deliberately not serialized (the schema stays v1):

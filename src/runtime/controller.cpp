@@ -12,9 +12,6 @@ void ControllerConfig::validate() const {
   if (!(half_life > 0.0) || !std::isfinite(half_life)) {
     throw std::invalid_argument("ControllerConfig: half_life must be > 0");
   }
-  if (!(window >= 0.0) || !std::isfinite(window)) {
-    throw std::invalid_argument("ControllerConfig: window must be >= 0");
-  }
   if (!(loss_threshold >= 0.0) || !std::isfinite(loss_threshold)) {
     throw std::invalid_argument("ControllerConfig: loss_threshold must be finite and >= 0");
   }
@@ -63,14 +60,7 @@ Controller::Controller(model::Cluster cluster, ControllerConfig cfg)
   model_special_.reserve(n);
   round_.queues.reserve(n);
 
-  const double win = cfg_.window > 0.0 ? cfg_.window : 4.0 * cfg_.half_life;
-  if (cfg_.estimator == EstimatorKind::Ewma) {
-    ewma_.reserve(n + 1);
-    for (std::size_t i = 0; i < n + 1; ++i) ewma_.emplace_back(cfg_.half_life, 0.0);
-  } else {
-    window_.reserve(n + 1);
-    for (std::size_t i = 0; i < n + 1; ++i) window_.emplace_back(win, 0.0);
-  }
+  ewma_.assign(n + 1, EwmaRateEstimator(cfg_.half_life, 0.0));
 
   if (cfg_.health.enabled) {
     health_ = std::make_unique<HealthTracker>(n, cfg_.health, 0.0);
@@ -101,15 +91,13 @@ double Controller::capacity(std::size_t i) const {
 }
 
 double Controller::estimated_lambda(double t) const {
-  return cfg_.estimator == EstimatorKind::Ewma ? ewma_[0].rate(t) : window_[0].rate(t);
+  return ewma_[0].rate(t);
 }
 
 double Controller::estimated_special_rate(std::size_t i, double t) const {
   if (i >= cluster_.size()) throw std::invalid_argument("Controller: server index out of range");
-  const std::uint64_t seen =
-      cfg_.estimator == EstimatorKind::Ewma ? ewma_[i + 1].count() : window_[i + 1].count();
-  if (seen < cfg_.min_arrivals) return cluster_.server(i).special_rate();
-  return cfg_.estimator == EstimatorKind::Ewma ? ewma_[i + 1].rate(t) : window_[i + 1].rate(t);
+  if (ewma_[i + 1].count() < cfg_.min_arrivals) return cluster_.server(i).special_rate();
+  return ewma_[i + 1].rate(t);
 }
 
 double Controller::special_rate_for_solve(std::size_t i, double t) const {
@@ -162,11 +150,7 @@ bool Controller::on_generic_arrival(double t, double u) {
   t = sanitize_time(t);
   ++stats_.generic_arrivals;
   BLADE_OBS_COUNT("runtime.generic_arrivals");
-  if (cfg_.estimator == EstimatorKind::Ewma) {
-    ewma_[0].try_observe(t);
-  } else {
-    window_[0].try_observe(t);
-  }
+  ewma_[0].try_observe(t);
   if (++arrivals_since_check_ >= cfg_.check_interval) {
     arrivals_since_check_ = 0;
     check_drift(t);
@@ -189,11 +173,7 @@ void Controller::on_special_arrival(double t, std::size_t i) {
   t = sanitize_time(t);
   ++stats_.special_arrivals;
   BLADE_OBS_COUNT("runtime.special_arrivals");
-  if (cfg_.estimator == EstimatorKind::Ewma) {
-    ewma_[i + 1].try_observe(t);
-  } else {
-    window_[i + 1].try_observe(t);
-  }
+  ewma_[i + 1].try_observe(t);
 }
 
 void Controller::on_failure(double t, std::size_t i, unsigned blades) {
@@ -364,9 +344,7 @@ double Controller::health_speed_factor(std::size_t i) const {
 }
 
 void Controller::check_drift(double t) {
-  const std::uint64_t seen =
-      cfg_.estimator == EstimatorKind::Ewma ? ewma_[0].count() : window_[0].count();
-  if (seen < cfg_.min_arrivals) return;  // estimator still warming up
+  if (ewma_[0].count() < cfg_.min_arrivals) return;  // estimator still warming up
   if (solved_lambda_ < 0.0) {
     BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Warmup, 0.0, cfg_.loss_threshold, t);
     resolve(t);
@@ -621,10 +599,8 @@ void Controller::resolve(double t, const CheckRound* handed) {
   } resolve_timer{stats_, handed != nullptr ? handed->started_ns : obs::monotonic_ns()};
   reference_tprime_ = -1.0;  // until this solve succeeds
 
-  const std::uint64_t seen =
-      cfg_.estimator == EstimatorKind::Ewma ? ewma_[0].count() : window_[0].count();
   const double lam_hat =
-      seen >= cfg_.min_arrivals ? estimated_lambda(t) : cfg_.initial_lambda;
+      ewma_[0].count() >= cfg_.min_arrivals ? estimated_lambda(t) : cfg_.initial_lambda;
   BLADE_OBS_GAUGE_SET("runtime.estimated_lambda", lam_hat);
 
   // Surviving topology and the special preloads the solve will assume.

@@ -3,7 +3,7 @@
 // live cluster:
 //
 //   estimate     lambda' (total generic rate) and per-server lambda''_i
-//                online from the event stream (EWMA or sliding window,
+//                online from the event stream (bias-corrected EWMA,
 //                configurable half-life);
 //   re-solve     the optimal split through a persistent SolverWorkspace
 //                with hysteresis — a drift check every check_interval
@@ -91,15 +91,10 @@ class TableSlot {
 
 }  // namespace detail
 
-enum class EstimatorKind : std::uint8_t { Ewma, Window };
-
 struct ControllerConfig {
   queue::Discipline discipline = queue::Discipline::Fcfs;
-  EstimatorKind estimator = EstimatorKind::Ewma;
-  /// Estimator memory: EWMA half-life; the sliding window spans
-  /// `window` (default 4 half-lives when 0).
+  /// Estimator memory: the half-life of every rate estimate's EWMA.
   double half_life = 1.0;
-  double window = 0.0;
   /// Hysteresis: a drift check re-solves only when one Newton round at the
   /// published split predicts a T' loss above this fraction of the last
   /// solve's T' (see Controller::check_drift). Finite, >= 0.
@@ -339,9 +334,10 @@ class Controller {
 
   /// Restores state from checkpoint_json() output. Validates everything
   /// before mutating: a malformed document returns ParseError, a
-  /// checkpoint for a different topology or estimator kind returns
-  /// StaleState, inconsistent estimator snapshots return
-  /// InvalidArgument — in all three cases *this is untouched. On success
+  /// checkpoint for a different topology or of sliding-window estimators
+  /// (written by an older build) returns StaleState, inconsistent
+  /// estimator snapshots return InvalidArgument — in all three cases
+  /// *this is untouched. On success
   /// the checkpointed table is re-published and Ok is returned.
   [[nodiscard]] blade::Status restore_checkpoint(const std::string& json);
 
@@ -432,9 +428,7 @@ class Controller {
   ControllerConfig cfg_;
   std::vector<unsigned> avail_;  ///< surviving blades per server
 
-  // One estimator pair per stream; only the configured kind is fed.
-  std::vector<EwmaRateEstimator> ewma_;      ///< [0] = lambda', [i+1] = lambda''_i
-  std::vector<WindowRateEstimator> window_;  ///< same layout
+  std::vector<EwmaRateEstimator> ewma_;  ///< [0] = lambda', [i+1] = lambda''_i
 
   opt::SolverWorkspace ws_;
   double solved_lambda_ = -1.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace blade::runtime {
@@ -10,12 +9,6 @@ namespace blade::runtime {
 namespace {
 
 constexpr double kLn2 = 0.69314718055994530942;
-
-void check_time(double t, double last, const char* who) {
-  if (!std::isfinite(t) || t < last) {
-    throw std::invalid_argument(std::string(who) + ": observation times must be non-decreasing");
-  }
-}
 
 }  // namespace
 
@@ -27,15 +20,6 @@ EwmaRateEstimator::EwmaRateEstimator(double half_life, double start_time)
   if (!std::isfinite(start_time)) {
     throw std::invalid_argument("EwmaRateEstimator: start_time must be finite");
   }
-}
-
-double EwmaRateEstimator::half_life() const noexcept { return kLn2 / alpha_; }
-
-void EwmaRateEstimator::observe(double t) {
-  check_time(t, last_, "EwmaRateEstimator");
-  weight_ = weight_ * std::exp(-alpha_ * (t - last_)) + 1.0;
-  last_ = t;
-  ++count_;
 }
 
 double EwmaRateEstimator::rate(double t) const {
@@ -87,82 +71,6 @@ void EwmaRateEstimator::reset(double start_time) {
   start_ = start_time;
   last_ = start_time;
   weight_ = 0.0;
-  count_ = 0;
-}
-
-WindowRateEstimator::WindowRateEstimator(double window, double start_time)
-    : window_(window), start_(start_time), last_(start_time) {
-  if (!(window > 0.0) || !std::isfinite(window)) {
-    throw std::invalid_argument("WindowRateEstimator: window must be > 0");
-  }
-  if (!std::isfinite(start_time)) {
-    throw std::invalid_argument("WindowRateEstimator: start_time must be finite");
-  }
-}
-
-void WindowRateEstimator::observe(double t) {
-  check_time(t, last_, "WindowRateEstimator");
-  last_ = t;
-  times_.push_back(t);
-  ++count_;
-  while (!times_.empty() && times_.front() <= t - window_) times_.pop_front();
-}
-
-double WindowRateEstimator::rate(double t) const {
-  if (!(t > start_)) return 0.0;
-  const double span = std::min(window_, t - start_);
-  // Retained timestamps are sorted; count those still inside the window.
-  const auto first = std::upper_bound(times_.begin(), times_.end(), t - window_);
-  const auto in_window = static_cast<double>(std::distance(first, times_.end()));
-  return in_window / span;
-}
-
-bool WindowRateEstimator::try_observe(double t) noexcept {
-  if (!std::isfinite(t)) return false;  // corrupted timestamp: drop
-  const bool repaired = t < last_;
-  const double at = repaired ? last_ : t;
-  try {
-    last_ = at;
-    times_.push_back(at);
-    ++count_;
-    while (!times_.empty() && times_.front() <= at - window_) times_.pop_front();
-  } catch (...) {
-    return false;  // allocation failure: the sample is lost, nothing corrupted
-  }
-  return !repaired;
-}
-
-WindowState WindowRateEstimator::state() const {
-  return WindowState{window_, start_, last_, {times_.begin(), times_.end()}, count_};
-}
-
-blade::Status WindowRateEstimator::restore(const WindowState& s) {
-  bool ok = (s.window > 0.0) && std::isfinite(s.window) && std::isfinite(s.start) &&
-            std::isfinite(s.last) && s.last >= s.start && s.count >= s.times.size();
-  double prev = -std::numeric_limits<double>::infinity();
-  for (double t : s.times) {
-    ok = ok && std::isfinite(t) && t >= prev && t <= s.last;
-    prev = t;
-  }
-  if (!ok) {
-    return blade::make_error(blade::ErrorCode::InvalidArgument,
-                             "WindowRateEstimator: inconsistent snapshot");
-  }
-  window_ = s.window;
-  start_ = s.start;
-  last_ = s.last;
-  times_.assign(s.times.begin(), s.times.end());
-  count_ = s.count;
-  return {};
-}
-
-void WindowRateEstimator::reset(double start_time) {
-  if (!std::isfinite(start_time)) {
-    throw std::invalid_argument("WindowRateEstimator: start_time must be finite");
-  }
-  start_ = start_time;
-  last_ = start_time;
-  times_.clear();
   count_ = 0;
 }
 

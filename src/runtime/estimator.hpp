@@ -1,28 +1,17 @@
-// Online arrival-rate estimation for the load-distribution controller.
-// Two estimators with the same observe/rate surface:
-//
-//   EwmaRateEstimator    exponentially decayed arrival count. With decay
-//                        alpha = ln 2 / half_life the decayed count W(t)
-//                        has expectation lambda (1 - e^{-alpha (t-t0)})
-//                        / alpha under a Poisson stream, so the
-//                        bias-corrected estimate
-//                            alpha W(t) / (1 - e^{-alpha (t-t0)})
-//                        is unbiased from the very first arrivals and
-//                        tracks a step change with residual 2^{-k} after
-//                        k half-lives.
-//
-//   WindowRateEstimator  arrivals inside a sliding window divided by the
-//                        covered span — an unbiased boxcar average,
-//                        sharper cutoff, more memory (one timestamp per
-//                        retained arrival).
-//
-// Both require non-decreasing observation times (simulated or wall time,
-// the controller feeds event timestamps).
+// Online arrival-rate estimation for the load-distribution controller
+// (lambda' and every lambda''_i) and the health tracker: an
+// exponentially decayed arrival count. With decay alpha = ln 2 /
+// half_life the decayed count W(t) has expectation
+// lambda (1 - e^{-alpha (t-t0)}) / alpha under a Poisson stream, so the
+// bias-corrected estimate
+//     alpha W(t) / (1 - e^{-alpha (t-t0)})
+// is unbiased from the very first arrivals and tracks a step change with
+// residual 2^{-k} after k half-lives. Observation times are event
+// timestamps (simulated or wall time); try_observe repairs the ones that
+// run backwards.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "util/status.hpp"
 
@@ -37,29 +26,17 @@ struct EwmaState {
   std::uint64_t count = 0;
 };
 
-/// Serializable WindowRateEstimator state (controller checkpoints).
-struct WindowState {
-  double window = 0.0;
-  double start = 0.0;
-  double last = 0.0;
-  std::vector<double> times;  ///< retained timestamps, non-decreasing
-  std::uint64_t count = 0;
-};
-
 class EwmaRateEstimator {
  public:
   /// @param half_life   time for a sample's weight to halve, > 0
   /// @param start_time  when observation began (the correction baseline)
   explicit EwmaRateEstimator(double half_life, double start_time = 0.0);
 
-  /// One arrival at time t (>= the previous observation).
-  void observe(double t);
-
-  /// Containment-grade ingestion for feeds that may be corrupted: a
-  /// non-finite t is dropped, a backwards t is clamped to the last
-  /// observation time (the arrival still counts — only its timestamp was
-  /// lying). Returns true when the sample was applied as given, false
-  /// when it was dropped or repaired. Never throws.
+  /// One arrival at time t, containment-grade for feeds that may be
+  /// corrupted: a non-finite t is dropped, a backwards t is clamped to
+  /// the last observation time (the arrival still counts — only its
+  /// timestamp was lying). Returns true when the sample was applied as
+  /// given, false when it was dropped or repaired. Never throws.
   bool try_observe(double t) noexcept;
 
   /// Snapshot / restore for checkpointing. restore() validates the
@@ -73,7 +50,6 @@ class EwmaRateEstimator {
   [[nodiscard]] double rate(double t) const;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double half_life() const noexcept;
 
   /// Forgets all arrivals and restarts the bias baseline at t.
   void reset(double start_time);
@@ -83,40 +59,6 @@ class EwmaRateEstimator {
   double start_;
   double last_ = 0.0;    ///< time of the last arrival
   double weight_ = 0.0;  ///< decayed arrival count at last_
-  std::uint64_t count_ = 0;
-};
-
-class WindowRateEstimator {
- public:
-  /// @param window      boxcar span, > 0
-  /// @param start_time  when observation began
-  explicit WindowRateEstimator(double window, double start_time = 0.0);
-
-  void observe(double t);
-
-  /// Same contract as EwmaRateEstimator::try_observe.
-  bool try_observe(double t) noexcept;
-
-  /// Snapshot / restore for checkpointing; restore() additionally
-  /// requires the retained timestamps to be finite, non-decreasing, and
-  /// <= last.
-  [[nodiscard]] WindowState state() const;
-  [[nodiscard]] blade::Status restore(const WindowState& s);
-
-  /// Arrivals within (t - window, t] over the covered span
-  /// min(window, t - start). 0 before time advances past start.
-  [[nodiscard]] double rate(double t) const;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double window() const noexcept { return window_; }
-
-  void reset(double start_time);
-
- private:
-  double window_;
-  double start_;
-  double last_ = 0.0;
-  std::deque<double> times_;  ///< retained arrival timestamps (sorted)
   std::uint64_t count_ = 0;
 };
 

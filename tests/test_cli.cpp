@@ -303,8 +303,8 @@ class CliServeReplay : public CliDriver {
 };
 
 TEST_F(CliServeReplay, SloTargetPrintsEpochLinesAndSummary) {
-  const auto out = cli::run_cli({"serve-replay", path_, trace_path_, "--chaos-profile", "none",
-                                 "--slo-target", "5.0", "--slo-epochs", "4"});
+  const auto out = cli::run_cli(
+      {"serve-replay", path_, trace_path_, "--slo-target", "5.0", "--slo-epochs", "4"});
   std::size_t epoch_lines = 0;
   std::istringstream in(out);
   std::string line;
@@ -318,8 +318,8 @@ TEST_F(CliServeReplay, SloTargetPrintsEpochLinesAndSummary) {
 
 TEST_F(CliServeReplay, RecorderOutWritesJsonlDump) {
   const std::string dump_path = ::testing::TempDir() + "cli_serve.jsonl";
-  const auto out = cli::run_cli({"serve-replay", path_, trace_path_, "--chaos-profile", "none",
-                                 "--recorder-out", dump_path, "--recorder-capacity", "2048"});
+  const auto out = cli::run_cli({"serve-replay", path_, trace_path_, "--recorder-out", dump_path,
+                                 "--recorder-capacity", "2048"});
   EXPECT_NE(out.find("flight recorder"), std::string::npos);
   std::ifstream in(dump_path);
   ASSERT_TRUE(in.good());
@@ -344,8 +344,7 @@ TEST_F(CliServeReplay, RecorderOutWritesJsonlDump) {
 
 TEST_F(CliServeReplay, RecorderOutJsonWritesChromeTrace) {
   const std::string dump_path = ::testing::TempDir() + "cli_serve_trace.json";
-  (void)cli::run_cli({"serve-replay", path_, trace_path_, "--chaos-profile", "none",
-                      "--recorder-out", dump_path});
+  (void)cli::run_cli({"serve-replay", path_, trace_path_, "--recorder-out", dump_path});
   std::ifstream in(dump_path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
@@ -452,47 +451,135 @@ TEST_F(CliServeReplay, LossThresholdIsHonoured) {
   EXPECT_NE(eager, lazy);
 }
 
-// Every command honours each solver flag or rejects it with an error
-// naming the flag and the command: --shards sets the cells of optimize
-// and of serve-replay's controller, --prune-k needs --shards, and
-// --threads sizes the pool of sweep and of a multi-cell optimize.
+// Every flag in usage() is honoured or rejected with an error naming the
+// flag and the command, never ignored; `serve-replay --policy` counts as a
+// command of its own. An honoured pair is shown by a missing spec (for
+// figures, a malformed figure number): the flag check passes and the
+// command then fails with that error instead. A flag that needs another
+// (--prune-k needs --shards, the --health-* knobs need --health, ...) is
+// rejected without it, naming both.
 TEST_F(CliServeReplay, SolverFlagsAreHonouredOrRejected) {
-  const std::vector<std::vector<std::string>> commands = {
-      {"optimize", path_, "8.0"},
-      {"sweep", path_, "2", "9", "3"},
-      {"validate", path_, "6.0", "--reps", "2"},
-      {"sensitivity", path_, "6.0"},
-      {"percentiles", path_, "6.0"},
-      {"allocate", path_, "6.0"},
-      {"trace", path_, "3", "9"},
-      {"sim", path_, "6.0"},
-      {"serve-replay", path_, trace_path_},
-      {"figures", "12", "csv"},
-      {"consolidate", path_, "3", "8", "1.5"},
+  const std::string spec = ::testing::TempDir() + "no-such-file.spec";
+  const std::vector<std::pair<std::string, std::vector<std::string>>> commands = {
+      {"optimize", {"optimize", spec, "8.0"}},
+      {"sweep", {"sweep", spec, "2", "9", "3"}},
+      {"validate", {"validate", spec, "6.0"}},
+      {"sensitivity", {"sensitivity", spec, "6.0"}},
+      {"percentiles", {"percentiles", spec, "6.0"}},
+      {"allocate", {"allocate", spec, "6.0"}},
+      {"trace", {"trace", spec, "3", "9"}},
+      {"sim", {"sim", spec, "6.0"}},
+      {"serve-replay", {"serve-replay", spec, trace_path_}},
+      {"serve-replay --policy", {"serve-replay", spec, trace_path_, "--policy", "jsq-d"}},
+      {"figures", {"figures", "x", "csv"}},
+      {"consolidate", {"consolidate", spec, "3", "8", "1.5"}},
   };
-  const std::vector<std::pair<std::vector<std::string>, std::vector<std::string>>> flags = {
-      {{"--shards", "2"}, {"optimize", "serve-replay"}},
-      {{"--prune-k", "1"}, {}},
-      {{"--threads", "2"}, {"sweep"}},
+  std::vector<std::string> every;
+  for (const auto& command : commands) every.push_back(command.first);
+  std::vector<std::string> modelled = every;  // every command but figures
+  std::erase(modelled, "figures");
+  const std::vector<std::string> replay = {"serve-replay"};
+  const std::vector<std::string> replays = {"serve-replay", "serve-replay --policy"};
+  const std::vector<std::string> policies = {"sim", "serve-replay --policy"};
+  struct Flag {
+    std::vector<std::string> given;    ///< the flag and its value
+    std::vector<std::string> read_by;  ///< the commands that honour it
+    std::vector<std::string> needs;    ///< given with it where it is honoured
   };
-  for (const auto& command : commands) {
-    for (const auto& [flag, honoured_by] : flags) {
-      std::vector<std::string> args = command;
-      args.insert(args.end(), flag.begin(), flag.end());
-      const std::string what = command[0] + " " + flag[0];
-      if (std::find(honoured_by.begin(), honoured_by.end(), command[0]) != honoured_by.end()) {
-        EXPECT_NO_THROW((void)cli::run_cli(args)) << what;
+  const std::vector<Flag> flags = {
+      {{"--priority"}, modelled, {}},
+      {{"--scv", "1"}, modelled, {}},
+      {{"--reps", "2"}, {"validate"}, {}},
+      // --policy turns serve-replay into serve-replay --policy.
+      {{"--policy", "jsq"}, {"sim", "serve-replay", "serve-replay --policy"}, {}},
+      {{"--probe-d", "3"}, policies, {}},
+      {{"--seed", "3"}, {"validate", "sim", "serve-replay", "serve-replay --policy"}, {}},
+      {{"--half-life", "3"}, replay, {}},
+      {{"--ceiling", "0.9"}, replay, {}},
+      {{"--loss-threshold", "0.05"}, replay, {}},
+      {{"--chaos-seed", "3"}, replays, {}},
+      {{"--chaos-profile", "heavy"}, replays, {"--chaos-seed", "3"}},
+      {{"--slo-target", "5"}, replay, {}},
+      {{"--slo-max-shed", "0.1"}, replay, {"--slo-target", "5"}},
+      {{"--slo-epochs", "4"}, replay, {"--slo-target", "5"}},
+      {{"--recorder-out", "x.jsonl"}, replay, {}},
+      {{"--recorder-capacity", "64"}, replay, {"--recorder-out", "x.jsonl"}},
+      {{"--health"}, replay, {}},
+      {{"--health-suspect", "0.5"}, replay, {"--health"}},
+      {{"--health-quarantine", "0.4"}, replay, {"--health"}},
+      {{"--health-recover", "0.95"}, replay, {"--health"}},
+      {{"--health-suspect-dwell", "4"}, replay, {"--health"}},
+      {{"--health-quarantine-dwell", "10"}, replay, {"--health"}},
+      {{"--health-probation-dwell", "10"}, replay, {"--health"}},
+      {{"--health-half-life", "5"}, replay, {"--health"}},
+      {{"--checkpoint-out", "x.ckpt"}, replay, {}},
+      {{"--checkpoint-every", "10"}, replay, {"--checkpoint-out", "x.ckpt"}},
+      {{"--checkpoint-in", "/nonexistent"}, replay, {}},
+      {{"--verbose"},
+       {"optimize", "sweep", "validate", "percentiles", "allocate", "sim", "serve-replay --policy"},
+       {}},
+      // optimize reads --threads only with --shards >= 2 (checked below).
+      {{"--threads", "2"}, {"sweep", "optimize"}, {}},
+      {{"--shards", "2"}, {"optimize", "serve-replay"}, {}},
+      {{"--prune-k", "1"}, {"optimize", "serve-replay"}, {"--shards", "2"}},
+      {{"--metrics-out", "x.json"}, every, {}},
+      {{"--metrics-format", "csv"}, every, {"--metrics-out", "x.json"}},
+  };
+
+  // The table covers usage(); --version prints the build instead of
+  // running any command.
+  const std::string text = cli::usage();
+  for (std::size_t at = text.find("--"); at != std::string::npos; at = text.find("--", at + 2)) {
+    const std::size_t end = text.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2);
+    const std::string flag = text.substr(at, end - at);
+    const bool listed = std::any_of(flags.begin(), flags.end(),
+                                    [&](const Flag& f) { return f.given[0] == flag; });
+    EXPECT_TRUE(listed || flag == "--version") << flag << " is in usage() but not checked";
+  }
+
+  auto error_of = [](const std::vector<std::string>& args) -> std::string {
+    try {
+      (void)cli::run_cli(args);
+    } catch (const cli::SpecError& e) {
+      return std::string("spec: ") + e.what();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  auto names = [](const std::string& err, const std::vector<std::string>& words) {
+    return std::all_of(words.begin(), words.end(),
+                       [&](const std::string& w) { return err.find(w) != std::string::npos; });
+  };
+  for (const auto& [command, base] : commands) {
+    for (const Flag& flag : flags) {
+      std::vector<std::string> args = base;
+      args.insert(args.end(), flag.given.begin(), flag.given.end());
+      const std::string what = command + " " + flag.given[0];
+      if (std::find(flag.read_by.begin(), flag.read_by.end(), command) == flag.read_by.end()) {
+        const std::string err = error_of(args);
+        EXPECT_TRUE(names(err, {flag.given[0], command})) << what << ": " << err;
         continue;
       }
-      try {
-        (void)cli::run_cli(args);
-        ADD_FAILURE() << what << " was accepted";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(flag[0]), std::string::npos) << e.what();
-        EXPECT_NE(std::string(e.what()).find(command[0]), std::string::npos) << e.what();
+      args.insert(args.end(), flag.needs.begin(), flag.needs.end());
+      if (command == "optimize" && flag.given[0] == "--threads") {
+        args.insert(args.end(), {"--shards", "2"});
       }
+      const std::string err = error_of(args);
+      EXPECT_TRUE(err.rfind("spec: ", 0) == 0 || err == "stoi") << what << ": " << err;
+      if (flag.needs.empty()) continue;
+      args.resize(base.size() + flag.given.size());
+      const std::string bare = error_of(args);
+      EXPECT_TRUE(names(bare, {flag.given[0], flag.needs[0], command})) << what << ": " << bare;
     }
   }
+  for (const char* shards : {"0", "1"}) {
+    const std::string err =
+        error_of({"optimize", spec, "8.0", "--threads", "2", "--shards", shards});
+    EXPECT_TRUE(names(err, {"--threads", "--shards >= 2", "optimize"})) << err;
+  }
+
+  // Honoured pairs run for real.
   const std::vector<std::vector<std::string>> combined = {
       {"optimize", path_, "4.0", "--shards", "2", "--prune-k", "1"},
       {"optimize", path_, "8.0", "--shards", "2", "--threads", "2"},

@@ -263,21 +263,29 @@ TEST(BatchMarginals, DerivativeFormMatchesScalarBitwise) {
   }
 }
 
-TEST(BatchMarginals, OneQueueOverloadMatchesScalar) {
-  const queue::BladeQueue q(8, 0.25, 2.0, queue::Discipline::Fcfs);
+TEST(BatchMarginals, ManyQueuesAcrossStackBlocksMatchScalar) {
+  // 151 queues span more than two of the kernel's stack blocks; blade
+  // counts, disciplines, SCVs and loads (up to 0.999 of saturation) vary
+  // per element.
+  std::vector<queue::BladeQueue> qs;
   std::vector<double> lam;
-  for (int k = 0; k <= 150; ++k) {  // past two of the kernel's stack blocks
-    lam.push_back(q.max_generic_rate() * 0.999 * static_cast<double>(k) / 150.0);
+  for (int k = 0; k <= 150; ++k) {
+    const auto d = k % 3 == 0 ? queue::Discipline::SpecialPriority : queue::Discipline::Fcfs;
+    qs.emplace_back(1 + static_cast<unsigned>(k % 17), 0.1 + 0.01 * (k % 29), 0.05 * (k % 7), d,
+                    0.5 * (k % 4));
+    lam.push_back(qs.back().max_generic_rate() * 0.999 * static_cast<double>(k) / 150.0);
   }
   std::vector<double> g(lam.size());
   std::vector<double> dg(lam.size());
-  queue::batch_lagrange_marginal(q, lam, g);
-  for (std::size_t i = 0; i < lam.size(); ++i) EXPECT_EQ(g[i], q.lagrange_marginal(lam[i]));
-  queue::batch_lagrange_marginal_with_derivative(q, lam, g, dg);
+  queue::batch_lagrange_marginal(qs, lam, g);
   for (std::size_t i = 0; i < lam.size(); ++i) {
-    const auto [sg, sdg] = q.lagrange_marginal_with_derivative(lam[i]);
-    EXPECT_EQ(g[i], sg);
-    EXPECT_EQ(dg[i], sdg);
+    EXPECT_EQ(g[i], qs[i].lagrange_marginal(lam[i])) << "i=" << i;
+  }
+  queue::batch_lagrange_marginal_with_derivative(qs, lam, g, dg);
+  for (std::size_t i = 0; i < lam.size(); ++i) {
+    const auto [sg, sdg] = qs[i].lagrange_marginal_with_derivative(lam[i]);
+    EXPECT_EQ(g[i], sg) << "i=" << i;
+    EXPECT_EQ(dg[i], sdg) << "i=" << i;
   }
 }
 

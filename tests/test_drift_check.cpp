@@ -6,9 +6,11 @@
 // the handover of a fired check's round to its re-solve bit for bit, and
 // pins the cost of a check that does not fire.
 //
-// The harness drives a controller whose sliding-window estimators cover
-// every arrival fed at one instant, so each estimate is an arrival count
-// over the window: a test sets the published state and each perturbation
+// The harness drives a controller whose EWMA estimators decay at rate 1/w
+// and see every arrival at t = 64 w, where the bias correction
+// 1 - e^{-64} rounds to 1: each arrival adds exactly 1/w to its stream's
+// estimate, and waiting w ln(1/(1 - delta)) scales every estimate by
+// 1 - delta. A test sets the published state and each perturbation
 // exactly, through the controller's own event API.
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,38 +40,33 @@ using namespace blade;
 
 const double kCeiling = runtime::ControllerConfig{}.utilization_ceiling;
 
-/// A controller with every estimate an arrival count over a window of
-/// length w, published at the optimum of those estimates at time at().
+/// A controller with every estimate an arrival count divided by w at
+/// time at(), published at the optimum of those estimates.
 class Published {
  public:
-  /// Feeds `generic` generic arrivals (the first `early` of them half a
-  /// window before the rest, so they leave the window first) and
-  /// round(lambda''_i w) special arrivals per server, then re-solves.
-  /// The next drift check comes with the `next_check`-th generic arrival
-  /// after that.
+  /// Feeds `generic` generic arrivals and round(lambda''_i w) special
+  /// arrivals per server at at(), then re-solves. The next drift check
+  /// comes with the `next_check`-th generic arrival after that.
   Published(const model::Cluster& c, queue::Discipline d, double w, std::uint64_t generic,
-            std::uint64_t early, std::uint64_t next_check)
+            std::uint64_t next_check)
       : w_(w) {
     runtime::ControllerConfig cfg;
     cfg.discipline = d;
-    cfg.estimator = runtime::EstimatorKind::Window;
-    cfg.window = w;
-    cfg.half_life = w;
+    cfg.half_life = w * std::numbers::ln2;  // decay rate 1/w
     cfg.min_arrivals = 1;
     cfg.check_interval = generic + next_check;
     ctrl_ = std::make_unique<runtime::Controller>(c, cfg);
-    for (std::uint64_t k = 0; k < early; ++k) ctrl_->on_generic_arrival(at() - 0.5 * w, 0.5);
     for (std::size_t i = 0; i < c.size(); ++i) {
       const auto count = std::llround(c.server(i).special_rate() * w);
       for (long long k = 0; k < count; ++k) ctrl_->on_special_arrival(at(), i);
     }
-    for (std::uint64_t k = early; k < generic; ++k) ctrl_->on_generic_arrival(at(), 0.5);
+    for (std::uint64_t k = 0; k < generic; ++k) ctrl_->on_generic_arrival(at(), 0.5);
     ctrl_->resolve_now(at());
   }
 
-  [[nodiscard]] double at() const { return 2.0 * w_; }
-  /// After at() + w/2 the early arrivals have left the window.
-  [[nodiscard]] double after_early() const { return at() + 0.75 * w_; }
+  [[nodiscard]] double at() const { return 64.0 * w_; }
+  /// When every estimate has decayed to 1 - delta of its value at at().
+  [[nodiscard]] double decayed_by(double delta) const { return at() - w_ * std::log1p(-delta); }
   runtime::Controller& ctrl() { return *ctrl_; }
 
  private:
@@ -149,22 +147,23 @@ void judge(const std::string& what, const model::Cluster& c, queue::Discipline d
   }
 }
 
-/// Every perturbation of one instance at one load: lambda' steps of +-1%
-/// and +-5% and one special arrival at each server, each from the
-/// published optimum.
+/// Every perturbation of one instance at one load, each from the published
+/// optimum: lambda' steps up by 1% and 5%, every estimate decays by 1% and
+/// 5%, and one special arrival at each server.
 void judge_instance(const std::string& name, const model::Cluster& c, queue::Discipline d,
                     double load, Tally& tally) {
   const double lambda0 = load * c.max_generic_rate();
   std::ostringstream tag;
   tag << name << " (" << queue::to_string(d) << ") at " << load << " of lambda'_max";
 
-  // Steps: 2,000 generic arrivals per window, so 1% is 20 arrivals.
+  // Steps: 2,000 generic arrivals at at(), so lambda' is 2,000 / w and 1%
+  // is 20 arrivals.
   constexpr std::uint64_t kStepArrivals = 2000;
   const double w_step = static_cast<double>(kStepArrivals) / lambda0;
   for (const double delta : {0.01, 0.05}) {
     const auto moved = static_cast<std::uint64_t>(std::llround(delta * kStepArrivals));
     {
-      Published up(c, d, w_step, kStepArrivals, 0, moved);
+      Published up(c, d, w_step, kStepArrivals, moved);
       judge(tag.str() + " step +" + std::to_string(delta), c, d, up, up.at(),
             [&](runtime::Controller& ctrl) {
               for (std::uint64_t k = 0; k < moved; ++k) ctrl.on_generic_arrival(up.at(), 0.5);
@@ -172,12 +171,12 @@ void judge_instance(const std::string& name, const model::Cluster& c, queue::Dis
             tally);
     }
     {
-      Published down(c, d, w_step, kStepArrivals, moved, 1);
-      judge(tag.str() + " step -" + std::to_string(delta), c, d, down, down.after_early(),
-            [&](runtime::Controller& ctrl) {
-              ctrl.on_generic_arrival(down.after_early(), 0.5);
-            },
-            tally);
+      // An EWMA forgets every stream at once: lambda' and each lambda''_i
+      // step down together.
+      Published down(c, d, w_step, kStepArrivals, 1);
+      const double t = down.decayed_by(delta);
+      judge(tag.str() + " step -" + std::to_string(delta), c, d, down, t,
+            [&](runtime::Controller& ctrl) { ctrl.on_generic_arrival(t, 0.5); }, tally);
     }
   }
 
@@ -191,7 +190,7 @@ void judge_instance(const std::string& name, const model::Cluster& c, queue::Dis
   const double w_bump = 1.0 / (0.034 * capacity / static_cast<double>(c.size()));
   const auto generic = static_cast<std::uint64_t>(std::max(1LL, std::llround(lambda0 * w_bump)));
   for (std::size_t j = 0; j < c.size(); ++j) {
-    Published p(c, d, w_bump, generic, 0, 1);
+    Published p(c, d, w_bump, generic, 1);
     judge(tag.str() + " bump at server " + std::to_string(j), c, d, p, p.at(),
           [&](runtime::Controller& ctrl) {
             ctrl.on_special_arrival(p.at(), j);
@@ -330,7 +329,7 @@ TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
   const auto c = testsupport::churn_cluster();
   const double lambda0 = 0.57 * c.max_generic_rate();
   constexpr std::uint64_t kArrivals = 2000;
-  Published p(c, queue::Discipline::Fcfs, kArrivals / lambda0, kArrivals, 0, 1);
+  Published p(c, queue::Discipline::Fcfs, kArrivals / lambda0, kArrivals, 1);
   runtime::Controller& ctrl = p.ctrl();
   ctrl.on_failure(p.at(), 5);
   ASSERT_EQ(ctrl.mode(), runtime::Mode::Optimal);

@@ -104,67 +104,6 @@ TEST(SolveIncreasing, HandlesBarrierFunctions) {
   EXPECT_NEAR(res.x, 0.75, 1e-9);
 }
 
-TEST(Bisect, FindsSqrtTwo) {
-  const auto res = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_NEAR(res.x, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Bisect, RequiresBracket) {
-  EXPECT_THROW((void)bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0), RootFindingError);
-}
-
-TEST(Brent, MatchesBisectionFaster) {
-  const auto f = [](double x) { return std::cos(x) - x; };
-  const auto rb = bisect(f, 0.0, 1.0);
-  const auto rr = brent(f, 0.0, 1.0);
-  EXPECT_NEAR(rr.x, rb.x, 1e-9);
-  EXPECT_LT(rr.iterations, rb.iterations);
-}
-
-TEST(Brent, HandlesRootAtEndpoint) {
-  const auto res = brent([](double x) { return x; }, 0.0, 1.0);
-  EXPECT_DOUBLE_EQ(res.x, 0.0);
-}
-
-TEST(NewtonSafeguarded, QuadraticConvergence) {
-  const auto fdf = [](double x) {
-    return std::pair{x * x - 2.0, 2.0 * x};
-  };
-  const auto res = newton_safeguarded(fdf, 0.0, 2.0);
-  EXPECT_NEAR(res.x, std::sqrt(2.0), 1e-9);
-  EXPECT_LT(res.iterations, 12);
-}
-
-TEST(NewtonSafeguarded, SurvivesZeroDerivative) {
-  // f'(0) = 0 forces the bisection fallback on the first step.
-  const auto fdf = [](double x) {
-    return std::pair{x * x * x - 8.0, 3.0 * x * x};
-  };
-  const auto res = newton_safeguarded(fdf, 0.0, 5.0);
-  EXPECT_NEAR(res.x, 2.0, 1e-8);
-}
-
-TEST(RootResultParity, BrentAndNewtonFillEveryDiagnosticField) {
-  // brent/newton never expand or clamp a bracket, but their RootResult
-  // must still report that explicitly (the perf benches and exporters
-  // read the same fields for every solver).
-  const auto f = [](double x) { return std::cos(x) - x; };
-  const auto rb = brent(f, 0.0, 1.0);
-  EXPECT_EQ(rb.expansions, 0);
-  EXPECT_FALSE(rb.clamped_at_upper);
-  EXPECT_GT(rb.iterations, 0);
-  EXPECT_NEAR(rb.f, f(rb.x), 1e-12);
-
-  const auto fdf = [](double x) {
-    return std::pair{x * x - 2.0, 2.0 * x};
-  };
-  const auto rn = newton_safeguarded(fdf, 0.0, 2.0);
-  EXPECT_EQ(rn.expansions, 0);
-  EXPECT_FALSE(rn.clamped_at_upper);
-  EXPECT_GT(rn.iterations, 0);
-  EXPECT_NEAR(rn.f, fdf(rn.x).first, 1e-9);
-}
-
 // ------------------------------------------------- differentiation
 
 TEST(Differentiation, CentralDifferenceOnPolynomial) {
