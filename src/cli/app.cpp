@@ -1,11 +1,14 @@
 #include "cli/app.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "cli/spec.hpp"
@@ -315,7 +318,7 @@ std::string run_sim(const model::Cluster& cluster, double lambda, std::uint64_t 
 std::string run_serve_replay_policy(const model::Cluster& cluster, const std::string& trace_text,
                                     const ServeOptions& serve, const CommonOptions& opts) {
   auto trace = runtime::parse_replay_trace(trace_text);
-  if (serve.seed > 0) trace.seed = serve.seed;
+  if (serve.seed) trace.seed = *serve.seed;
   // Weighted kinds solve at the trace's first announced rate: the static
   // split a planner would have provisioned before the timeline starts.
   double design_rate = 0.0;
@@ -334,12 +337,12 @@ std::string run_serve_replay_policy(const model::Cluster& cluster, const std::st
   std::string chaos_line;
   auto profile = runtime::chaos_profile(serve.chaos_profile);
   if (!profile) throw std::invalid_argument(profile.error().context);
-  if (serve.chaos_seed > 0) {
-    runtime::FaultInjector chaos(serve.chaos_seed, profile.value());
+  if (serve.chaos_seed) {
+    runtime::FaultInjector chaos(*serve.chaos_seed, profile.value());
     ropts.chaos = &chaos;
     res = runtime::replay_policy(cluster, cfg, trace, ropts, opts.discipline);
     std::ostringstream cs;
-    cs << "chaos             profile " << serve.chaos_profile << " (seed " << serve.chaos_seed
+    cs << "chaos             profile " << serve.chaos_profile << " (seed " << *serve.chaos_seed
        << "): blade flaps merged into the failure schedule\n";
     chaos_line = cs.str();
   } else {
@@ -380,7 +383,7 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
     throw std::invalid_argument("serve-replay draws exponential task sizes (no --scv)");
   }
   auto trace = runtime::parse_replay_trace(trace_text);
-  if (serve.seed > 0) trace.seed = serve.seed;
+  if (serve.seed) trace.seed = *serve.seed;
 
   runtime::ControllerConfig cfg;
   cfg.discipline = opts.discipline;
@@ -425,12 +428,12 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
   std::string chaos_line;
   auto profile = runtime::chaos_profile(serve.chaos_profile);
   if (!profile) throw std::invalid_argument(profile.error().context);
-  if (serve.chaos_seed > 0) {
-    runtime::FaultInjector chaos(serve.chaos_seed, profile.value());
+  if (serve.chaos_seed) {
+    runtime::FaultInjector chaos(*serve.chaos_seed, profile.value());
     ropts.chaos = &chaos;
     res = runtime::replay(cluster, cfg, trace, ropts);
     std::ostringstream cs;
-    cs << "chaos             profile " << serve.chaos_profile << " (seed " << serve.chaos_seed
+    cs << "chaos             profile " << serve.chaos_profile << " (seed " << *serve.chaos_seed
        << "): " << chaos.dropped() << " dropped, " << chaos.phantoms() << " phantom, "
        << chaos.timewarps() << " timewarped observations, " << chaos.solver_faults()
        << " solver faults\n";
@@ -475,6 +478,10 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
       res.stats.resolves > 0 ? static_cast<double>(res.stats.solver_evaluations) /
                                    static_cast<double>(res.stats.resolves)
                              : 0.0;
+  // A skipped check evaluates each class the re-solve's solver keeps once.
+  const double evals_per_skip = static_cast<double>(res.stats.check_evaluations) /
+                                static_cast<double>(std::max<std::uint64_t>(
+                                    1, res.stats.skipped_by_hysteresis));
   std::ostringstream os;
   os << cluster.describe() << '\n'
      << "replayed horizon " << trace.horizon << " (seed " << trace.seed << ", half-life "
@@ -491,8 +498,8 @@ std::string run_serve_replay(const model::Cluster& cluster, const std::string& t
      << res.stats.shedding_checks + res.stats.unevaluated_checks + res.stats.loss_checks
      << " fired (" << res.stats.shedding_checks << " shedding, " << res.stats.unevaluated_checks
      << " unevaluated, " << res.stats.loss_checks << " predicted loss), "
-     << res.stats.skipped_by_hysteresis << " skipped (threshold " << cfg.loss_threshold
-     << ")\n"
+     << res.stats.skipped_by_hysteresis << " skipped at " << util::fixed(evals_per_skip, 1)
+     << " evaluations each (threshold " << cfg.loss_threshold << ")\n"
      << "events            " << res.stats.failures << " failures, " << res.stats.recoveries
      << " recoveries\n"
      << chaos_line
@@ -572,7 +579,8 @@ std::string usage() {
          "                    controller's flags are rejected\n"
          "  --probe-d <k>     with --policy: probes per arrival for d-choices\n"
          "                    policies (default 2)\n"
-         "  --seed <n>        validate / sim / serve-replay: base seed (default 1)\n"
+         "  --seed <n>        validate / sim / serve-replay: base seed (default 1;\n"
+         "                    serve-replay: the trace file's)\n"
          "  --half-life <t>   serve-replay: estimator half-life (default horizon/100)\n"
          "  --ceiling <u>     serve-replay: admission utilization ceiling (default 0.95)\n"
          "  --loss-threshold <x>        serve-replay: re-solve when a drift check\n"
@@ -619,6 +627,20 @@ std::string usage() {
 
 namespace {
 
+/// The value of `name` (a flag, or a positional argument as usage() names
+/// it) in `token`. The whole token must parse, and an unsigned type takes
+/// no sign; otherwise throws std::invalid_argument naming `name`.
+template <class T>
+T parse_number(std::string_view name, const std::string& token) {
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec == std::errc{} && end == last) return value;
+  throw std::invalid_argument(std::string(name) + " needs a " +
+                              (std::is_unsigned_v<T> ? "non-negative integer" : "number") +
+                              ", got '" + token + "'");
+}
+
 /// What run_cli parses out of its arguments.
 struct Parsed {
   std::vector<std::string> pos;
@@ -626,7 +648,6 @@ struct Parsed {
   CommonOptions opts;
   ServeOptions serve;
   int reps = 6;
-  std::uint64_t seed = 1;
   std::string metrics_out;
   obs::ExportFormat metrics_format = obs::ExportFormat::Json;
 };
@@ -666,7 +687,8 @@ const std::vector<FlagUse>& flag_uses() {
     const Need shards{"--shards", [](const Parsed& p) { return p.opts.shards > 0; }};
     // One cell solves on the calling thread, without the pool.
     const Need two_shards{"--shards >= 2", [](const Parsed& p) { return p.opts.shards >= 2; }};
-    const Need chaos{"--chaos-seed", [](const Parsed& p) { return p.serve.chaos_seed > 0; }};
+    const Need chaos{"--chaos-seed",
+                     [](const Parsed& p) { return p.serve.chaos_seed.has_value(); }};
     const Need slo{"--slo-target", [](const Parsed& p) { return p.serve.slo_target > 0.0; }};
     const Need recorder{"--recorder-out",
                         [](const Parsed& p) { return !p.serve.recorder_out.empty(); }};
@@ -735,38 +757,39 @@ std::string dispatch(const std::vector<std::string>& pos, const CommonOptions& o
       throw std::invalid_argument(std::string("usage: bladecli ") + shape);
     }
   };
+  auto real = [&](std::size_t i, const char* name) { return parse_number<double>(name, pos[i]); };
   if (cmd == "optimize") {
     need(3, "optimize <spec> <lambda>");
-    return run_optimize(load_cluster_spec(pos[1]), std::stod(pos[2]), opts);
+    return run_optimize(load_cluster_spec(pos[1]), real(2, "<lambda>"), opts);
   }
   if (cmd == "sweep") {
     need(5, "sweep <spec> <lo> <hi> <points>");
-    return run_sweep(load_cluster_spec(pos[1]), std::stod(pos[2]), std::stod(pos[3]),
-                     static_cast<std::size_t>(std::stoul(pos[4])), opts);
+    return run_sweep(load_cluster_spec(pos[1]), real(2, "<lo>"), real(3, "<hi>"),
+                     parse_number<std::size_t>("<points>", pos[4]), opts);
   }
   if (cmd == "validate") {
     need(3, "validate <spec> <lambda>");
-    return run_validate(load_cluster_spec(pos[1]), std::stod(pos[2]), reps, seed, opts);
+    return run_validate(load_cluster_spec(pos[1]), real(2, "<lambda>"), reps, seed, opts);
   }
   if (cmd == "sensitivity") {
     need(3, "sensitivity <spec> <lambda>");
-    return run_sensitivity(load_cluster_spec(pos[1]), std::stod(pos[2]), opts);
+    return run_sensitivity(load_cluster_spec(pos[1]), real(2, "<lambda>"), opts);
   }
   if (cmd == "percentiles") {
     need(3, "percentiles <spec> <lambda>");
-    return run_percentiles(load_cluster_spec(pos[1]), std::stod(pos[2]), opts);
+    return run_percentiles(load_cluster_spec(pos[1]), real(2, "<lambda>"), opts);
   }
   if (cmd == "allocate") {
     need(3, "allocate <spec> <lambda>");
-    return run_allocate(load_cluster_spec(pos[1]), std::stod(pos[2]), opts);
+    return run_allocate(load_cluster_spec(pos[1]), real(2, "<lambda>"), opts);
   }
   if (cmd == "trace") {
     need(4, "trace <spec> <trough> <peak>");
-    return run_trace(load_cluster_spec(pos[1]), std::stod(pos[2]), std::stod(pos[3]), opts);
+    return run_trace(load_cluster_spec(pos[1]), real(2, "<trough>"), real(3, "<peak>"), opts);
   }
   if (cmd == "sim") {
     need(3, "sim <spec> <lambda> [--policy <name>] [--probe-d <k>]");
-    return run_sim(load_cluster_spec(pos[1]), std::stod(pos[2]), seed, opts);
+    return run_sim(load_cluster_spec(pos[1]), real(2, "<lambda>"), seed, opts);
   }
   if (cmd == "serve-replay") {
     need(3, "serve-replay <spec> <trace-file|reference>");
@@ -786,12 +809,12 @@ std::string dispatch(const std::vector<std::string>& pos, const CommonOptions& o
   }
   if (cmd == "figures") {
     need(3, "figures <number> <csv|json|ascii>");
-    return run_figure(std::stoi(pos[1]), pos[2]);
+    return run_figure(parse_number<int>("<number>", pos[1]), pos[2]);
   }
   if (cmd == "consolidate") {
     need(5, "consolidate <spec> <trough> <peak> <slo>");
-    return run_consolidate(load_cluster_spec(pos[1]), std::stod(pos[2]), std::stod(pos[3]),
-                           std::stod(pos[4]), opts);
+    return run_consolidate(load_cluster_spec(pos[1]), real(2, "<trough>"), real(3, "<peak>"),
+                           real(4, "<slo>"), opts);
   }
   throw std::invalid_argument("unknown command '" + cmd + "'\n" + usage());
 }
@@ -809,62 +832,64 @@ std::string run_cli(const std::vector<std::string>& args) {
       if (i + 1 >= args.size()) throw std::invalid_argument(std::string(flag) + " needs a value");
       return args[++i];
     };
+    auto real = [&](const char* flag) { return parse_number<double>(flag, next(flag)); };
+    auto integer = [&](const char* flag) { return parse_number<int>(flag, next(flag)); };
+    auto count = [&](const char* flag) { return parse_number<std::uint64_t>(flag, next(flag)); };
     if (a == "--priority") {
       opts.discipline = queue::Discipline::SpecialPriority;
     } else if (a == "--scv") {
-      opts.service_scv = std::stod(next("--scv"));
+      opts.service_scv = real("--scv");
     } else if (a == "--reps") {
-      p.reps = std::stoi(next("--reps"));
+      p.reps = integer("--reps");
     } else if (a == "--seed") {
-      p.seed = static_cast<std::uint64_t>(std::stoull(next("--seed")));
-      serve.seed = p.seed;
+      serve.seed = count("--seed");
     } else if (a == "--half-life") {
-      serve.half_life = std::stod(next("--half-life"));
+      serve.half_life = real("--half-life");
     } else if (a == "--ceiling") {
-      serve.utilization_ceiling = std::stod(next("--ceiling"));
+      serve.utilization_ceiling = real("--ceiling");
     } else if (a == "--loss-threshold") {
-      serve.loss_threshold = std::stod(next("--loss-threshold"));
+      serve.loss_threshold = real("--loss-threshold");
     } else if (a == "--drift") {
       // Not read as the new threshold: the two measure different things.
       throw std::invalid_argument(
           "--drift is gone: the re-solve trigger is a predicted T' loss, set with "
           "--loss-threshold <x>");
     } else if (a == "--chaos-seed") {
-      serve.chaos_seed = static_cast<std::uint64_t>(std::stoull(next("--chaos-seed")));
+      serve.chaos_seed = count("--chaos-seed");
     } else if (a == "--chaos-profile") {
       serve.chaos_profile = next("--chaos-profile");
     } else if (a == "--slo-target") {
-      serve.slo_target = std::stod(next("--slo-target"));
+      serve.slo_target = real("--slo-target");
       if (!(serve.slo_target > 0.0)) throw std::invalid_argument("--slo-target must be > 0");
     } else if (a == "--slo-max-shed") {
-      serve.slo_max_shed = std::stod(next("--slo-max-shed"));
+      serve.slo_max_shed = real("--slo-max-shed");
     } else if (a == "--slo-epochs") {
-      serve.slo_epochs = std::stoi(next("--slo-epochs"));
+      serve.slo_epochs = integer("--slo-epochs");
       if (serve.slo_epochs < 1) throw std::invalid_argument("--slo-epochs must be >= 1");
     } else if (a == "--recorder-out") {
       serve.recorder_out = next("--recorder-out");
     } else if (a == "--recorder-capacity") {
-      serve.recorder_capacity = static_cast<std::size_t>(std::stoul(next("--recorder-capacity")));
+      serve.recorder_capacity = count("--recorder-capacity");
     } else if (a == "--health") {
       serve.health = true;
     } else if (a == "--health-suspect") {
-      serve.health_suspect = std::stod(next("--health-suspect"));
+      serve.health_suspect = real("--health-suspect");
     } else if (a == "--health-quarantine") {
-      serve.health_quarantine = std::stod(next("--health-quarantine"));
+      serve.health_quarantine = real("--health-quarantine");
     } else if (a == "--health-recover") {
-      serve.health_recover = std::stod(next("--health-recover"));
+      serve.health_recover = real("--health-recover");
     } else if (a == "--health-suspect-dwell") {
-      serve.health_suspect_dwell = std::stod(next("--health-suspect-dwell"));
+      serve.health_suspect_dwell = real("--health-suspect-dwell");
     } else if (a == "--health-quarantine-dwell") {
-      serve.health_quarantine_dwell = std::stod(next("--health-quarantine-dwell"));
+      serve.health_quarantine_dwell = real("--health-quarantine-dwell");
     } else if (a == "--health-probation-dwell") {
-      serve.health_probation_dwell = std::stod(next("--health-probation-dwell"));
+      serve.health_probation_dwell = real("--health-probation-dwell");
     } else if (a == "--health-half-life") {
-      serve.health_half_life = std::stod(next("--health-half-life"));
+      serve.health_half_life = real("--health-half-life");
     } else if (a == "--checkpoint-out") {
       serve.checkpoint_out = next("--checkpoint-out");
     } else if (a == "--checkpoint-every") {
-      serve.checkpoint_every = std::stod(next("--checkpoint-every"));
+      serve.checkpoint_every = real("--checkpoint-every");
       if (serve.checkpoint_every < 0.0) {
         throw std::invalid_argument("--checkpoint-every must be >= 0");
       }
@@ -873,18 +898,18 @@ std::string run_cli(const std::vector<std::string>& args) {
     } else if (a == "--verbose") {
       opts.verbosity = 1;
     } else if (a == "--threads") {
-      opts.threads = std::stoi(next("--threads"));
+      opts.threads = integer("--threads");
       if (opts.threads < 0) throw std::invalid_argument("--threads must be >= 0");
     } else if (a == "--shards") {
-      opts.shards = static_cast<std::size_t>(std::stoul(next("--shards")));
+      opts.shards = count("--shards");
     } else if (a == "--policy") {
       opts.policy = next("--policy");
     } else if (a == "--probe-d") {
-      const int d = std::stoi(next("--probe-d"));
+      const int d = integer("--probe-d");
       if (d < 1) throw std::invalid_argument("--probe-d must be >= 1");
       opts.probe_d = static_cast<unsigned>(d);
     } else if (a == "--prune-k") {
-      opts.prune_k = static_cast<std::size_t>(std::stoul(next("--prune-k")));
+      opts.prune_k = count("--prune-k");
     } else if (a == "--metrics-out") {
       p.metrics_out = next("--metrics-out");
     } else if (a == "--metrics-format") {
@@ -899,7 +924,7 @@ std::string run_cli(const std::vector<std::string>& args) {
   }
   if (p.pos.empty()) throw std::invalid_argument(usage());
   check_flags(p.pos[0] == "serve-replay" && !opts.policy.empty() ? kPolicyReplay : p.pos[0], p);
-  std::string out = dispatch(p.pos, opts, p.reps, p.seed, serve);
+  std::string out = dispatch(p.pos, opts, p.reps, serve.seed.value_or(1), serve);
   // Export after the command so the file reflects the whole run. Workers
   // are idle here (every command drains its sweeps before returning), so
   // the snapshot is an exact cut.

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "model/cluster.hpp"
@@ -79,14 +80,14 @@ struct CommonOptions {
 [[nodiscard]] std::string run_consolidate(const model::Cluster& cluster, double trough,
                                           double peak, double slo, const CommonOptions& opts);
 
-/// Knobs for `serve-replay` (defaults marked 0 are derived from the
-/// trace: half-life = horizon/100, seed from the trace file).
+/// Knobs for `serve-replay` (half-life 0 is derived from the trace as
+/// horizon/100; an unset seed is the trace file's).
 struct ServeOptions {
   double half_life = 0.0;           ///< --half-life: estimator memory
   double utilization_ceiling = 0.95;  ///< --ceiling: admission-control cap
   double loss_threshold = 3e-3;     ///< --loss-threshold: predicted-loss re-solve threshold
-  std::uint64_t seed = 0;           ///< --seed: overrides the trace's seed
-  std::uint64_t chaos_seed = 0;     ///< --chaos-seed: fault-injection seed (0 = off)
+  std::optional<std::uint64_t> seed;        ///< --seed: overrides the trace's seed
+  std::optional<std::uint64_t> chaos_seed;  ///< --chaos-seed: fault-injection seed (unset = off)
   std::string chaos_profile = "moderate";  ///< --chaos-profile: none/light/moderate/heavy
   /// --slo-target: mean-T' objective per epoch (0 = SLO evaluation off).
   double slo_target = 0.0;

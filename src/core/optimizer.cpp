@@ -92,31 +92,11 @@ void SolverWorkspace::clear() {
   newton_ = detail::NewtonState{};
   rates_.clear();
   seed_phi_ = -1.0;
-  handed_.lambda = -1.0;
 }
 
 void SolverWorkspace::warm_start(std::span<const double> rates) {
   if (!(seed_phi_ > 0.0)) return;  // no previous solve: stays cold
   rates_.assign(rates.begin(), rates.end());
-}
-
-void SolverWorkspace::hand_round(double lambda, std::span<const double> rates,
-                                 std::span<const double> g, std::span<const double> dg) {
-  if (g.size() != rates.size() || dg.size() != rates.size()) {
-    throw std::invalid_argument("SolverWorkspace::hand_round: span lengths differ");
-  }
-  if (!(seed_phi_ > 0.0)) return;
-  warm_start(rates);
-  handed_.lambda = lambda;
-  handed_.x.assign(rates.begin(), rates.end());
-  handed_.g.assign(g.begin(), g.end());
-  handed_.dg.assign(dg.begin(), dg.end());
-}
-
-Expected<double> newton_round_decrease(double lambda_total, detail::NewtonState& s) {
-  const auto fill = detail::water_fill(lambda_total, s);
-  if (!fill) return fill.error();
-  return detail::model_decrease(s, lambda_total, fill.value());
 }
 
 void throw_solver_error(const Error& error) {

@@ -169,34 +169,12 @@ class SolverWorkspace {
   /// cold. Stale, wrong-length or non-finite rates only cost evaluations.
   void warm_start(std::span<const double> rates);
 
-  /// warm_start(rates), plus the first round of the next solve's Newton
-  /// iteration, already evaluated by the caller: g_i and g'_i at `rates`
-  /// for lambda' = `lambda`, scaled by 1/lambda' as the solve's own
-  /// evaluation scales them. The caller vouches that they are the
-  /// marginals of the queues the solve will model. The next solve takes
-  /// them as its first round when its lambda' and every class's clamped
-  /// start match them bitwise (a class reads its representative's
-  /// values), and evaluates that round itself otherwise; either way the
-  /// round counts once, as that solve's own evaluations, and only that
-  /// solve sees it. A no-op without a previous solve, like warm_start.
-  /// Throws std::invalid_argument when the three spans differ in length.
-  void hand_round(double lambda, std::span<const double> rates, std::span<const double> g,
-                  std::span<const double> dg);
-
   /// The converged phi of the last solve on this workspace (< 0 when the
   /// workspace has not completed a solve yet). Exposed for tests.
   [[nodiscard]] double seed_phi() const noexcept { return seed_phi_; }
 
  private:
   friend class ShardedOptimizer;
-
-  /// hand_round's round, per server; lambda < 0 when there is none.
-  struct HandedRound {
-    double lambda = -1.0;
-    std::vector<double> x;
-    std::vector<double> g;
-    std::vector<double> dg;
-  };
 
   struct CellState {
     std::vector<double> rates_lo;  ///< per-class rates at phi_lo
@@ -212,18 +190,7 @@ class SolverWorkspace {
   detail::NewtonState newton_;
   std::vector<double> rates_;  ///< the last solve's split (or warm_start's), per server
   double seed_phi_ = -1.0;
-  HandedRound handed_;
 };
-
-/// The decrease of T' that one round of the warm solve's Newton iteration
-/// predicts from the rates in s.x, a split that meets the constraint
-/// (detail::water_fill and detail::model_decrease, the round
-/// detail::joint_newton runs): the caller fills s.x, s.weight (m_i, the
-/// entry's member count), and s.g and s.dg with g_i and g'_i at s.x scaled
-/// by 1/lambda'. The round's scratch (s.dg's capped slopes, s.order,
-/// s.next) is overwritten. A typed error when the round cannot be formed
-/// (non-finite marginal, no loaded entry, a loaded entry without slope).
-[[nodiscard]] Expected<double> newton_round_decrease(double lambda_total, detail::NewtonState& s);
 
 /// The paper's solver over a whole cluster. It solves as a one-cell
 /// ShardedOptimizer (core/sharded.hpp) on the caller's thread: servers

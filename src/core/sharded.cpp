@@ -238,9 +238,10 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::try_optimize(double lambda_t
 }
 
 Expected<ShardedLoadDistribution> ShardedOptimizer::try_optimize(double lambda_total,
-                                                                 SolverWorkspace& ws) const {
+                                                                 SolverWorkspace& ws,
+                                                                 const FirstRound* round) const {
   try {
-    return optimize_core(lambda_total, nullptr, ws);
+    return optimize_core(lambda_total, nullptr, ws, round);
   } catch (const std::exception& e) {
     return detail::make_solver_error(ErrorCode::Internal,
                                      std::string("optimize: unexpected exception: ") + e.what());
@@ -262,7 +263,8 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::try_optimize(double lambda_t
 
 Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_total,
                                                                   par::ThreadPool* pool,
-                                                                  SolverWorkspace& ws) const {
+                                                                  SolverWorkspace& ws,
+                                                                  const FirstRound* round) const {
   const double lambda_max = cluster_.max_generic_rate();
   const bool one_cell = cells_.size() == 1;
   BLADE_OBS_EVENT(SolveStart, one_cell ? 0 : cells_.size(), lambda_total, lambda_max, 0.0);
@@ -291,18 +293,19 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::optimize_core(double lambda_
     BLADE_OBS_SPAN("optimize");
     BLADE_OBS_TIMER("optimizer.solve_seconds");
     BLADE_OBS_COUNT("optimizer.solves");
-    return solve(lambda_total, lambda_max, nullptr, ws);
+    return solve(lambda_total, lambda_max, nullptr, ws, round);
   }
   BLADE_OBS_SPAN("shard_optimize");
   BLADE_OBS_TIMER("solver.shard.solve_seconds");
   BLADE_OBS_COUNT("solver.shard.solves");
   BLADE_OBS_COUNT_N("solver.shard.cells", static_cast<long>(cells_.size()));
-  return solve(lambda_total, lambda_max, pool != nullptr ? pool : &par::global_pool(), ws);
+  return solve(lambda_total, lambda_max, pool != nullptr ? pool : &par::global_pool(), ws, round);
 }
 
 Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, double lambda_max,
                                                           par::ThreadPool* pool,
-                                                          SolverWorkspace& ws) const {
+                                                          SolverWorkspace& ws,
+                                                          const FirstRound* round) const {
   const std::size_t cell_count = cells_.size();
   const bool one_cell = cell_count == 1;
   prepare_workspace(ws);
@@ -417,26 +420,17 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
 
   // Warm when the workspace holds a previous solve: joint Newton with one
   // entry per kept class, weighted by its members, from the previous
-  // split read at each class's representative. A split of another length
-  // is not read.
+  // split read at each class's representative (a split of another length
+  // is not read), or from the caller's first round when it was taken at
+  // this lambda' over these classes.
   double warm_phi = 0.0;
   detail::NewtonState& ns = ws.newton_;
-  // A round handed over by the caller serves this solve only.
-  const double handed_lambda = std::exchange(ws.handed_.lambda, -1.0);
-  auto takes_handed_round = [&](const std::vector<double>& x) {
-    const auto& hr = ws.handed_;
-    if (hr.x.size() != cluster_.size() ||
-        std::bit_cast<std::uint64_t>(handed_lambda) != std::bit_cast<std::uint64_t>(lambda_total)) {
-      return false;
-    }
-    for (std::size_t e = 0; e < x.size(); ++e) {
-      if (std::bit_cast<std::uint64_t>(x[e]) !=
-          std::bit_cast<std::uint64_t>(hr.x[kept_.of(e).front()])) {
-        return false;
-      }
-    }
-    return true;
-  };
+  const FirstRound* given = round;
+  if (given != nullptr && (std::bit_cast<std::uint64_t>(given->lambda) !=
+                               std::bit_cast<std::uint64_t>(lambda_total) ||
+                           given->state.x.size() != kept_.size())) {
+    given = nullptr;
+  }
   auto warm_solve = [&]() -> Expected<int> {
     const std::size_t classes = kept_.size();
     ns.x.resize(classes);
@@ -444,17 +438,17 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
     ns.hub.resize(classes);
     const bool carried = ws.rates_.size() == cluster_.size();
     for (std::size_t e = 0; e < classes; ++e) {
-      ns.x[e] = carried ? ws.rates_[kept_.of(e).front()] : std::numeric_limits<double>::quiet_NaN();
+      ns.x[e] = given != nullptr ? given->state.x[e]
+                : carried        ? ws.rates_[kept_.of(e).front()]
+                                 : std::numeric_limits<double>::quiet_NaN();
       ns.weight[e] = kept_.count(e);
       ns.hub[e] = (1.0 - opts_.saturation_margin) * kept_.queues[e].max_generic_rate();
     }
-    // The first round takes the handed values when they match lambda' and
-    // the whole clamped start, and is charged as if it evaluated them.
-    bool first_round = true;
+    // The given round stands in for the first evaluation, charged as if
+    // it had been evaluated.
     auto eval_at = [&](const std::vector<double>& x, std::vector<double>& g,
                        std::vector<double>& dg) -> std::optional<Error> {
-      const bool handed = first_round && takes_handed_round(x);
-      first_round = false;
+      const FirstRound* taken = std::exchange(given, nullptr);
       for_each_cell([&](const Cell& cell, auto& st, const CellObjective& obj,
                         detail::SolveBudget& b) {
         for (std::size_t k = 0; k < cell.classes; ++k) {
@@ -464,10 +458,9 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
           }
           ++st.evals;
           const std::size_t e = cell.first_class + k;
-          if (handed) {
-            const std::size_t rep = kept_.of(e).front();
-            g[e] = ws.handed_.g[rep];
-            dg[e] = ws.handed_.dg[rep];
+          if (taken != nullptr) {
+            g[e] = taken->state.g[e];
+            dg[e] = taken->state.dg[e];
           } else {
             std::tie(g[e], dg[e]) = obj.marginal_with_derivative(k, x[e]);
           }
@@ -570,6 +563,48 @@ Expected<ShardedLoadDistribution> ShardedOptimizer::solve(double lambda_total, d
     }
   }
   return out;
+}
+
+Expected<double> ShardedOptimizer::first_round(double lambda_total, std::span<const double> rates,
+                                               FirstRound& round) const {
+  round.lambda = -1.0;
+  auto refuse = [](const char* why) {
+    return Error{ErrorCode::InvalidArgument, std::string("first_round: ") + why};
+  };
+  if (!(lambda_total > 0.0) || rates.size() != cluster_.size()) {
+    return refuse("needs lambda' > 0 and one rate per server");
+  }
+  for (const std::size_t g : pruned_.members) {
+    if (rates[g] != 0.0) return refuse("a pruned server holds load");
+  }
+  // The start as the warm solve reads it, checked before any evaluation.
+  detail::NewtonState& s = round.state;
+  const std::size_t classes = kept_.size();
+  s.x.resize(classes);
+  s.weight.resize(classes);
+  for (std::size_t e = 0; e < classes; ++e) {
+    s.x[e] = rates[kept_.of(e).front()];
+    s.weight[e] = kept_.count(e);
+    if (!(s.x[e] >= 0.0 &&
+          s.x[e] < (1.0 - opts_.saturation_margin) * kept_.queues[e].max_generic_rate())) {
+      return refuse("a rate is outside [0, its saturation guard)");
+    }
+    for (const std::size_t g : kept_.of(e)) {
+      if (std::bit_cast<std::uint64_t>(rates[g]) != std::bit_cast<std::uint64_t>(s.x[e])) {
+        return refuse("a class's members hold different rates");
+      }
+    }
+  }
+  s.g.resize(classes);
+  s.dg.resize(classes);
+  const CellObjective obj(kept_.queues, lambda_total);
+  for (std::size_t e = 0; e < classes; ++e) {
+    std::tie(s.g[e], s.dg[e]) = obj.marginal_with_derivative(e, s.x[e]);
+  }
+  const auto fill = detail::water_fill(lambda_total, s);
+  if (!fill) return fill.error();
+  round.lambda = lambda_total;
+  return detail::model_decrease(s, lambda_total, fill.value());
 }
 
 void ShardedOptimizer::finalize(ShardedLoadDistribution& out, double lambda_total) const {

@@ -90,6 +90,14 @@ struct ShardedLoadDistribution {
 /// The solver's workspace (one type for every cell count).
 using ShardedWorkspace = SolverWorkspace;
 
+/// The warm solve's first round at a caller's split (first_round): owned
+/// by the caller and passed to the one solve that may start from it.
+struct FirstRound {
+  double lambda = -1.0;  ///< the lambda' it was taken at; < 0 when there is none
+  /// Per kept class: x, weight, g and g' (as the water-fill capped it).
+  detail::NewtonState state;
+};
+
 /// The solver: same options and error taxonomy as
 /// LoadDistributionOptimizer (plus an Infeasible specific to pruned
 /// capacity), a LoadDistribution inside the result. Construction
@@ -138,12 +146,26 @@ class ShardedOptimizer {
 
   /// Non-throwing counterparts; the same containment contract as
   /// LoadDistributionOptimizer::try_optimize (typed errors, never
-  /// exceptions).
+  /// exceptions). A warm solve takes `round` (first_round's) as its start
+  /// and first round when it was taken at lambda_total, bit for bit, over
+  /// as many classes: the same bits, evaluations and budget charge as
+  /// evaluating it. Otherwise the round is ignored.
   [[nodiscard]] Expected<ShardedLoadDistribution> try_optimize(double lambda_total) const;
-  Expected<ShardedLoadDistribution> try_optimize(double lambda_total,
-                                                 ShardedWorkspace& ws) const;
+  Expected<ShardedLoadDistribution> try_optimize(double lambda_total, ShardedWorkspace& ws,
+                                                 const FirstRound* round = nullptr) const;
   Expected<ShardedLoadDistribution> try_optimize(double lambda_total, par::ThreadPool& pool,
                                                  ShardedWorkspace& ws) const;
+
+  /// The warm solve's first round at `rates` (one per server, a split of
+  /// lambda_total) into `round`: each kept class reads its representative's
+  /// rate, as a warm start does, and is evaluated once. Returns the T'
+  /// decrease the round's model predicts (detail::water_fill, then
+  /// detail::model_decrease). A typed error, and no round, when a rate is
+  /// not in [0, its class's saturation guard), a class member's rate is
+  /// not its representative's bit for bit, a pruned server holds load, or
+  /// the water-fill fails.
+  Expected<double> first_round(double lambda_total, std::span<const double> rates,
+                               FirstRound& round) const;
 
  private:
   /// Server classes, every cell's in cell order: servers of one cell
@@ -181,9 +203,11 @@ class ShardedOptimizer {
   void build_cells();
   void prepare_workspace(SolverWorkspace& ws) const;
   Expected<ShardedLoadDistribution> optimize_core(double lambda_total, par::ThreadPool* pool,
-                                                  SolverWorkspace& ws) const;
+                                                  SolverWorkspace& ws,
+                                                  const FirstRound* round = nullptr) const;
   Expected<ShardedLoadDistribution> solve(double lambda_total, double lambda_max,
-                                          par::ThreadPool* pool, SolverWorkspace& ws) const;
+                                          par::ThreadPool* pool, SolverWorkspace& ws,
+                                          const FirstRound* round) const;
   void finalize(ShardedLoadDistribution& out, double lambda_total) const;
   [[nodiscard]] double prune_bound(const std::vector<double>& class_rates, double phi,
                                    double lambda_total, double t_prime, long* evals) const;

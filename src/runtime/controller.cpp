@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -58,7 +59,6 @@ Controller::Controller(model::Cluster cluster, ControllerConfig cfg)
   solved_special_.assign(n, -1.0);
   model_alive_.reserve(n);
   model_special_.reserve(n);
-  round_.queues.reserve(n);
 
   ewma_.assign(n + 1, EwmaRateEstimator(cfg_.half_life, 0.0));
 
@@ -358,7 +358,7 @@ void Controller::check_drift(double t) {
     resolve(t);
     return;
   }
-  round_.started_ns = obs::monotonic_ns();
+  const std::uint64_t started = obs::monotonic_ns();
   const double lam = estimated_lambda(t);
   const double ceiling = cfg_.utilization_ceiling * build_model(t);
   // Feasibility first: only a re-solve engages admission control at the
@@ -369,80 +369,44 @@ void Controller::check_drift(double t) {
     resolve(t);
     return;
   }
-  const double loss = predict_loss(lam);
-  if (loss < 0.0) {
-    ++stats_.unevaluated_checks;
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, loss, cfg_.loss_threshold, t);
-    resolve(t);
+
+  // The held split at lambda-hat over the modelled servers (those with a
+  // preload in model_special_). Without a reference T', a table, or with
+  // weight on a server the re-solve leaves out, there is nothing to price:
+  // the check fires.
+  const auto table = weights();
+  bool held = reference_tprime_ > 0.0 && table && table->fractions().size() == cluster_.size();
+  std::vector<double> rates;
+  rates.reserve(model_alive_.size());
+  for (std::size_t i = 0; held && i < cluster_.size(); ++i) {
+    const double fraction = table->fractions()[i];
+    if (model_special_[i] >= 0.0) {
+      rates.push_back(fraction * lam);
+    } else {
+      held = !(fraction > 0.0);
+    }
+  }
+  // Otherwise the re-solve's own solver takes its warm solve's first round
+  // there, one evaluation per kept class, and the round's model prices it.
+  std::optional<opt::ShardedOptimizer> solver;
+  double loss = -1.0;
+  if (held) {
+    solver.emplace(make_solver());
+    if (const auto decrease = solver->first_round(lam, rates, round_)) {
+      loss = std::max(0.0, decrease.value()) / reference_tprime_;
+    }
+  }
+  if (loss >= 0.0) BLADE_OBS_OBSERVE("runtime.predicted_loss", loss);
+  if (loss >= 0.0 && loss <= cfg_.loss_threshold) {
+    ++stats_.skipped_by_hysteresis;
+    stats_.check_evaluations += solver->server_classes();
+    BLADE_OBS_COUNT("runtime.skipped_by_hysteresis");
     return;
   }
-  BLADE_OBS_OBSERVE("runtime.predicted_loss", loss);
-  if (loss > cfg_.loss_threshold) {
-    ++stats_.loss_checks;
-    BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, loss, cfg_.loss_threshold, t);
-    resolve(t, &round_);
-  } else {
-    ++stats_.skipped_by_hysteresis;
-    stats_.check_evaluations += round_.x.size();
-    BLADE_OBS_COUNT("runtime.skipped_by_hysteresis");
-  }
-}
-
-double Controller::predict_loss(double lam) {
-  // Without a reference T', a table, or a split the round can be taken
-  // at, there is nothing to evaluate: the check fires.
-  const auto table = weights();
-  if (!(reference_tprime_ > 0.0) || !(lam > 0.0) || !table ||
-      table->fractions().size() != cluster_.size()) {
-    return -1.0;
-  }
-  const auto& frac = table->fractions();
-  std::size_t next = 0;  // model_alive_ is in index order
-  for (std::size_t i = 0; i < frac.size(); ++i) {
-    const bool modelled = next < model_alive_.size() && model_alive_[next] == i;
-    if (modelled) {
-      ++next;
-    } else if (frac[i] > 0.0) {
-      return -1.0;  // weight on a server the re-solve leaves out
-    }
-  }
-  const std::size_t n = model_alive_.size();
-  round_.lambda = lam;
-  round_.queues.clear();
-  round_.x.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = model_alive_[k];
-    round_.queues.push_back(
-        model_server(i).queue(cluster_.rbar(), cfg_.discipline, cfg_.solver.service_scv));
-    round_.x[k] = frac[i] * lam;
-    // The solve's own guard: a split at or past it cannot be evaluated
-    // (nor would the solve start from it).
-    if (!(round_.x[k] < (1.0 - cfg_.solver.saturation_margin) *
-                            round_.queues.back().max_generic_rate())) {
-      return -1.0;
-    }
-  }
-
-  // One batched kernel sweep, scaled by 1/lambda' as the solve scales its
-  // own evaluations, so a fired check's round is bitwise its re-solve's.
-  round_.g.resize(n);
-  round_.dg.resize(n);
-  queue::batch_lagrange_marginal_with_derivative(round_.queues, round_.x, round_.g, round_.dg);
-  const double inv_lambda = 1.0 / lam;
-  auto& ns = round_.newton;
-  ns.x.assign(round_.x.begin(), round_.x.end());
-  ns.weight.assign(n, 1.0);
-  ns.g.resize(n);
-  ns.dg.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    round_.g[k] *= inv_lambda;
-    round_.dg[k] *= inv_lambda;
-    ns.g[k] = round_.g[k];
-    ns.dg[k] = round_.dg[k];
-  }
-  const auto decrease = opt::newton_round_decrease(lam, ns);
-  if (!decrease) return -1.0;  // no round to take (a non-finite marginal)
-  return std::max(0.0, decrease.value()) / reference_tprime_;
+  // Fired, unevaluated (loss -1) or on predicted loss, which has a round.
+  ++(loss < 0.0 ? stats_.unevaluated_checks : stats_.loss_checks);
+  BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, loss, cfg_.loss_threshold, t);
+  resolve(t, started, solver ? &*solver : nullptr, loss < 0.0 ? nullptr : &round_);
 }
 
 void Controller::set_mode(Mode m, obs::Cause cause) {
@@ -575,14 +539,28 @@ double Controller::build_model(double t) {
   return lambda_max;
 }
 
-model::BladeServer Controller::model_server(std::size_t i) const {
-  // The solver sees the health-degraded effective speed: a Probation
-  // blade gets its frozen quarantine-era estimate (floored), so the
-  // optimizer allocates probe-sized flow instead of the nominal share.
-  return {avail_[i], cluster_.server(i).speed() * health_factor(i), model_special_[i]};
+opt::ShardedOptimizer Controller::make_solver() const {
+  // Surviving blades and the preloads in model_special_. The solver sees
+  // the health-degraded effective speed: a Probation blade gets its frozen
+  // quarantine-era estimate (floored), so the optimizer allocates
+  // probe-sized flow instead of the nominal share.
+  std::vector<model::BladeServer> servers;
+  servers.reserve(model_alive_.size());
+  for (std::size_t i : model_alive_) {
+    servers.emplace_back(avail_[i], cluster_.server(i).speed() * health_factor(i),
+                         model_special_[i]);
+  }
+  // shard_cells = 0 solves as one cell on this thread. The controller
+  // only needs rates, so the per-server metric expansion is skipped.
+  opt::ShardOptions shard;
+  shard.cells = std::clamp<std::size_t>(cfg_.shard_cells, 1, model_alive_.size());
+  shard.prune.top_k = cfg_.prune_top_k;
+  shard.finalize_metrics = false;
+  return {model::Cluster(std::move(servers), cluster_.rbar()), cfg_.discipline, cfg_.solver, shard};
 }
 
-void Controller::resolve(double t, const CheckRound* handed) {
+void Controller::resolve(double t, std::uint64_t started_ns,
+                         const opt::ShardedOptimizer* check_solver, const opt::FirstRound* round) {
   ++stats_.resolves;
   BLADE_OBS_COUNT("runtime.resolves");
   BLADE_OBS_TIMER("runtime.resolve_seconds");
@@ -596,7 +574,7 @@ void Controller::resolve(double t, const CheckRound* handed) {
       stats.last_resolve_seconds = elapsed;
       stats.resolve_seconds_total += elapsed;
     }
-  } resolve_timer{stats_, handed != nullptr ? handed->started_ns : obs::monotonic_ns()};
+  } resolve_timer{stats_, started_ns != 0 ? started_ns : obs::monotonic_ns()};
   reference_tprime_ = -1.0;  // until this solve succeeds
 
   const double lam_hat =
@@ -632,10 +610,6 @@ void Controller::resolve(double t, const CheckRound* handed) {
     return;
   }
 
-  std::vector<model::BladeServer> servers;
-  servers.reserve(alive.size());
-  for (std::size_t i : alive) servers.push_back(model_server(i));
-  model::Cluster surviving(std::move(servers), cluster_.rbar());
   const auto sol = [&]() -> Expected<opt::LoadDistribution> {
     if (armed_faults_ > 0) {
       --armed_faults_;
@@ -644,10 +618,13 @@ void Controller::resolve(double t, const CheckRound* handed) {
       BLADE_OBS_EVENT(ChaosInject, obs::Cause::InjectedFault, t, 0.0, 0.0);
       return Error{ErrorCode::NonConvergence, "injected solver fault"};
     }
-    if (handed != nullptr) {
-      // The check's split, already at lambda-hat, and its round.
-      ws_.hand_round(handed->lambda, handed->x, handed->g, handed->dg);
-    } else if (lkg_.valid) {
+    // A check that fired built this solve's solver over the same model,
+    // and on predicted loss its round: the held split at lambda-hat,
+    // already evaluated, which the solve starts from.
+    std::optional<opt::ShardedOptimizer> built;
+    const opt::ShardedOptimizer& solver =
+        check_solver != nullptr ? *check_solver : built.emplace(make_solver());
+    if (round == nullptr && lkg_.valid) {
       // Start from the last successful split over the servers this solve
       // sees: after a failover or a quarantine the workspace's own rates
       // are indexed by the previous alive set. A no-op on a workspace
@@ -657,14 +634,7 @@ void Controller::resolve(double t, const CheckRound* handed) {
       for (std::size_t k = 0; k < alive.size(); ++k) start[k] = lkg_.weights[alive[k]];
       ws_.warm_start(start);
     }
-    // shard_cells = 0 solves as one cell on this thread. The controller
-    // only needs rates, so the per-server metric expansion is skipped.
-    opt::ShardOptions shard;
-    shard.cells = std::clamp<std::size_t>(cfg_.shard_cells, 1, alive.size());
-    shard.prune.top_k = cfg_.prune_top_k;
-    shard.finalize_metrics = false;
-    const opt::ShardedOptimizer solver(std::move(surviving), cfg_.discipline, cfg_.solver, shard);
-    auto res = solver.try_optimize(target, ws_);
+    auto res = solver.try_optimize(target, ws_, round);
     if (!res) return res.error();
     return std::move(res).value().dist;
   }();

@@ -7,11 +7,10 @@
 //                configurable half-life);
 //   re-solve     the optimal split through a persistent SolverWorkspace
 //                with hysteresis — a drift check every check_interval
-//                arrivals, a re-solve only when one round of the warm
-//                solve's Newton iteration, evaluated at the published
-//                split under the current estimates, predicts a relative
-//                T' loss above loss_threshold; the re-solve then takes
-//                that round as its first. Every re-solve, sharded,
+//                arrivals, a re-solve only when the first round of the
+//                re-solve's own warm solve, taken at the published split
+//                under the current estimates, predicts a relative T' loss
+//                above loss_threshold. Every re-solve, sharded,
 //                failovers and health-driven ones included, starts warm
 //                from the last successful split mapped onto the servers
 //                it sees (see SolverWorkspace::warm_start);
@@ -125,8 +124,8 @@ struct ControllerConfig {
   std::size_t shard_cells = 0;
   /// Per-cell top-k rate-matrix pruning of the re-solve; requires
   /// shard_cells > 0. 0 (default) keeps every server. The drift check
-  /// models every server, so it may fire on load a pruned solve cannot
-  /// move.
+  /// runs on the re-solve's solver, so it prices only the kept servers,
+  /// and fires without evaluating when a pruned server holds load.
   std::size_t prune_top_k = 0;
   /// Gray-failure detection: per-blade health scoring + the quarantine
   /// state machine (runtime/health.hpp). Off by default; when enabled the
@@ -154,9 +153,9 @@ struct ControllerStats {
   std::uint64_t unevaluated_checks = 0;  ///< fired without evaluating the round
   std::uint64_t loss_checks = 0;         ///< fired: predicted loss above loss_threshold
   std::uint64_t skipped_by_hysteresis = 0;  ///< predicted loss within loss_threshold
-  /// Marginal evaluations of the checks that did not fire (a fired
-  /// check's round is its re-solve's first, counted in
-  /// solver_evaluations).
+  /// Marginal evaluations of the checks that did not fire: one per class
+  /// the re-solve's solver keeps (a fired check's round is its re-solve's
+  /// first, counted in solver_evaluations).
   std::uint64_t check_evaluations = 0;
   std::uint64_t infeasible_resolves = 0;    ///< re-solves that engaged shedding
   std::uint64_t failures = 0;           ///< blade-failure events ingested
@@ -365,36 +364,21 @@ class Controller {
   /// -1 for the servers left out): alive, and not quarantined unless the
   /// fleet is otherwise dark. Returns their lambda'_max.
   double build_model(double t);
-  /// Server i as a re-solve models it: surviving blades, health-degraded
-  /// speed, the preload in model_special_.
-  [[nodiscard]] model::BladeServer model_server(std::size_t i) const;
+  /// The re-solve's solver over the servers build_model() chose, as the
+  /// re-solve models them, for the drift check and resolve() alike.
+  [[nodiscard]] opt::ShardedOptimizer make_solver() const;
   /// The drift check, every check_interval generic arrivals (see
   /// docs/runtime.md): re-solves during warmup, in a degraded mode, at
-  /// the admission ceiling or while shedding, when predict_loss has
-  /// nothing to evaluate, and when its loss exceeds loss_threshold;
-  /// otherwise counts a skip.
+  /// the admission ceiling or while shedding, when the held split has no
+  /// round to price, and when the round's predicted loss exceeds
+  /// loss_threshold; otherwise counts a skip.
   void check_drift(double t);
-  /// The drift check's round at lambda' = `lam` over the modelled servers:
-  /// fills round_ and returns the predicted relative T' loss, or -1 when
-  /// the check must fire without evaluating.
-  double predict_loss(double lam);
-
-  /// A drift check's evaluated Newton round, kept as scratch across
-  /// checks so a check allocates nothing.
-  struct CheckRound {
-    std::uint64_t started_ns = 0;  ///< when the check began
-    double lambda = 0.0;           ///< lambda-hat it was evaluated at
-    std::vector<queue::BladeQueue> queues;  ///< per modelled server
-    std::vector<double> x;         ///< published fraction * lambda-hat
-    std::vector<double> g;         ///< g_i at x, scaled by 1/lambda-hat
-    std::vector<double> dg;        ///< g'_i at x, same scaling
-    opt::detail::NewtonState newton;  ///< the water-fill's copy of the round
-  };
-  /// Re-solves at time t. With `handed`, the drift check that fired it
-  /// hands over its round: the solve starts from its split and takes its
-  /// evaluations as the first round, and its time counts from the
-  /// check's start.
-  void resolve(double t, const CheckRound* handed = nullptr);
+  /// Re-solves at time t. A drift check that fires hands over when it
+  /// started (the re-solve is timed from there), the solver it built, and
+  /// on predicted loss the round it evaluated, which the solve starts from.
+  void resolve(double t, std::uint64_t started_ns = 0,
+               const opt::ShardedOptimizer* check_solver = nullptr,
+               const opt::FirstRound* round = nullptr);
   /// Validated publication: rejects any weight vector AliasTable would
   /// not accept (NaN/negative/all-zero) instead of publishing it.
   /// Returns false and leaves the previous table in place on rejection.
@@ -438,7 +422,7 @@ class Controller {
   double reference_tprime_ = -1.0;
   std::vector<std::size_t> model_alive_;
   std::vector<double> model_special_;
-  CheckRound round_;
+  opt::FirstRound round_;  ///< drift-check scratch, handed only to the re-solve it fires
   std::uint64_t arrivals_since_check_ = 0;
   ControllerStats stats_;
 

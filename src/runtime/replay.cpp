@@ -1,10 +1,12 @@
 #include "runtime/replay.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +55,13 @@ Error parse_fail(std::size_t line_no, const std::string& what) {
   return make_error(ErrorCode::ParseError, msg.str());
 }
 
+/// Reads the next field into an unsigned `out`, written in digits:
+/// extraction would wrap a minus sign around.
+template <class T>
+bool read_digits(std::istream& fields, T& out) {
+  return std::isdigit((fields >> std::ws).peek()) && (fields >> out);
+}
+
 }  // namespace
 
 Expected<ReplayTrace> try_parse_replay_trace(const std::string& text) {
@@ -64,7 +73,7 @@ Expected<ReplayTrace> try_parse_replay_trace(const std::string& text) {
   double last_time = 0.0;
   // Which servers the trace has fully failed so far, to reject the
   // contradictory "fail again what is already gone".
-  std::vector<bool> fully_failed;
+  std::set<std::size_t> fully_failed;
   while (std::getline(in, line)) {
     ++line_no;
     if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
@@ -75,7 +84,7 @@ Expected<ReplayTrace> try_parse_replay_trace(const std::string& text) {
       if (!(fields >> trace.horizon)) return parse_fail(line_no, "horizon needs a number");
       have_horizon = true;
     } else if (keyword == "seed") {
-      if (!(fields >> trace.seed)) return parse_fail(line_no, "seed needs an integer");
+      if (!read_digits(fields, trace.seed)) return parse_fail(line_no, "seed needs digits only");
     } else if (keyword == "rate") {
       ReplayEvent e;
       e.kind = ReplayEvent::Kind::Rate;
@@ -87,26 +96,27 @@ Expected<ReplayTrace> try_parse_replay_trace(const std::string& text) {
     } else if (keyword == "fail" || keyword == "recover") {
       ReplayEvent e;
       e.kind = keyword == "fail" ? ReplayEvent::Kind::Fail : ReplayEvent::Kind::Recover;
-      if (!(fields >> e.time >> e.server)) {
-        return parse_fail(line_no, keyword + " needs <t> <server>");
+      if (!(fields >> e.time) || !read_digits(fields, e.server)) {
+        return parse_fail(line_no, keyword + " needs <t> <server index>");
       }
-      fields >> e.blades;  // optional; stays 0 (= all) when absent
-      if (e.server >= fully_failed.size()) fully_failed.resize(e.server + 1, false);
+      // Blades are optional; they stay 0 (= all) when absent.
+      if (!(fields >> std::ws).eof() && !read_digits(fields, e.blades)) {
+        return parse_fail(line_no, keyword + ": blades must be a non-negative integer");
+      }
       if (e.kind == ReplayEvent::Kind::Fail && e.blades == 0) {
-        if (fully_failed[e.server]) {
+        if (!fully_failed.insert(e.server).second) {
           return parse_fail(line_no, "server " + std::to_string(e.server) +
                                          " is already fully failed");
         }
-        fully_failed[e.server] = true;
       } else if (e.kind == ReplayEvent::Kind::Recover) {
-        fully_failed[e.server] = false;
+        fully_failed.erase(e.server);
       }
       trace.events.push_back(e);
     } else if (keyword == "slow") {
       ReplayEvent e;
       e.kind = ReplayEvent::Kind::Slow;
-      if (!(fields >> e.time >> e.server >> e.factor)) {
-        return parse_fail(line_no, "slow needs <t> <server> <factor>");
+      if (!(fields >> e.time) || !read_digits(fields, e.server) || !(fields >> e.factor)) {
+        return parse_fail(line_no, "slow needs <t> <server index> <factor>");
       }
       if (!std::isfinite(e.factor) || e.factor <= 0.0 || e.factor > 1.0) {
         return parse_fail(line_no, "slowdown factor must be in (0, 1]");
@@ -115,8 +125,8 @@ Expected<ReplayTrace> try_parse_replay_trace(const std::string& text) {
     } else if (keyword == "stall" || keyword == "unstall") {
       ReplayEvent e;
       e.kind = keyword == "stall" ? ReplayEvent::Kind::Stall : ReplayEvent::Kind::Unstall;
-      if (!(fields >> e.time >> e.server)) {
-        return parse_fail(line_no, keyword + " needs <t> <server>");
+      if (!(fields >> e.time) || !read_digits(fields, e.server)) {
+        return parse_fail(line_no, keyword + " needs <t> <server index>");
       }
       trace.events.push_back(e);
     } else {

@@ -124,4 +124,16 @@ model::Cluster churn_cluster() {
   return model::make_cluster(sizes, speeds, 1.0, 0.2);
 }
 
+model::Cluster interleaved_catalog(std::size_t skus, std::size_t per_sku) {
+  const std::size_t n = skus * per_sku;
+  std::vector<unsigned> sizes(n);
+  std::vector<double> speeds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t s = i % skus;
+    sizes[i] = 2 + static_cast<unsigned>(s % 5);
+    speeds[i] = 0.6 + 0.45 * static_cast<double>(s);
+  }
+  return model::make_cluster(sizes, speeds, 1.0, 0.2);
+}
+
 }  // namespace blade::testsupport

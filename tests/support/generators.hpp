@@ -54,4 +54,11 @@ struct Instance {
 /// [0.5, 2.5], rbar 1 and a 20% special preload.
 [[nodiscard]] model::Cluster churn_cluster();
 
+/// A catalog fleet: `skus` server types of `per_sku` servers each,
+/// interleaved (server i has type i % skus), so every cell of a
+/// contiguous partition holds several servers of each type and the
+/// solver coalesces them into classes. Type s has 2 + s % 5 blades and
+/// speed 0.6 + 0.45 s; rbar 1 and a 20% special preload.
+[[nodiscard]] model::Cluster interleaved_catalog(std::size_t skus, std::size_t per_sku);
+
 }  // namespace blade::testsupport

@@ -448,6 +448,7 @@ TEST_F(CliServeReplay, LossThresholdIsHonoured) {
   const std::string lazy = checks_line("0.5");
   EXPECT_NE(eager.find("predicted loss"), std::string::npos) << eager;
   EXPECT_NE(lazy.find("(threshold 0.5)"), std::string::npos) << lazy;
+  EXPECT_NE(lazy.find(" evaluations each "), std::string::npos) << lazy;
   EXPECT_NE(eager, lazy);
 }
 
@@ -566,7 +567,8 @@ TEST_F(CliServeReplay, SolverFlagsAreHonouredOrRejected) {
         args.insert(args.end(), {"--shards", "2"});
       }
       const std::string err = error_of(args);
-      EXPECT_TRUE(err.rfind("spec: ", 0) == 0 || err == "stoi") << what << ": " << err;
+      EXPECT_TRUE(err.rfind("spec: ", 0) == 0 || err.find("<number>") != std::string::npos)
+          << what << ": " << err;
       if (flag.needs.empty()) continue;
       args.resize(base.size() + flag.given.size());
       const std::string bare = error_of(args);
@@ -587,6 +589,72 @@ TEST_F(CliServeReplay, SolverFlagsAreHonouredOrRejected) {
   };
   for (const auto& args : combined) {
     EXPECT_NO_THROW((void)cli::run_cli(args)) << args[0] << " " << args[3] << " " << args[5];
+  }
+}
+
+// A numeric value is parsed whole: trailing junk is rejected, and an
+// unsigned value takes no sign (a minus sign would wrap it around). The
+// error names the flag, or the positional argument as usage() names it,
+// and quotes the token. One case per numeric flag.
+TEST_F(CliServeReplay, NumericValuesAreParsedWhole) {
+  const std::vector<std::string> counts = {"--seed", "--chaos-seed", "--shards", "--prune-k",
+                                           "--recorder-capacity"};
+  std::vector<std::string> flags = {
+      "--scv",
+      "--half-life",
+      "--ceiling",
+      "--loss-threshold",
+      "--slo-target",
+      "--slo-max-shed",
+      "--health-suspect",
+      "--health-quarantine",
+      "--health-recover",
+      "--health-suspect-dwell",
+      "--health-quarantine-dwell",
+      "--health-probation-dwell",
+      "--health-half-life",
+      "--checkpoint-every",
+      "--reps",
+      "--slo-epochs",
+      "--threads",
+      "--probe-d",
+  };
+  flags.insert(flags.end(), counts.begin(), counts.end());
+  auto rejected = [](const std::vector<std::string>& args, const std::string& name,
+                     const std::string& token) {
+    try {
+      (void)cli::run_cli(args);
+      ADD_FAILURE() << name << " " << token << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string err = e.what();
+      EXPECT_NE(err.find(name), std::string::npos) << err;
+      EXPECT_NE(err.find("'" + token + "'"), std::string::npos) << err;
+    }
+  };
+  for (const std::string& flag : flags) {
+    rejected({"serve-replay", path_, trace_path_, flag, "2x"}, flag, "2x");
+  }
+  for (const std::string& flag : counts) {
+    rejected({"serve-replay", path_, trace_path_, flag, "-1"}, flag, "-1");
+  }
+  rejected({"sweep", path_, "2", "9", "-1"}, "<points>", "-1");
+  rejected({"sweep", path_, "2", "9", "4x"}, "<points>", "4x");
+  rejected({"optimize", path_, "8x"}, "<lambda>", "8x");
+  rejected({"figures", "12x", "csv"}, "<number>", "12x");
+}
+
+// An explicit --seed 0 replays seed 0, with the controller and with
+// --policy, instead of falling back to the trace file's seed (7 here);
+// --chaos-seed 0 turns fault injection on with seed 0.
+TEST_F(CliServeReplay, SeedZeroIsHonoured) {
+  for (const bool policy : {false, true}) {
+    std::vector<std::string> args = {"serve-replay", path_, trace_path_};
+    if (policy) args.insert(args.end(), {"--policy", "jsq-d"});
+    EXPECT_NE(cli::run_cli(args).find("(seed 7"), std::string::npos) << policy;
+    args.insert(args.end(), {"--seed", "0", "--chaos-seed", "0"});
+    const std::string out = cli::run_cli(args);
+    EXPECT_NE(out.find("(seed 0"), std::string::npos) << out;
+    EXPECT_NE(out.find("chaos             profile moderate (seed 0)"), std::string::npos) << out;
   }
 }
 

@@ -1,10 +1,13 @@
-// The controller's drift check: one joint-Newton round at the published
-// split under the current estimates predicts the relative T' loss of
+// The controller's drift check: the first round of the warm solve the
+// re-solve would run, taken by the re-solve's own solver at the published
+// split under the current estimates, predicts the relative T' loss of
 // holding that split, and a check re-solves only when the prediction
 // exceeds loss_threshold. This suite holds the check to the truth (T' of
 // the held split against a cold optimize() at the same estimates), pins
-// the handover of a fired check's round to its re-solve bit for bit, and
-// pins the cost of a check that does not fire.
+// the round a fired check hands its re-solve to the solve's own first
+// round bit for bit, and pins what a check prices: one evaluation per
+// kept class, nothing of a split that is not one rate per class, and no
+// pruned server.
 //
 // The harness drives a controller whose EWMA estimators decay at rate 1/w
 // and see every arrival at t = 64 w, where the bias correction
@@ -22,6 +25,7 @@
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -45,13 +49,15 @@ const double kCeiling = runtime::ControllerConfig{}.utilization_ceiling;
 class Published {
  public:
   /// Feeds `generic` generic arrivals and round(lambda''_i w) special
-  /// arrivals per server at at(), then re-solves. The next drift check
-  /// comes with the `next_check`-th generic arrival after that.
+  /// arrivals per server at at(), then re-solves (in `shard_cells` cells).
+  /// The next drift check comes with the `next_check`-th generic arrival
+  /// after that.
   Published(const model::Cluster& c, queue::Discipline d, double w, std::uint64_t generic,
-            std::uint64_t next_check)
+            std::uint64_t next_check, std::size_t shard_cells = 0)
       : w_(w) {
     runtime::ControllerConfig cfg;
     cfg.discipline = d;
+    cfg.shard_cells = shard_cells;
     cfg.half_life = w * std::numbers::ln2;  // decay rate 1/w
     cfg.min_arrivals = 1;
     cfg.check_interval = generic + next_check;
@@ -78,6 +84,20 @@ std::uint64_t checks_run(const runtime::ControllerStats& s) {
   return s.shedding_checks + s.unevaluated_checks + s.loss_checks + s.skipped_by_hysteresis;
 }
 
+/// The instance a re-solve at time t models when every server is up:
+/// the controller's special-rate estimates, clamped as it clamps them.
+model::Cluster estimated_cluster(const model::Cluster& c, const runtime::Controller& ctrl,
+                                 double t) {
+  std::vector<model::BladeServer> servers;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const auto& s = c.server(i);
+    const double capacity = s.size() * s.speed() / c.rbar();
+    servers.emplace_back(s.size(), s.speed(),
+                         std::min(ctrl.estimated_special_rate(i, t), kCeiling * capacity));
+  }
+  return {std::move(servers), c.rbar()};
+}
+
 /// The truth behind one check at time t: the relative T' loss of holding
 /// `held` (the fractions published before the check) at the estimates the
 /// check saw, against a cold optimize() of that instance; +inf when the
@@ -86,14 +106,7 @@ std::uint64_t checks_run(const runtime::ControllerStats& s) {
 double true_loss(const model::Cluster& c, queue::Discipline d, const runtime::Controller& ctrl,
                  const std::vector<double>& held, double t) {
   const double lambda = ctrl.estimated_lambda(t);
-  std::vector<model::BladeServer> servers;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const auto& s = c.server(i);
-    const double capacity = s.size() * s.speed() / c.rbar();
-    servers.emplace_back(s.size(), s.speed(),
-                         std::min(ctrl.estimated_special_rate(i, t), kCeiling * capacity));
-  }
-  const model::Cluster now(std::move(servers), c.rbar());
+  const model::Cluster now = estimated_cluster(c, ctrl, t);
   if (!(lambda < kCeiling * now.max_generic_rate())) {
     return std::numeric_limits<double>::quiet_NaN();
   }
@@ -147,14 +160,16 @@ void judge(const std::string& what, const model::Cluster& c, queue::Discipline d
   }
 }
 
-/// Every perturbation of one instance at one load, each from the published
-/// optimum: lambda' steps up by 1% and 5%, every estimate decays by 1% and
-/// 5%, and one special arrival at each server.
+/// Every perturbation of one instance at one load, each from the optimum
+/// published by a controller of `cells` cells: lambda' steps up by 1% and
+/// 5%, every estimate decays by 1% and 5%, and one special arrival at each
+/// server.
 void judge_instance(const std::string& name, const model::Cluster& c, queue::Discipline d,
-                    double load, Tally& tally) {
+                    double load, Tally& tally, std::size_t cells = 0) {
   const double lambda0 = load * c.max_generic_rate();
   std::ostringstream tag;
-  tag << name << " (" << queue::to_string(d) << ") at " << load << " of lambda'_max";
+  tag << name << " (" << queue::to_string(d) << ", " << cells << " cells) at " << load
+      << " of lambda'_max";
 
   // Steps: 2,000 generic arrivals at at(), so lambda' is 2,000 / w and 1%
   // is 20 arrivals.
@@ -163,7 +178,7 @@ void judge_instance(const std::string& name, const model::Cluster& c, queue::Dis
   for (const double delta : {0.01, 0.05}) {
     const auto moved = static_cast<std::uint64_t>(std::llround(delta * kStepArrivals));
     {
-      Published up(c, d, w_step, kStepArrivals, moved);
+      Published up(c, d, w_step, kStepArrivals, moved, cells);
       judge(tag.str() + " step +" + std::to_string(delta), c, d, up, up.at(),
             [&](runtime::Controller& ctrl) {
               for (std::uint64_t k = 0; k < moved; ++k) ctrl.on_generic_arrival(up.at(), 0.5);
@@ -173,7 +188,7 @@ void judge_instance(const std::string& name, const model::Cluster& c, queue::Dis
     {
       // An EWMA forgets every stream at once: lambda' and each lambda''_i
       // step down together.
-      Published down(c, d, w_step, kStepArrivals, 1);
+      Published down(c, d, w_step, kStepArrivals, 1, cells);
       const double t = down.decayed_by(delta);
       judge(tag.str() + " step -" + std::to_string(delta), c, d, down, t,
             [&](runtime::Controller& ctrl) { ctrl.on_generic_arrival(t, 0.5); }, tally);
@@ -190,7 +205,7 @@ void judge_instance(const std::string& name, const model::Cluster& c, queue::Dis
   const double w_bump = 1.0 / (0.034 * capacity / static_cast<double>(c.size()));
   const auto generic = static_cast<std::uint64_t>(std::max(1LL, std::llround(lambda0 * w_bump)));
   for (std::size_t j = 0; j < c.size(); ++j) {
-    Published p(c, d, w_bump, generic, 1);
+    Published p(c, d, w_bump, generic, 1, cells);
     judge(tag.str() + " bump at server " + std::to_string(j), c, d, p, p.at(),
           [&](runtime::Controller& ctrl) {
             ctrl.on_special_arrival(p.at(), j);
@@ -200,18 +215,22 @@ void judge_instance(const std::string& name, const model::Cluster& c, queue::Dis
   }
 }
 
-// No false skip and no pointless fire. Over the differential corpus and
-// serve-churn's cluster at 35, 57 and 80% of lambda'_max: every check
-// whose true relative loss exceeds 2 loss_threshold re-solves, and none
-// whose true loss is below loss_threshold/4 does. (An estimate-movement
-// trigger fails the second half: a single special arrival moves an
-// estimate by several percent of a server's capacity while the held split
-// loses far less than that.)
+// No false skip and no pointless fire. Over the differential corpus,
+// serve-churn's cluster, and a catalog cluster whose servers coalesce into
+// classes (solved in 1 and 3 cells) at 35, 57 and 80% of lambda'_max:
+// every check whose true relative loss exceeds 2 loss_threshold re-solves,
+// and none whose true loss is below loss_threshold/4 does. (An
+// estimate-movement trigger fails the second half: a single special
+// arrival moves an estimate by several percent of a server's capacity
+// while the held split loses far less than that.)
 TEST(DriftCheck, NoFalseSkipsAndNoPointlessFires) {
   Tally tally;
   for (const double load : {0.35, 0.57, 0.80}) {
     for (const auto d : {queue::Discipline::Fcfs, queue::Discipline::SpecialPriority}) {
       judge_instance("churn", testsupport::churn_cluster(), d, load, tally);
+      for (const std::size_t cells : {std::size_t{1}, std::size_t{3}}) {
+        judge_instance("catalog", testsupport::interleaved_catalog(4, 6), d, load, tally, cells);
+      }
       for (const auto& inst : testsupport::instance_corpus(3, d)) {
         judge_instance(inst.name, inst.cluster, d, load, tally);
       }
@@ -241,11 +260,12 @@ void expect_bitwise(const opt::ShardedLoadDistribution& a, const opt::ShardedLoa
   EXPECT_EQ(a.dist.outer_iterations, b.dist.outer_iterations) << what;
 }
 
-// A round handed over by a drift check is the solve's own first round:
-// the same rates, phi, T' and evaluation count, bit for bit, as a solve
-// that evaluates it, on one cell and on several, with coalesced classes
-// reading their representative's values. A round handed for another
-// lambda' or another start is not taken.
+// The round a drift check takes (ShardedOptimizer::first_round) is the
+// solve's own first round: the same rates, phi, T' and evaluation count,
+// bit for bit, as a solve that evaluates it from the same start, on one
+// cell and on several, with coalesced classes. Its values are the ones
+// used, and a round taken at another lambda', or handed to a workspace
+// without a previous solve, is ignored.
 TEST(DriftCheck, HandedRoundIsTheSolvesOwnFirstRound) {
   const std::vector<std::pair<std::string, model::Cluster>> clusters = {
       {"churn", testsupport::churn_cluster()},
@@ -265,66 +285,98 @@ TEST(DriftCheck, HandedRoundIsTheSolvesOwnFirstRound) {
       opt::SolverWorkspace base;
       const auto first = solver.optimize(published, base);
 
-      // The check's round: the published split scaled to the new lambda',
-      // one batched sweep, scaled by 1/lambda'.
+      // The check's round: the published split scaled to the new lambda'.
       std::vector<double> x(cluster.size());
       for (std::size_t i = 0; i < x.size(); ++i) x[i] = first.dist.rates[i] / published * lambda;
-      std::vector<double> g(x.size());
-      std::vector<double> dg(x.size());
-      queue::batch_lagrange_marginal_with_derivative(cluster.queues(queue::Discipline::Fcfs), x,
-                                                     g, dg);
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        g[i] *= 1.0 / lambda;
-        dg[i] *= 1.0 / lambda;
-      }
+      opt::FirstRound round;
+      ASSERT_TRUE(solver.first_round(lambda, x, round)) << what;
+      EXPECT_EQ(bits(round.lambda), bits(lambda)) << what;
+      EXPECT_EQ(round.state.x.size(), solver.server_classes()) << what;
 
       opt::SolverWorkspace own = base;
       own.warm_start(x);
       const auto evaluated = solver.optimize(lambda, own);
       opt::SolverWorkspace handed = base;
-      handed.hand_round(lambda, x, g, dg);
-      expect_bitwise(evaluated, solver.optimize(lambda, handed), what + " handed");
+      expect_bitwise(evaluated, solver.try_optimize(lambda, handed, &round).value(),
+                     what + " handed");
 
-      // The handed values are what the first round uses: a skewed copy
+      // The round's values are what the first round uses: a skewed copy
       // changes the iterates.
-      std::vector<double> skewed = g;
-      for (double& v : skewed) v *= 1.01;
+      opt::FirstRound skewed = round;
+      for (double& v : skewed.state.g) v *= 1.01;
       opt::SolverWorkspace poisoned = base;
-      poisoned.hand_round(lambda, x, skewed, dg);
-      const auto taken = solver.optimize(lambda, poisoned);
+      const auto taken = solver.try_optimize(lambda, poisoned, &skewed).value();
       bool differs = bits(taken.dist.phi) != bits(evaluated.dist.phi);
       for (std::size_t i = 0; i < x.size(); ++i) {
         differs = differs || bits(taken.dist.rates[i]) != bits(evaluated.dist.rates[i]);
       }
       EXPECT_TRUE(differs) << what << ": the handed round was not taken";
 
-      // Another lambda' or another start: the skewed round is ignored.
+      // Another lambda', or no previous solve: the skewed round is ignored.
+      skewed.lambda = std::nextafter(lambda, 0.0);
+      opt::SolverWorkspace own_base = base;
       opt::SolverWorkspace other_lambda = base;
-      other_lambda.hand_round(std::nextafter(lambda, 0.0), x, skewed, dg);
-      expect_bitwise(evaluated, solver.optimize(lambda, other_lambda), what + " other lambda'");
-      std::vector<double> y = x;
-      for (double& v : y) v = std::nextafter(v, 0.0);
-      opt::SolverWorkspace own_y = base;
-      own_y.warm_start(y);
-      opt::SolverWorkspace other_start = base;
-      other_start.hand_round(lambda, x, skewed, dg);
-      other_start.warm_start(y);
-      expect_bitwise(solver.optimize(lambda, own_y), solver.optimize(lambda, other_start),
-                     what + " other start");
-      // And a round serves one solve only, taken or not.
-      opt::SolverWorkspace once = base;
-      once.hand_round(lambda, x, skewed, dg);
-      (void)solver.optimize(published, once);
-      once.warm_start(x);
-      expect_bitwise(evaluated, solver.optimize(lambda, once), what + " one solve only");
+      expect_bitwise(solver.optimize(lambda, own_base),
+                     solver.try_optimize(lambda, other_lambda, &skewed).value(),
+                     what + " other lambda'");
+      skewed.lambda = lambda;
+      opt::SolverWorkspace fresh;
+      expect_bitwise(solver.optimize(lambda), solver.try_optimize(lambda, fresh, &skewed).value(),
+                     what + " cold");
     }
   }
 }
 
+// first_round takes a round only from a split the warm solve can start
+// from, one rate per class: a typed error otherwise, and no round.
+TEST(DriftCheck, FirstRoundNeedsASplitTheSolveCanStartFrom) {
+  const auto cluster = testsupport::interleaved_catalog(4, 6);
+  opt::ShardOptions shard;
+  shard.cells = 3;
+  shard.prune.top_k = 6;
+  const opt::ShardedOptimizer solver(cluster, queue::Discipline::Fcfs, {}, shard);
+  ASSERT_GT(solver.pruned_servers(), 0u);
+  const double lambda = 0.3 * solver.kept_capacity();
+  const auto split = solver.optimize(lambda).dist.rates;
+  opt::FirstRound round;
+  ASSERT_TRUE(solver.first_round(lambda, split, round));
+
+  auto refused = [&](std::vector<double> rates, const char* what) {
+    round.lambda = lambda;
+    const auto res = solver.first_round(lambda, rates, round);
+    ASSERT_FALSE(res) << what;
+    EXPECT_EQ(res.error().code, ErrorCode::InvalidArgument) << what;
+    EXPECT_LT(round.lambda, 0.0) << what << ": a refused round is not taken";
+  };
+  std::size_t loaded = 0;  // a kept server that shares its class
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < split.size(); ++i) {
+    if (split[i] > 0.0 && i + 4 < split.size() && split[i + 4] == split[i]) loaded = i;
+    if (split[i] == 0.0) pruned = i;
+  }
+  ASSERT_GT(split[loaded], 0.0);
+  auto member = split;
+  member[loaded + 4] = std::nextafter(member[loaded + 4], 0.0);
+  refused(member, "a class member off its representative's rate");
+  auto dark = split;
+  dark[pruned] = 1e-3;
+  refused(dark, "a pruned server with load");
+  auto guard = split;
+  for (std::size_t i = loaded; i < guard.size(); i += 4) guard[i] = 1e9;
+  refused(guard, "a class past its saturation guard");
+  auto nan = split;
+  for (std::size_t i = loaded; i < nan.size(); i += 4) {
+    nan[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+  refused(nan, "a non-finite rate");
+  refused(std::vector<double>(split.size() - 1, 0.0), "a split of another length");
+}
+
 // A check that does not fire costs a fixed count: one evaluation per
-// modelled server (the dark server is not modelled) through the batched
-// kernel, and no scalar Erlang-C evaluation. It keeps checking over the
-// surviving topology after a failover.
+// class the re-solve's solver keeps, on serve-churn's pairwise-distinct
+// cluster one per modelled server (the dark server is not modelled),
+// through the solver's own evaluation, with no batched sweep. It keeps
+// checking over the surviving topology after a failover.
 TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
   const auto c = testsupport::churn_cluster();
   const double lambda0 = 0.57 * c.max_generic_rate();
@@ -354,12 +406,112 @@ TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
   EXPECT_EQ(after.check_evaluations, before.check_evaluations + (c.size() - 1));
 #if BLADE_OBS_ENABLED
   EXPECT_EQ(count("numerics.erlang_c_evals") - count("numerics.erlang_c_batch_evals"),
-            scalar_before);
-  EXPECT_EQ(count("numerics.erlang_c_batch_evals"), batched_before + (c.size() - 1));
+            scalar_before + (c.size() - 1));
+  EXPECT_EQ(count("numerics.erlang_c_batch_evals"), batched_before);
 #else
   EXPECT_EQ(scalar_before, 0u);
   EXPECT_EQ(batched_before, 0u);
 #endif
+}
+
+// The check runs on the re-solve's solver, so on a catalog cluster a
+// skipped check costs the solver's kept classes, in 1 and in 3 cells, not
+// one evaluation per server.
+TEST(DriftCheck, SkippedCheckCostsTheKeptClassCount) {
+  const auto c = testsupport::interleaved_catalog(4, 6);
+  const double lambda0 = 0.57 * c.max_generic_rate();
+  constexpr std::uint64_t kArrivals = 2000;
+  for (const std::size_t cells : {std::size_t{1}, std::size_t{3}}) {
+    const std::string what = std::to_string(cells) + " cells";
+    Published p(c, queue::Discipline::Fcfs, kArrivals / lambda0, kArrivals, 1, cells);
+    runtime::Controller& ctrl = p.ctrl();
+    const auto before = ctrl.stats();
+    ctrl.on_generic_arrival(p.at(), 0.5);
+    const auto& after = ctrl.stats();
+    ASSERT_EQ(after.skipped_by_hysteresis, before.skipped_by_hysteresis + 1) << what;
+
+    opt::ShardOptions shard;
+    shard.cells = cells;
+    const opt::ShardedOptimizer solver(estimated_cluster(c, ctrl, p.at()),
+                                       queue::Discipline::Fcfs, {}, shard);
+    EXPECT_EQ(solver.server_classes(), 4 * cells) << what;
+    EXPECT_EQ(after.check_evaluations - before.check_evaluations, solver.server_classes())
+        << what;
+    EXPECT_EQ(after.solver_evaluations, before.solver_evaluations) << what;
+  }
+}
+
+// A held split whose class members hold different rates is not a split
+// the warm solve starts from (it reads one rate per class), so the check
+// fires without evaluating. Servers 3 and 7 share the fastest type: one
+// more special arrival at server 3 parts them at a re-solve, and the same
+// one at server 7 joins them again in one class that holds two rates.
+TEST(DriftCheck, ClassMembersHoldingDifferentRatesFireUnevaluated) {
+  const auto c = testsupport::interleaved_catalog(4, 6);
+  const double lambda0 = 0.57 * c.max_generic_rate();
+  constexpr std::uint64_t kArrivals = 2000;
+  Published p(c, queue::Discipline::Fcfs, kArrivals / lambda0, kArrivals, 1);
+  runtime::Controller& ctrl = p.ctrl();
+  ctrl.on_special_arrival(p.at(), 3);
+  ctrl.resolve_now(p.at());
+  ASSERT_EQ(ctrl.mode(), runtime::Mode::Optimal);
+  const auto held = ctrl.routing_fractions();
+  ASSERT_GT(held[7], 0.0);
+  ASSERT_NE(bits(held[3]), bits(held[7]));
+  ctrl.on_special_arrival(p.at(), 7);
+  ASSERT_EQ(bits(ctrl.estimated_special_rate(3, p.at())),
+            bits(ctrl.estimated_special_rate(7, p.at())));
+
+  const auto before = ctrl.stats();
+  ctrl.on_generic_arrival(p.at(), 0.5);
+  const auto& after = ctrl.stats();
+  EXPECT_EQ(after.unevaluated_checks, before.unevaluated_checks + 1);
+  EXPECT_EQ(after.resolves, before.resolves + 1);
+  EXPECT_EQ(after.check_evaluations, before.check_evaluations);
+  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
+}
+
+// Pruning: the check prices only the servers a pruned solve can load. At
+// a steady state the held split is the pruned optimum, so checks after one
+// more arrival each skip; a check that priced every server would see the
+// load the pruned servers could take, and re-solve every time to publish
+// the same pruned optimum again.
+TEST(DriftCheck, PrunedControllerSkipsAtASteadyState) {
+  const auto c = testsupport::churn_cluster();
+  constexpr std::uint64_t kArrivals = 2000;
+  constexpr int kChecks = 200;
+  const std::vector<std::pair<std::size_t, double>> cases = {{16, 0.20}, {16, 0.35}, {8, 0.20}};
+  for (const auto& [top_k, load] : cases) {
+    const std::string what =
+        "top " + std::to_string(top_k) + " at " + std::to_string(load) + " of lambda'_max";
+    const double lambda0 = load * c.max_generic_rate();
+    const double w = kArrivals / lambda0;
+    runtime::ControllerConfig cfg;
+    cfg.half_life = w * std::numbers::ln2;  // decay rate 1/w
+    cfg.min_arrivals = kArrivals;           // nominal preloads; lambda' once warm
+    cfg.check_interval = 1;
+    cfg.shard_cells = 1;
+    cfg.prune_top_k = top_k;
+    runtime::Controller ctrl(c, cfg);
+    const double t0 = 64.0 * w;
+    for (std::uint64_t k = 0; k < kArrivals; ++k) ctrl.on_generic_arrival(t0, 0.5);
+    ASSERT_EQ(ctrl.stats().resolves, 1u) << what;  // the warm-up solve
+    ASSERT_EQ(ctrl.mode(), runtime::Mode::Optimal) << what;
+
+    // Arrivals at the rate the estimate holds: it stays within 1e-6 of it.
+    const auto before = ctrl.stats();
+    for (int k = 1; k <= kChecks; ++k) ctrl.on_generic_arrival(t0 + k / lambda0, 0.5);
+    const auto& after = ctrl.stats();
+    EXPECT_EQ(checks_run(after) - checks_run(before), static_cast<std::uint64_t>(kChecks))
+        << what;
+    const std::uint64_t skipped = after.skipped_by_hysteresis - before.skipped_by_hysteresis;
+    EXPECT_GE(skipped, static_cast<std::uint64_t>(kChecks) * 9 / 10) << what;
+    RecordProperty("skipped_top" + std::to_string(top_k) + "_load" +
+                       std::to_string(std::lround(100 * load)),
+                   static_cast<int>(skipped));
+    EXPECT_EQ(after.check_evaluations - before.check_evaluations, skipped * top_k)
+        << what << ": a skipped check prices the kept servers only";
+  }
 }
 
 }  // namespace

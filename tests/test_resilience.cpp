@@ -689,6 +689,27 @@ TEST(ReplayParser, TypedErrorsNameTheLine) {
                std::invalid_argument);
 }
 
+// Seeds, server indices and blade counts are unsigned: a minus sign is a
+// line-numbered ParseError instead of a value wrapped around to 2^64 - 1
+// (a seed or a server) or 4,294,967,294 (blades).
+TEST(ReplayParser, SignedIndicesAreRejected) {
+  for (const char* line : {"seed -1", "fail 1 0 -2", "fail 1 -1", "recover 1 -1 2",
+                           "slow 1 -1 0.5", "stall 1 -1", "unstall 1 -1", "fail 1 0 +2"}) {
+    const auto r = runtime::try_parse_replay_trace(std::string("horizon 10\n") + line + "\n");
+    ASSERT_FALSE(r) << line;
+    EXPECT_EQ(r.error().code, ErrorCode::ParseError) << line;
+    EXPECT_NE(r.error().context.find("line 2"), std::string::npos) << r.error().context;
+  }
+  const auto ok = runtime::try_parse_replay_trace(
+      "horizon 10\nseed 18446744073709551615\nfail 1 3 2\nrecover 2 3\nslow 3 4 0.5\n");
+  ASSERT_TRUE(ok) << ok.error().to_string();
+  EXPECT_EQ(ok.value().seed, 18446744073709551615ULL);
+  EXPECT_EQ(ok.value().events[0].server, 3u);
+  EXPECT_EQ(ok.value().events[0].blades, 2u);
+  EXPECT_EQ(ok.value().events[1].blades, 0u);
+  EXPECT_EQ(ok.value().events[2].server, 4u);
+}
+
 TEST(ReplayParser, ReferenceTraceRoundTrips) {
   const auto cluster = small_cluster();
   const auto trace = runtime::reference_failure_trace(cluster, 120.0);

@@ -296,12 +296,13 @@ TEST(RuntimeFuzz, ShardedControllerSequencesAtFleetScale) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-re-solve closure: every flat re-solve starts warm from the previous
+// Per-re-solve closure: every re-solve starts warm from the previous
 // split, failovers and health-driven re-solves included, so a warm start
 // that went wrong after a topology change would publish a wrong split
 // that a later re-solve then papers over. Instead of one closure per
 // sequence, check every re-solve that publishes Mode::Optimal against an
-// independent cold optimize() of the exact instance it consumed.
+// independent cold solve of the exact instance it consumed, in the
+// controller's cells and pruning.
 
 /// Re-solves checked, by what triggered them.
 struct ClosureCounts {
@@ -316,7 +317,8 @@ struct ClosureCounts {
 /// Rebuilds the instance the controller's last re-solve consumed (its
 /// alive set and special rates, the blade counts and health speed factors
 /// it saw, the admitted target) and compares the published split with a
-/// cold solve of it: T' to 1e-9 relative, every fraction to 1e-7.
+/// cold solve of it by a solver of the controller's cells and pruning: T'
+/// to 1e-9 relative, every fraction to 1e-7.
 void expect_cold_optimum(const runtime::Controller& ctrl, const runtime::ControllerConfig& cfg,
                          const std::string& what) {
   const model::Cluster& cluster = ctrl.cluster();
@@ -337,8 +339,11 @@ void expect_cold_optimum(const runtime::Controller& ctrl, const runtime::Control
   const double target =
       std::min(ctrl.last_solved_lambda(), cfg.utilization_ceiling * lambda_max);
   const model::Cluster solved(std::move(servers), cluster.rbar());
+  opt::ShardOptions shard;
+  shard.cells = std::clamp<std::size_t>(cfg.shard_cells, 1, alive.size());
+  shard.prune.top_k = cfg.prune_top_k;
   const auto cold =
-      opt::LoadDistributionOptimizer(solved, cfg.discipline, cfg.solver).optimize(target);
+      opt::ShardedOptimizer(solved, cfg.discipline, cfg.solver, shard).optimize(target).dist;
 
   const auto f = ctrl.routing_fractions();
   ASSERT_EQ(f.size(), cluster.size()) << what;
@@ -354,15 +359,31 @@ void expect_cold_optimum(const runtime::Controller& ctrl, const runtime::Control
   ASSERT_NEAR(obj.value(published), cold.response_time, 1e-9 * cold.response_time) << what;
 }
 
-void run_closure_sequence(std::uint64_t seed, ClosureCounts& counts) {
+/// How a closure sequence's cluster is drawn and solved.
+struct Layout {
+  /// Servers of 2-3 types, interleaved, so the solver coalesces them into
+  /// classes; otherwise every server is drawn on its own.
+  bool catalog = false;
+  std::size_t shard_cells = 0;
+  std::size_t prune_top_k = 0;
+};
+
+void run_closure_sequence(std::uint64_t seed, ClosureCounts& counts, const Layout& layout) {
   sim::RngStream rng(seed, 13);
 
-  // 3-6 servers, 1-4 blades each: big enough that a quarantine leaves a
-  // real alive set behind, small enough for every sanitizer tier.
-  const std::size_t n = 3 + rng.below(4);
+  // 3-6 servers (a catalog: 4-8 of 2-3 types), 1-4 blades each: big
+  // enough that a quarantine leaves a real alive set behind, small enough
+  // for every sanitizer tier.
+  const std::size_t types = layout.catalog ? 2 + rng.below(2) : 0;
+  const std::size_t n = layout.catalog ? 4 + rng.below(5) : 3 + rng.below(4);
   std::vector<unsigned> sizes(n);
   std::vector<double> speeds(n);
   for (std::size_t i = 0; i < n; ++i) {
+    if (layout.catalog && i >= types) {
+      sizes[i] = sizes[i % types];
+      speeds[i] = speeds[i % types];
+      continue;
+    }
     sizes[i] = 1 + static_cast<unsigned>(rng.below(4));
     speeds[i] = 0.5 + 1.5 * rng.uniform();
   }
@@ -371,6 +392,8 @@ void run_closure_sequence(std::uint64_t seed, ClosureCounts& counts) {
   const double lam_max = cluster.max_generic_rate();
 
   runtime::ControllerConfig cfg;
+  cfg.shard_cells = layout.shard_cells;
+  cfg.prune_top_k = layout.prune_top_k;
   cfg.half_life = 2.0;
   cfg.check_interval = 4;
   cfg.min_arrivals = 8;
@@ -450,7 +473,7 @@ void run_closure_sequence(std::uint64_t seed, ClosureCounts& counts) {
 
 TEST(RuntimeFuzz, EveryReSolveIsTheColdOptimumOfItsInstance) {
   ClosureCounts counts;
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) run_closure_sequence(seed, counts);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) run_closure_sequence(seed, counts, {});
   // Every kind of warm re-solve the controller makes was exercised (at
   // the time of writing: 453 drift, 401 quarantine-shrunk drift, 94
   // failover, 93 recovery, 274 probation and 11 health-recovery checks).
@@ -460,6 +483,20 @@ TEST(RuntimeFuzz, EveryReSolveIsTheColdOptimumOfItsInstance) {
   EXPECT_GT(counts.recovery, 0u);
   EXPECT_GT(counts.probation, 0u);
   EXPECT_GT(counts.health_recovery, 0u);
+
+  // With health on, catalog clusters whose servers share classes, solved
+  // in two cells, unpruned and pruned to each cell's top two servers.
+  // At the time of writing, unpruned: 524 drift, 323 quarantine-shrunk
+  // drift, 45 failover and 119 probation checks; pruned: 274, 218, 32, 94.
+  for (const std::size_t prune : {std::size_t{0}, std::size_t{2}}) {
+    ClosureCounts sharded;
+    const Layout layout{.catalog = true, .shard_cells = 2, .prune_top_k = prune};
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) run_closure_sequence(seed, sharded, layout);
+    EXPECT_GT(sharded.drift, 0u) << "prune " << prune;
+    EXPECT_GT(sharded.quarantine_drift, 0u) << "prune " << prune;
+    EXPECT_GT(sharded.failover, 0u) << "prune " << prune;
+    EXPECT_GT(sharded.probation, 0u) << "prune " << prune;
+  }
 }
 
 // ---------------------------------------------------------------------------
