@@ -1,7 +1,12 @@
 // google-benchmark microbenchmarks of the numerical and simulation
 // kernels underneath the optimizer: Erlang C (+ derivative), blade-queue
-// marginals, the future-event list alone, and raw DES event throughput.
+// marginals (one queue, and a 64-queue sweep), the future-event list
+// alone, and raw DES event throughput.
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "model/cluster.hpp"
 #include "numerics/erlang.hpp"
@@ -40,6 +45,29 @@ void BM_LagrangeMarginal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LagrangeMarginal);
+
+void BM_MarginalSweep64(benchmark::State& state) {
+  // The Erlang-kernel stage of a re-solve round or a drift check: one
+  // {G, dG} evaluation per queue over 64 queues at half their generic
+  // capacity under a 20% preload. Arg 0 gives queue i serve-churn's
+  // 1 + i % 8 blades; any other arg gives every queue that many.
+  const auto blades = static_cast<unsigned>(state.range(0));
+  std::vector<queue::BladeQueue> queues;
+  std::vector<double> rates;
+  for (unsigned i = 0; i < 64; ++i) {
+    const unsigned m = blades > 0 ? blades : 1 + i % 8;
+    const double xbar = 1.0 / (0.5 + 2.0 * (i + 0.5) / 64.0);
+    queues.emplace_back(m, xbar, 0.2 * m / xbar, queue::Discipline::Fcfs);
+    rates.push_back(0.5 * queues.back().max_generic_rate());
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < queues.size(); ++i) {
+      benchmark::DoNotOptimize(queues[i].lagrange_marginal_with_derivative(rates[i]));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(queues.size()));
+}
+BENCHMARK(BM_MarginalSweep64)->Arg(0)->Arg(32)->Arg(128);
 
 void BM_EventQueueHold(benchmark::State& state) {
   // The hold model: with n events pending, each step pops the earliest

@@ -120,7 +120,7 @@ std::string run_optimize(const model::Cluster& cluster, double lambda,
                          const CommonOptions& opts) {
   check_lambda(cluster, lambda);
   opt::ShardOptions shard;
-  shard.cells = std::max<std::size_t>(opts.shards, 1);
+  shard.cells = opts.shards;
   shard.prune.top_k = opts.prune_k;
   const opt::ShardedOptimizer solver(cluster, opts.discipline, solver_options(opts), shard);
   opt::SolverWorkspace ws;

@@ -39,8 +39,14 @@ double ResponseTimeObjective::value(std::span<const double> rates) const {
   if (rates.size() != queues_.size()) {
     throw std::invalid_argument("ResponseTimeObjective::value: rate vector size mismatch");
   }
-  return detail::mean_response_time(
-      rates, lambda_total_, [&](std::size_t i) { return queues_[i].generic_response_time(rates[i]); });
+  // One compensated pass that skips unloaded servers (their T'_i carries
+  // no weight).
+  num::KahanSum acc;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    if (rates[i] == 0.0) continue;
+    acc.add(rates[i] * queues_[i].generic_response_time(rates[i]));
+  }
+  return acc.value() / lambda_total_;
 }
 
 double ResponseTimeObjective::marginal(std::size_t i, double rate) const {
@@ -56,15 +62,8 @@ std::vector<double> ResponseTimeObjective::gradient(std::span<const double> rate
   if (rates.size() != queues_.size()) {
     throw std::invalid_argument("ResponseTimeObjective::gradient: rate vector size mismatch");
   }
-  // Full-gradient sweeps ride the SoA-batched Erlang kernel: one
-  // lane-blocked recurrence across all servers instead of one scalar
-  // recurrence each. Outputs are bitwise identical to marginal(i, r)
-  // (batch_lagrange_marginal ends in the scalar epilogue, and the scaling
-  // is scaled_marginal's), so the projected-gradient solver sees the
-  // exact same iterates.
   std::vector<double> g(rates.size());
-  queue::batch_lagrange_marginal(queues_, rates, g);
-  for (double& gi : g) gi *= inv_lambda_;
+  for (std::size_t i = 0; i < rates.size(); ++i) g[i] = marginal(i, rates[i]);
   return g;
 }
 

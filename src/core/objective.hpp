@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "model/cluster.hpp"
-#include "numerics/special.hpp"
 #include "queueing/blade_queue.hpp"
 
 namespace blade::opt {
@@ -31,22 +30,6 @@ namespace detail {
     const queue::BladeQueue& q, double rate, double inv_lambda) {
   const auto [g, dg] = q.lagrange_marginal_with_derivative(rate);
   return {g * inv_lambda, dg * inv_lambda};
-}
-
-/// T' = sum_i rates_i T'_i / lambda' in one compensated pass that skips
-/// unloaded servers (their T'_i carries no weight), with T'_i = rt(i).
-/// The one formula behind ResponseTimeObjective::value and the solvers'
-/// reported T' (which pass the T'_i they already computed), so each
-/// gives bitwise the same value.
-template <class ResponseTimeOf>
-[[nodiscard]] double mean_response_time(std::span<const double> rates, double lambda_total,
-                                        ResponseTimeOf&& rt) {
-  num::KahanSum acc;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (rates[i] == 0.0) continue;
-    acc.add(rates[i] * rt(i));
-  }
-  return acc.value() / lambda_total;
 }
 
 }  // namespace detail

@@ -62,12 +62,6 @@ ClassKey class_key(const model::BladeServer& s, queue::Discipline d) {
 
 }  // namespace
 
-void ShardOptions::validate() const {
-  if (min_cell_size == 0) {
-    throw std::invalid_argument("ShardOptions: min_cell_size must be >= 1");
-  }
-}
-
 ShardedOptimizer::ShardedOptimizer(model::Cluster cluster, queue::Discipline d,
                                    OptimizerOptions opts, ShardOptions shard)
     : cluster_(std::move(cluster)),
@@ -75,7 +69,6 @@ ShardedOptimizer::ShardedOptimizer(model::Cluster cluster, queue::Discipline d,
       opts_(std::move(opts)),
       shard_(shard) {
   opts_.validate();
-  shard_.validate();
   build_cells();
 }
 
@@ -86,17 +79,12 @@ ShardedOptimizer::ShardedOptimizer(model::Cluster cluster, std::vector<queue::Di
     throw std::invalid_argument("ShardedOptimizer: discipline vector size mismatch");
   }
   opts_.validate();
-  shard_.validate();
   build_cells();
 }
 
 void ShardedOptimizer::build_cells() {
   const std::size_t n = cluster_.size();
-  std::size_t cell_count = shard_.cells;
-  if (cell_count == 0) {
-    cell_count = std::clamp<std::size_t>(n / shard_.min_cell_size, 1, 64);
-  }
-  cell_count = std::min(cell_count, n);
+  const std::size_t cell_count = std::clamp<std::size_t>(shard_.cells, 1, n);
   cells_.assign(cell_count, Cell{});
 
   // Group each cell's servers into classes. Sorting (key, index) makes
@@ -611,7 +599,7 @@ void ShardedOptimizer::finalize(ShardedLoadDistribution& out, double lambda_tota
   // One queue evaluation per class, broadcast to the members (extraction
   // preserves within-class equality, so the representative's rate is
   // every member's rate; a pruned class's is zero). T' = sum_i rate_i
-  // T'_i / lambda' skips unloaded classes, as detail::mean_response_time
+  // T'_i / lambda' skips unloaded classes, as ResponseTimeObjective::value
   // does, in server order when every class is a single server.
   const bool metrics = shard_.finalize_metrics;
   if (metrics) {

@@ -57,20 +57,14 @@ struct PruneOptions {
 };
 
 struct ShardOptions {
-  /// Number of cells; 0 (default) picks n / min_cell_size clamped to
-  /// [1, 64]. Always clamped to at most n.
+  /// Number of cells, clamped to [1, n]: 0 (default) is one cell.
   std::size_t cells = 0;
-  /// Target lower bound on cell size used by the automatic cell count.
-  std::size_t min_cell_size = 64;
   /// Fill per-server utilizations / response times in the result. The
   /// minimized T', rates, and phi are always produced; the runtime
   /// controller turns this off to keep re-solves O(classes) except for
   /// the final rate expansion.
   bool finalize_metrics = true;
   PruneOptions prune;
-
-  /// Throws std::invalid_argument when min_cell_size is 0.
-  void validate() const;
 };
 
 /// A per-server LoadDistribution plus shard-layer diagnostics.

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numerics/erlang_epilogue.hpp"
 #include "numerics/special.hpp"
 #include "obs/obs.hpp"
 
@@ -75,8 +74,31 @@ ErlangCDerivs erlang_c_derivs(unsigned m, double rho) {
   check_rho(rho);
   BLADE_OBS_COUNT("numerics.erlang_c_evals");
   BLADE_OBS_COUNT("numerics.erlang_c_derivs_evals");
-  const double b = rho == 0.0 ? 0.0 : erlang_b(m, static_cast<double>(m) * rho);
-  return detail::erlang_c_derivs_from_b(m, rho, b);
+  ErlangCDerivs r;
+  if (rho == 0.0) {
+    // C has an m-th order zero at rho = 0: C(1, rho) = rho exactly, and
+    // C(2, rho) = 2 rho^2 + O(rho^3).
+    r.dc = (m == 1) ? 1.0 : 0.0;
+    r.d2c = (m == 2) ? 4.0 : 0.0;
+    return r;
+  }
+  // One reciprocal each for u and rho serves all three orders.
+  const double b = erlang_b(m, static_cast<double>(m) * rho);
+  const double md = static_cast<double>(m);
+  const double one_minus = 1.0 - rho;
+  const double t = b / (1.0 - b);
+  const double u = one_minus + t;
+  const double inv_u = 1.0 / u;
+  const double inv_rho = 1.0 / rho;
+  const double t_rho = t * inv_rho;
+  r.c = t * inv_u;
+  const double tp = md * t_rho * u;
+  const double up = tp - 1.0;
+  const double num = tp * one_minus + t;
+  r.dc = num * inv_u * inv_u;
+  const double tpp = md * ((tp - t_rho) * inv_rho * u + t_rho * up);
+  r.d2c = (tpp * one_minus * u - 2.0 * up * num) * (inv_u * inv_u * inv_u);
+  return r;
 }
 
 double mmm_p0(unsigned m, double rho) {

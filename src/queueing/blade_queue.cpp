@@ -1,14 +1,10 @@
 #include "queueing/blade_queue.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <span>
 #include <stdexcept>
-#include <tuple>
 
 #include "numerics/erlang.hpp"
-#include "numerics/erlang_batch.hpp"
 #include "queueing/mmm.hpp"
 
 namespace blade::queue {
@@ -83,16 +79,6 @@ double BladeQueue::dT_dlambda(double lambda1) const {
   return rho_per_rate_ * dT_drho(lambda1);
 }
 
-double BladeQueue::lagrange_marginal(double lambda1) const {
-  const double rho = utilization(lambda1);
-  return lagrange_marginal_at(lambda1, rho, num::erlang_c_derivs(m_, rho));
-}
-
-std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative(double lambda1) const {
-  const double rho = utilization(lambda1);
-  return lagrange_marginal_with_derivative_at(lambda1, rho, num::erlang_c_derivs(m_, rho));
-}
-
 std::pair<double, double> BladeQueue::marginal_terms(double lambda1, double rho,
                                                      const num::ErlangCDerivs& k) const noexcept {
   // With w = C/(1-rho), T' = xbar + wait_scale w and, one reciprocal of
@@ -110,14 +96,14 @@ std::pair<double, double> BladeQueue::marginal_terms(double lambda1, double rho,
   return {g, dg};
 }
 
-double BladeQueue::lagrange_marginal_at(double lambda1, double rho,
-                                        const num::ErlangCDerivs& k) const noexcept {
-  return marginal_terms(lambda1, rho, k).first;
+double BladeQueue::lagrange_marginal(double lambda1) const {
+  const double rho = utilization(lambda1);
+  return marginal_terms(lambda1, rho, num::erlang_c_derivs(m_, rho)).first;
 }
 
-std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative_at(
-    double lambda1, double rho, const num::ErlangCDerivs& k) const {
-  auto [g, dg] = marginal_terms(lambda1, rho, k);
+std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative(double lambda1) const {
+  const double rho = utilization(lambda1);
+  auto [g, dg] = marginal_terms(lambda1, rho, num::erlang_c_derivs(m_, rho));
   if (!std::isfinite(dg)) {
     // Analytic curvature overflowed (rho pushed against 1): guarded
     // central difference of the marginal keeps Newton usable, and the
@@ -129,66 +115,6 @@ std::pair<double, double> BladeQueue::lagrange_marginal_with_derivative_at(
     if (hi > lo) dg = (lagrange_marginal(hi) - lagrange_marginal(lo)) / (hi - lo);
   }
   return {g, dg};
-}
-
-namespace {
-
-void check_batch_sizes(std::size_t n, std::size_t got, const char* what) {
-  if (n != got) {
-    throw std::invalid_argument(std::string("batch_lagrange_marginal: ") + what);
-  }
-}
-
-/// Shared body of both batch forms: per-element utilization (with the
-/// scalar path's validation and saturation throw), one lane-blocked
-/// Erlang kernel sweep, then `epilogue(j, rho_j, k_j)` per element. The
-/// sweep runs over fixed blocks on the stack, each a whole number of
-/// kernel lane blocks, so a batch allocates nothing and every element
-/// sees exactly the lanes one sweep would give.
-template <typename Epilogue>
-void batch_marginals(std::span<const BladeQueue> queues, std::span<const double> lambda1s,
-                     Epilogue&& epilogue) {
-  check_batch_sizes(lambda1s.size(), queues.size(), "queue count mismatch");
-  constexpr std::size_t kBlock = 8 * num::kErlangBatchLanes;
-  std::array<unsigned, kBlock> m;
-  std::array<double, kBlock> rho;
-  std::array<double, kBlock> c;
-  std::array<double, kBlock> dc;
-  std::array<double, kBlock> d2c;
-  const std::size_t n = lambda1s.size();
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t len = std::min(kBlock, n - base);
-    for (std::size_t j = 0; j < len; ++j) {
-      m[j] = queues[base + j].blades();
-      rho[j] = queues[base + j].utilization(lambda1s[base + j]);
-    }
-    num::erlang_c_derivs_batch(std::span(m).first(len), std::span(rho).first(len),
-                               std::span(c).first(len), std::span(dc).first(len),
-                               std::span(d2c).first(len));
-    for (std::size_t j = 0; j < len; ++j) {
-      epilogue(base + j, rho[j], num::ErlangCDerivs{c[j], dc[j], d2c[j]});
-    }
-  }
-}
-
-}  // namespace
-
-void batch_lagrange_marginal(std::span<const BladeQueue> queues,
-                             std::span<const double> lambda1s, std::span<double> g) {
-  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
-  batch_marginals(queues, lambda1s, [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
-    g[j] = queues[j].lagrange_marginal_at(lambda1s[j], rho, k);
-  });
-}
-
-void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg) {
-  check_batch_sizes(lambda1s.size(), g.size(), "g size mismatch");
-  check_batch_sizes(lambda1s.size(), dg.size(), "dg size mismatch");
-  batch_marginals(queues, lambda1s, [&](std::size_t j, double rho, const num::ErlangCDerivs& k) {
-    std::tie(g[j], dg[j]) = queues[j].lagrange_marginal_with_derivative_at(lambda1s[j], rho, k);
-  });
 }
 
 }  // namespace blade::queue

@@ -17,7 +17,6 @@
 // paper up to the constant 1/lambda').
 #pragma once
 
-#include <span>
 #include <utility>
 
 #include "numerics/erlang.hpp"
@@ -88,16 +87,6 @@ class BladeQueue {
   [[nodiscard]] std::pair<double, double> lagrange_marginal_with_derivative(
       double lambda1) const;
 
-  /// The epilogues of lagrange_marginal and
-  /// lagrange_marginal_with_derivative: G (and dG) at lambda1 from the
-  /// Erlang-C kernel values `k` at rho = utilization(lambda1). The scalar
-  /// and batched marginals both end here, so they agree bitwise by
-  /// construction. No validation: callers pass a checked rho.
-  [[nodiscard]] double lagrange_marginal_at(double lambda1, double rho,
-                                            const num::ErlangCDerivs& k) const noexcept;
-  [[nodiscard]] std::pair<double, double> lagrange_marginal_with_derivative_at(
-      double lambda1, double rho, const num::ErlangCDerivs& k) const;
-
   /// Response time evaluated directly at a given total utilization (used
   /// by shape tests that sweep rho rather than lambda1).
   [[nodiscard]] double response_time_at_rho(double rho) const;
@@ -106,9 +95,11 @@ class BladeQueue {
   /// (1 + scv)/2: multiplier on every waiting-time term.
   [[nodiscard]] double variability_factor() const noexcept { return 0.5 * (1.0 + scv_); }
 
-  /// {G, dG} with dG straight from the analytic formula (not finite when
-  /// the curvature overflows; lagrange_marginal_with_derivative_at then
-  /// falls back to a central difference).
+  /// {G, dG} at lambda1 from the Erlang-C kernel values `k` at rho =
+  /// utilization(lambda1), with dG straight from the analytic formula
+  /// (not finite when the curvature overflows;
+  /// lagrange_marginal_with_derivative then falls back to a central
+  /// difference).
   [[nodiscard]] std::pair<double, double> marginal_terms(
       double lambda1, double rho, const num::ErlangCDerivs& k) const noexcept;
 
@@ -124,24 +115,5 @@ class BladeQueue {
   double rho_per_rate_ = 0.0;
   double wait_scale_ = 0.0;
 };
-
-/// Batched Lagrange marginals across servers:
-///   g[j] = queues[j].lagrange_marginal(lambda1s[j])
-/// computed from ONE lane-blocked Erlang kernel sweep
-/// (num::erlang_c_derivs_batch) instead of one recurrence per server.
-/// Each output is bitwise identical to the scalar call — both end in
-/// BladeQueue::lagrange_marginal_at — so gradient sweeps can switch paths
-/// freely. Spans must share one length; per-element validation (rho < 1)
-/// matches BladeQueue::utilization.
-void batch_lagrange_marginal(std::span<const BladeQueue> queues,
-                             std::span<const double> lambda1s, std::span<double> g);
-
-/// Batched {G, dG} across servers via num::erlang_c_derivs_batch —
-/// bitwise identical to lagrange_marginal_with_derivative per element
-/// (both end in lagrange_marginal_with_derivative_at), including its
-/// guarded central-difference curvature fallback.
-void batch_lagrange_marginal_with_derivative(std::span<const BladeQueue> queues,
-                                             std::span<const double> lambda1s,
-                                             std::span<double> g, std::span<double> dg);
 
 }  // namespace blade::queue

@@ -9,6 +9,18 @@
 
 namespace blade::runtime {
 
+namespace {
+
+/// What the admission ceiling is a fraction of: the modelled servers'
+/// lambda'_max, or the kept servers' capacity when the re-solve's solver
+/// prunes some of them (a pruned solve is Infeasible at or above it).
+double admissible_capacity(double lambda_max, const opt::ShardedOptimizer* solver) {
+  return solver != nullptr && solver->pruned_servers() > 0 ? solver->kept_capacity()
+                                                            : lambda_max;
+}
+
+}  // namespace
+
 void ControllerConfig::validate() const {
   if (!(half_life > 0.0) || !std::isfinite(half_life)) {
     throw std::invalid_argument("ControllerConfig: half_life must be > 0");
@@ -360,13 +372,19 @@ void Controller::check_drift(double t) {
   }
   const std::uint64_t started = obs::monotonic_ns();
   const double lam = estimated_lambda(t);
-  const double ceiling = cfg_.utilization_ceiling * build_model(t);
+  const double lambda_max = build_model(t);
+  // A pruning controller reads its ceiling from the re-solve's solver,
+  // so it builds that solver first.
+  std::optional<opt::ShardedOptimizer> solver;
+  if (cfg_.prune_top_k > 0 && lambda_max > 0.0) solver.emplace(make_solver());
+  const double ceiling =
+      cfg_.utilization_ceiling * admissible_capacity(lambda_max, solver ? &*solver : nullptr);
   // Feasibility first: only a re-solve engages admission control at the
   // ceiling, and only a re-solve tracks lambda' while it sheds.
   if (!(lam < ceiling) || shed_prob_.load(std::memory_order_relaxed) > 0.0) {
     ++stats_.shedding_checks;
     BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Shedding, lam, ceiling, t);
-    resolve(t);
+    resolve(t, 0, solver ? &*solver : nullptr);
     return;
   }
 
@@ -388,10 +406,9 @@ void Controller::check_drift(double t) {
   }
   // Otherwise the re-solve's own solver takes its warm solve's first round
   // there, one evaluation per kept class, and the round's model prices it.
-  std::optional<opt::ShardedOptimizer> solver;
   double loss = -1.0;
   if (held) {
-    solver.emplace(make_solver());
+    if (!solver) solver.emplace(make_solver());
     if (const auto decrease = solver->first_round(lam, rates, round_)) {
       loss = std::max(0.0, decrease.value()) / reference_tprime_;
     }
@@ -553,7 +570,7 @@ opt::ShardedOptimizer Controller::make_solver() const {
   // shard_cells = 0 solves as one cell on this thread. The controller
   // only needs rates, so the per-server metric expansion is skipped.
   opt::ShardOptions shard;
-  shard.cells = std::clamp<std::size_t>(cfg_.shard_cells, 1, model_alive_.size());
+  shard.cells = cfg_.shard_cells;
   shard.prune.top_k = cfg_.prune_top_k;
   shard.finalize_metrics = false;
   return {model::Cluster(std::move(servers), cluster_.rbar()), cfg_.discipline, cfg_.solver, shard};
@@ -593,14 +610,20 @@ void Controller::resolve(double t, std::uint64_t started_ns,
     return;
   }
 
-  const double target = std::min(lam_hat, cfg_.utilization_ceiling * lambda_max);
+  // The solver a check handed over, or a pruning controller's own, which
+  // the ceiling needs; any other re-solve builds it only to solve.
+  std::optional<opt::ShardedOptimizer> built;
+  const opt::ShardedOptimizer* solver = check_solver;
+  if (solver == nullptr && cfg_.prune_top_k > 0) solver = &built.emplace(make_solver());
+  const double ceiling = cfg_.utilization_ceiling * admissible_capacity(lambda_max, solver);
+  const double target = std::min(lam_hat, ceiling);
   const double shed_prob = lam_hat > 0.0 ? std::max(0.0, 1.0 - target / lam_hat) : 0.0;
   solved_lambda_ = lam_hat;
   solved_special_ = model_special_;
   if (shed_prob > 0.0) {
     ++stats_.infeasible_resolves;
     BLADE_OBS_COUNT("runtime.infeasible_resolves");
-    BLADE_OBS_EVENT(ShedDecision, 0, lam_hat, cfg_.utilization_ceiling * lambda_max, shed_prob);
+    BLADE_OBS_EVENT(ShedDecision, 0, lam_hat, ceiling, shed_prob);
   }
 
   if (!(target > 0.0)) {
@@ -618,12 +641,9 @@ void Controller::resolve(double t, std::uint64_t started_ns,
       BLADE_OBS_EVENT(ChaosInject, obs::Cause::InjectedFault, t, 0.0, 0.0);
       return Error{ErrorCode::NonConvergence, "injected solver fault"};
     }
-    // A check that fired built this solve's solver over the same model,
-    // and on predicted loss its round: the held split at lambda-hat,
-    // already evaluated, which the solve starts from.
-    std::optional<opt::ShardedOptimizer> built;
-    const opt::ShardedOptimizer& solver =
-        check_solver != nullptr ? *check_solver : built.emplace(make_solver());
+    // On predicted loss a check also hands over its round: the held split
+    // at lambda-hat, already evaluated, which the solve starts from.
+    if (solver == nullptr) solver = &built.emplace(make_solver());
     if (round == nullptr && lkg_.valid) {
       // Start from the last successful split over the servers this solve
       // sees: after a failover or a quarantine the workspace's own rates
@@ -634,7 +654,7 @@ void Controller::resolve(double t, std::uint64_t started_ns,
       for (std::size_t k = 0; k < alive.size(); ++k) start[k] = lkg_.weights[alive[k]];
       ws_.warm_start(start);
     }
-    auto res = solver.try_optimize(target, ws_, round);
+    auto res = solver->try_optimize(target, ws_, round);
     if (!res) return res.error();
     return std::move(res).value().dist;
   }();

@@ -105,7 +105,9 @@ struct ControllerConfig {
   /// arrivals have been observed.
   std::uint64_t min_arrivals = 8;
   /// Admission control keeps the admitted lambda' at or below this
-  /// fraction of the surviving generic capacity; must be in (0, 1).
+  /// fraction of the generic capacity the re-solve can load: the
+  /// surviving servers', or the kept ones' when prune_top_k prunes some;
+  /// must be in (0, 1).
   double utilization_ceiling = 0.95;
   /// When > 0, solve for this lambda' at construction so the published
   /// weights start optimal for the expected load instead of
@@ -125,7 +127,10 @@ struct ControllerConfig {
   /// Per-cell top-k rate-matrix pruning of the re-solve; requires
   /// shard_cells > 0. 0 (default) keeps every server. The drift check
   /// runs on the re-solve's solver, so it prices only the kept servers,
-  /// and fires without evaluating when a pruned server holds load.
+  /// and fires without evaluating when a pruned server holds load. When
+  /// a server is pruned, admission control sheds down to
+  /// utilization_ceiling of the kept servers' capacity
+  /// (ShardedOptimizer::kept_capacity), read from that solver.
   std::size_t prune_top_k = 0;
   /// Gray-failure detection: per-blade health scoring + the quarantine
   /// state machine (runtime/health.hpp). Off by default; when enabled the

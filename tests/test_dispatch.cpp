@@ -1,13 +1,11 @@
 // Data-plane battery: the fused alias-table layout against a two-array
-// reference (bitwise, on pinned RNG streams), the lane-batched Erlang
-// kernels against the scalar ones, and the per-thread DispatchShard
-// (determinism, batching, blackout, and the
+// reference (bitwise, on pinned RNG streams), and the per-thread
+// DispatchShard (determinism, batching, blackout, and the
 // K-routing-threads-vs-publishing-controller race that rides the fast
 // label into the TSan tier).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -15,9 +13,6 @@
 
 #include "model/cluster.hpp"
 #include "model/paper_configs.hpp"
-#include "numerics/erlang.hpp"
-#include "numerics/erlang_batch.hpp"
-#include "queueing/blade_queue.hpp"
 #include "runtime/controller.hpp"
 #include "runtime/dispatch_shard.hpp"
 #include "sim/rng.hpp"
@@ -128,172 +123,6 @@ TEST(AliasFusedLayout, PinnedRoutedSequenceMatchesReference) {
       ASSERT_GT(w[got], 0.0) << "sampled a zero-weight index";
     }
   }
-}
-
-// --- lane-batched Erlang kernels ------------------------------------------
-
-TEST(ErlangBatch, ErlangBMatchesScalarBitwise) {
-  std::vector<unsigned> m;
-  std::vector<double> a;
-  for (unsigned mi : {1u, 2u, 3u, 8u, 64u, 500u}) {
-    for (double rho : {0.0, 1e-12, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.999999}) {
-      m.push_back(mi);
-      a.push_back(static_cast<double>(mi) * rho);
-    }
-  }
-  std::vector<double> b(m.size());
-  num::erlang_b_batch(m, a, b);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_EQ(b[i], num::erlang_b(m[i], a[i])) << "m=" << m[i] << " a=" << a[i];
-  }
-}
-
-TEST(ErlangBatch, DerivsMatchScalarAcrossRegimes) {
-  std::vector<unsigned> m;
-  std::vector<double> rho;
-  // Regime sweep: tiny rho, moderate, near saturation, and large m —
-  // every combination must match the scalar kernel to <= 1e-14 relative
-  // (in practice bitwise: same recurrence, same epilogue order).
-  for (unsigned mi : {1u, 2u, 3u, 5u, 8u, 16u, 64u, 200u, 500u}) {
-    for (double r : {0.0, 1e-14, 1e-9, 1e-4, 0.05, 0.3, 0.5, 0.7, 0.9, 0.97, 0.999, 0.999999}) {
-      m.push_back(mi);
-      rho.push_back(r);
-    }
-  }
-  std::vector<double> c(m.size());
-  std::vector<double> dc(m.size());
-  std::vector<double> d2c(m.size());
-  num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const num::ErlangCDerivs s = num::erlang_c_derivs(m[i], rho[i]);
-    EXPECT_EQ(c[i], s.c) << "m=" << m[i] << " rho=" << rho[i];
-    EXPECT_EQ(dc[i], s.dc) << "m=" << m[i] << " rho=" << rho[i];
-    EXPECT_EQ(d2c[i], s.d2c) << "m=" << m[i] << " rho=" << rho[i];
-    if (std::abs(s.d2c) > 0.0) {
-      EXPECT_LE(std::abs(d2c[i] - s.d2c) / std::abs(s.d2c), 1e-14);
-    }
-  }
-}
-
-// Every batch length around the lane width: the tail block must carry
-// partially-filled lanes without disturbing the live ones.
-TEST(ErlangBatch, TailLanesExact) {
-  for (std::size_t n = 1; n <= 2 * num::kErlangBatchLanes + 3; ++n) {
-    std::vector<unsigned> m(n);
-    std::vector<double> rho(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      m[i] = static_cast<unsigned>(1 + (7 * i) % 93);
-      rho[i] = 0.97 * static_cast<double>(i + 1) / static_cast<double>(n + 1);
-    }
-    std::vector<double> c(n), dc(n), d2c(n);
-    num::erlang_c_derivs_batch(m, rho, c, dc, d2c);
-    for (std::size_t i = 0; i < n; ++i) {
-      const num::ErlangCDerivs s = num::erlang_c_derivs(m[i], rho[i]);
-      EXPECT_EQ(c[i], s.c) << "n=" << n << " i=" << i;
-      EXPECT_EQ(dc[i], s.dc) << "n=" << n << " i=" << i;
-      EXPECT_EQ(d2c[i], s.d2c) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(ErlangBatch, ValidationMatchesScalarContract) {
-  std::vector<double> out(2), out2(2), out3(2);
-  const std::vector<unsigned> m{4, 4};
-  EXPECT_THROW(num::erlang_c_derivs_batch(std::vector<unsigned>{4, 0},
-                                          std::vector<double>{0.5, 0.5}, out, out2, out3),
-               std::invalid_argument);
-  EXPECT_THROW(
-      num::erlang_c_derivs_batch(m, std::vector<double>{0.5, 1.0}, out, out2, out3),
-      std::invalid_argument);
-  EXPECT_THROW(
-      num::erlang_c_derivs_batch(m, std::vector<double>{0.5, -0.1}, out, out2, out3),
-      std::invalid_argument);
-  EXPECT_THROW(num::erlang_c_derivs_batch(
-                   m, std::vector<double>{0.5, std::nan("")}, out, out2, out3),
-               std::invalid_argument);
-  EXPECT_THROW(
-      num::erlang_c_derivs_batch(m, std::vector<double>{0.5}, out, out2, out3),
-      std::invalid_argument);
-  EXPECT_THROW(num::erlang_b_batch(m, std::vector<double>{1.0, -1.0}, out),
-               std::invalid_argument);
-}
-
-// --- batched Lagrange marginals -------------------------------------------
-
-std::vector<queue::BladeQueue> mixed_queues() {
-  std::vector<queue::BladeQueue> qs;
-  qs.emplace_back(4, 0.5, 1.0, queue::Discipline::Fcfs);
-  qs.emplace_back(2, 0.8, 0.4, queue::Discipline::Fcfs, 2.0);
-  qs.emplace_back(8, 0.25, 3.0, queue::Discipline::SpecialPriority);
-  qs.emplace_back(1, 1.0, 0.0, queue::Discipline::Fcfs);
-  qs.emplace_back(16, 0.1, 10.0, queue::Discipline::SpecialPriority, 0.5);
-  qs.emplace_back(3, 0.6, 0.0, queue::Discipline::Fcfs);
-  qs.emplace_back(6, 0.3, 2.0, queue::Discipline::Fcfs);
-  qs.emplace_back(5, 0.4, 1.5, queue::Discipline::SpecialPriority);
-  qs.emplace_back(12, 0.2, 5.0, queue::Discipline::Fcfs);  // > one lane block
-  return qs;
-}
-
-TEST(BatchMarginals, MatchesScalarBitwise) {
-  const auto qs = mixed_queues();
-  for (double load : {1e-6, 0.2, 0.5, 0.8, 0.95}) {
-    std::vector<double> lam(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) lam[i] = load * qs[i].max_generic_rate();
-    std::vector<double> g(qs.size());
-    queue::batch_lagrange_marginal(qs, lam, g);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(g[i], qs[i].lagrange_marginal(lam[i])) << "i=" << i << " load=" << load;
-    }
-  }
-}
-
-TEST(BatchMarginals, DerivativeFormMatchesScalarBitwise) {
-  const auto qs = mixed_queues();
-  for (double load : {1e-6, 0.2, 0.5, 0.8, 0.95, 0.999}) {
-    std::vector<double> lam(qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) lam[i] = load * qs[i].max_generic_rate();
-    std::vector<double> g(qs.size());
-    std::vector<double> dg(qs.size());
-    queue::batch_lagrange_marginal_with_derivative(qs, lam, g, dg);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const auto [sg, sdg] = qs[i].lagrange_marginal_with_derivative(lam[i]);
-      EXPECT_EQ(g[i], sg) << "i=" << i << " load=" << load;
-      EXPECT_EQ(dg[i], sdg) << "i=" << i << " load=" << load;
-    }
-  }
-}
-
-TEST(BatchMarginals, ManyQueuesAcrossStackBlocksMatchScalar) {
-  // 151 queues span more than two of the kernel's stack blocks; blade
-  // counts, disciplines, SCVs and loads (up to 0.999 of saturation) vary
-  // per element.
-  std::vector<queue::BladeQueue> qs;
-  std::vector<double> lam;
-  for (int k = 0; k <= 150; ++k) {
-    const auto d = k % 3 == 0 ? queue::Discipline::SpecialPriority : queue::Discipline::Fcfs;
-    qs.emplace_back(1 + static_cast<unsigned>(k % 17), 0.1 + 0.01 * (k % 29), 0.05 * (k % 7), d,
-                    0.5 * (k % 4));
-    lam.push_back(qs.back().max_generic_rate() * 0.999 * static_cast<double>(k) / 150.0);
-  }
-  std::vector<double> g(lam.size());
-  std::vector<double> dg(lam.size());
-  queue::batch_lagrange_marginal(qs, lam, g);
-  for (std::size_t i = 0; i < lam.size(); ++i) {
-    EXPECT_EQ(g[i], qs[i].lagrange_marginal(lam[i])) << "i=" << i;
-  }
-  queue::batch_lagrange_marginal_with_derivative(qs, lam, g, dg);
-  for (std::size_t i = 0; i < lam.size(); ++i) {
-    const auto [sg, sdg] = qs[i].lagrange_marginal_with_derivative(lam[i]);
-    EXPECT_EQ(g[i], sg) << "i=" << i;
-    EXPECT_EQ(dg[i], sdg) << "i=" << i;
-  }
-}
-
-TEST(BatchMarginals, SizeMismatchThrows) {
-  const auto qs = mixed_queues();
-  std::vector<double> lam(qs.size() - 1, 0.1);
-  std::vector<double> g(qs.size());
-  EXPECT_THROW(queue::batch_lagrange_marginal(qs, lam, g), std::invalid_argument);
 }
 
 // --- DispatchShard --------------------------------------------------------

@@ -36,6 +36,7 @@
 #include "obs/metrics.hpp"
 #include "queueing/blade_queue.hpp"
 #include "runtime/controller.hpp"
+#include "runtime/replay.hpp"
 #include "support/generators.hpp"
 
 namespace {
@@ -49,15 +50,16 @@ const double kCeiling = runtime::ControllerConfig{}.utilization_ceiling;
 class Published {
  public:
   /// Feeds `generic` generic arrivals and round(lambda''_i w) special
-  /// arrivals per server at at(), then re-solves (in `shard_cells` cells).
-  /// The next drift check comes with the `next_check`-th generic arrival
-  /// after that.
+  /// arrivals per server at at(), then re-solves (in `shard_cells` cells,
+  /// pruned to each cell's top `prune_top_k`). The next drift check comes
+  /// with the `next_check`-th generic arrival after that.
   Published(const model::Cluster& c, queue::Discipline d, double w, std::uint64_t generic,
-            std::uint64_t next_check, std::size_t shard_cells = 0)
+            std::uint64_t next_check, std::size_t shard_cells = 0, std::size_t prune_top_k = 0)
       : w_(w) {
     runtime::ControllerConfig cfg;
     cfg.discipline = d;
     cfg.shard_cells = shard_cells;
+    cfg.prune_top_k = prune_top_k;
     cfg.half_life = w * std::numbers::ln2;  // decay rate 1/w
     cfg.min_arrivals = 1;
     cfg.check_interval = generic + next_check;
@@ -375,8 +377,8 @@ TEST(DriftCheck, FirstRoundNeedsASplitTheSolveCanStartFrom) {
 // A check that does not fire costs a fixed count: one evaluation per
 // class the re-solve's solver keeps, on serve-churn's pairwise-distinct
 // cluster one per modelled server (the dark server is not modelled),
-// through the solver's own evaluation, with no batched sweep. It keeps
-// checking over the surviving topology after a failover.
+// each one scalar Erlang-C evaluation. It keeps checking over the
+// surviving topology after a failover.
 TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
   const auto c = testsupport::churn_cluster();
   const double lambda0 = 0.57 * c.max_generic_rate();
@@ -393,9 +395,7 @@ TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
     const obs::MetricValue* m = snap.find(name);
     return m != nullptr ? m->count : 0u;
   };
-  const auto scalar_before =
-      count("numerics.erlang_c_evals") - count("numerics.erlang_c_batch_evals");
-  const auto batched_before = count("numerics.erlang_c_batch_evals");
+  const auto evals_before = count("numerics.erlang_c_evals");
   ctrl.on_generic_arrival(p.at(), 0.5);  // the check: lambda' moved by one arrival in 2,000
   const auto& after = ctrl.stats();
   snap = obs::registry().snapshot();
@@ -405,12 +405,9 @@ TEST(DriftCheck, SkippedCheckCostsTheModelledServerCount) {
   EXPECT_EQ(after.solver_evaluations, before.solver_evaluations);
   EXPECT_EQ(after.check_evaluations, before.check_evaluations + (c.size() - 1));
 #if BLADE_OBS_ENABLED
-  EXPECT_EQ(count("numerics.erlang_c_evals") - count("numerics.erlang_c_batch_evals"),
-            scalar_before + (c.size() - 1));
-  EXPECT_EQ(count("numerics.erlang_c_batch_evals"), batched_before);
+  EXPECT_EQ(count("numerics.erlang_c_evals"), evals_before + (c.size() - 1));
 #else
-  EXPECT_EQ(scalar_before, 0u);
-  EXPECT_EQ(batched_before, 0u);
+  EXPECT_EQ(evals_before, 0u);
 #endif
 }
 
@@ -512,6 +509,74 @@ TEST(DriftCheck, PrunedControllerSkipsAtASteadyState) {
     EXPECT_EQ(after.check_evaluations - before.check_evaluations, skipped * top_k)
         << what << ": a skipped check prices the kept servers only";
   }
+}
+
+// Admission under pruning. A pruned solve is Infeasible at or above what
+// its kept servers carry, so a pruning controller sheds down to the
+// ceiling of that capacity, not of every modelled server's. Eight
+// four-blade servers at speeds 1.0, 1.2, ..., 2.4 and a 20% preload carry
+// lambda'_max = 43.52; the two fastest, kept by top-2 pruning, carry
+// 14.72, of which the ceiling admits 0.95 x 14.72 = 13.98.
+model::Cluster speed_ladder() {
+  std::vector<double> speeds;
+  for (int k = 0; k < 8; ++k) speeds.push_back(1.0 + 0.2 * k);
+  return model::make_cluster(std::vector<unsigned>(8, 4), speeds, 1.0, 0.2);
+}
+
+// At 20 offered, between the two ceilings, every re-solve must shed to the
+// kept ceiling and publish the pruned optimum: none fails and falls back
+// to a split that also loads the pruned servers.
+TEST(DriftCheck, PrunedControllerShedsToItsKeptCapacity) {
+  const auto c = speed_ladder();
+  runtime::ControllerConfig cfg;
+  cfg.shard_cells = 1;
+  cfg.prune_top_k = 2;
+  cfg.half_life = 1.0;
+  runtime::ReplayTrace trace;
+  trace.horizon = 100.0;
+  trace.seed = 1;
+  trace.events.push_back({.time = 0.0, .kind = runtime::ReplayEvent::Kind::Rate, .rate = 20.0});
+  const auto r = runtime::replay(c, cfg, trace);
+
+  EXPECT_GT(r.stats.resolves, 10u);
+  EXPECT_EQ(r.stats.solver_failures, 0u);
+  EXPECT_EQ(r.final_mode, runtime::Mode::Optimal);
+  EXPECT_NEAR(r.shed_fraction, 1.0 - kCeiling * 14.72 / 20.0, 0.03);
+  ASSERT_EQ(r.final_fractions.size(), c.size());
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(r.final_fractions[i], 0.0) << "server " << i;
+}
+
+// One check, published at 80% of the kept ceiling, then seeing lambda-hat
+// between the kept ceiling and the full one: it counts as a shedding
+// check, and its re-solve sheds exactly the excess over the kept ceiling.
+TEST(DriftCheck, PrunedCeilingCountsAsShedding) {
+  const auto c = speed_ladder();
+  const double kept_ceiling = kCeiling * 14.72;
+  const double lambda0 = 0.8 * kept_ceiling;
+  constexpr std::uint64_t kArrivals = 2000;
+  constexpr std::uint64_t kMore = 1600;  // lambda-hat = 1.8 lambda0, about 20
+  Published p(c, queue::Discipline::Fcfs, kArrivals / lambda0, kArrivals, kMore, 1, 2);
+  runtime::Controller& ctrl = p.ctrl();
+  ASSERT_EQ(ctrl.mode(), runtime::Mode::Optimal);
+  ASSERT_EQ(ctrl.shed_probability(), 0.0);
+
+  const auto before = ctrl.stats();
+  for (std::uint64_t k = 0; k < kMore; ++k) ctrl.on_generic_arrival(p.at(), 0.5);
+  const auto& after = ctrl.stats();
+
+  opt::ShardOptions shard;
+  shard.cells = 1;
+  shard.prune.top_k = 2;
+  const model::Cluster now = estimated_cluster(c, ctrl, p.at());
+  const opt::ShardedOptimizer solver(now, queue::Discipline::Fcfs, {}, shard);
+  const double lam = ctrl.estimated_lambda(p.at());
+  ASSERT_GT(lam, kCeiling * solver.kept_capacity());
+  ASSERT_LT(lam, kCeiling * now.max_generic_rate());
+  EXPECT_EQ(after.shedding_checks, before.shedding_checks + 1);
+  EXPECT_EQ(after.resolves, before.resolves + 1);
+  EXPECT_EQ(after.solver_failures, before.solver_failures);
+  EXPECT_EQ(ctrl.mode(), runtime::Mode::Optimal);
+  EXPECT_NEAR(ctrl.shed_probability(), 1.0 - kCeiling * solver.kept_capacity() / lam, 1e-12);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "numerics/differentiation.hpp"
 #include "numerics/erlang.hpp"
@@ -12,6 +13,7 @@ namespace {
 
 using blade::num::erlang_b;
 using blade::num::erlang_c;
+using blade::num::erlang_c_derivs;
 using blade::num::erlang_c_drho;
 using blade::num::erlang_c_reference;
 using blade::num::mmm_p0;
@@ -161,6 +163,15 @@ TEST(ErlangValidation, RejectsBadArguments) {
   EXPECT_THROW((void)erlang_c(4, 1.0), std::invalid_argument);
   EXPECT_THROW((void)erlang_c(4, -0.1), std::invalid_argument);
   EXPECT_THROW((void)erlang_b(3, -1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)erlang_c(4, nan), std::invalid_argument);
+  EXPECT_THROW((void)erlang_b(3, nan), std::invalid_argument);
+  EXPECT_THROW((void)erlang_b(3, inf), std::invalid_argument);
+  EXPECT_THROW((void)erlang_c_derivs(0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)erlang_c_derivs(4, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)erlang_c_derivs(4, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)erlang_c_derivs(4, nan), std::invalid_argument);
 }
 
 }  // namespace

@@ -316,9 +316,10 @@ struct ClosureCounts {
 
 /// Rebuilds the instance the controller's last re-solve consumed (its
 /// alive set and special rates, the blade counts and health speed factors
-/// it saw, the admitted target) and compares the published split with a
-/// cold solve of it by a solver of the controller's cells and pruning: T'
-/// to 1e-9 relative, every fraction to 1e-7.
+/// it saw, the admitted target, which a pruning solver caps at its kept
+/// capacity) and compares the published split with a cold solve of it by
+/// a solver of the controller's cells and pruning: T' to 1e-9 relative,
+/// every fraction to 1e-7.
 void expect_cold_optimum(const runtime::Controller& ctrl, const runtime::ControllerConfig& cfg,
                          const std::string& what) {
   const model::Cluster& cluster = ctrl.cluster();
@@ -336,14 +337,17 @@ void expect_cold_optimum(const runtime::Controller& ctrl, const runtime::Control
                   special[i];
     servers.emplace_back(blades, cluster.server(i).speed() * factor, special[i]);
   }
-  const double target =
-      std::min(ctrl.last_solved_lambda(), cfg.utilization_ceiling * lambda_max);
   const model::Cluster solved(std::move(servers), cluster.rbar());
   opt::ShardOptions shard;
   shard.cells = std::clamp<std::size_t>(cfg.shard_cells, 1, alive.size());
   shard.prune.top_k = cfg.prune_top_k;
-  const auto cold =
-      opt::ShardedOptimizer(solved, cfg.discipline, cfg.solver, shard).optimize(target).dist;
+  const opt::ShardedOptimizer reference(solved, cfg.discipline, cfg.solver, shard);
+  // A pruned solve carries only what its kept servers can.
+  const double capacity =
+      reference.pruned_servers() > 0 ? reference.kept_capacity() : lambda_max;
+  const double target =
+      std::min(ctrl.last_solved_lambda(), cfg.utilization_ceiling * capacity);
+  const auto cold = reference.optimize(target).dist;
 
   const auto f = ctrl.routing_fractions();
   ASSERT_EQ(f.size(), cluster.size()) << what;
@@ -487,7 +491,7 @@ TEST(RuntimeFuzz, EveryReSolveIsTheColdOptimumOfItsInstance) {
   // With health on, catalog clusters whose servers share classes, solved
   // in two cells, unpruned and pruned to each cell's top two servers.
   // At the time of writing, unpruned: 524 drift, 323 quarantine-shrunk
-  // drift, 45 failover and 119 probation checks; pruned: 274, 218, 32, 94.
+  // drift, 45 failover and 119 probation checks; pruned: 727, 378, 45, 119.
   for (const std::size_t prune : {std::size_t{0}, std::size_t{2}}) {
     ClosureCounts sharded;
     const Layout layout{.catalog = true, .shard_cells = 2, .prune_top_k = prune};
