@@ -1,10 +1,16 @@
 // google-benchmark microbenchmarks of the solvers: the paper's double
 // bisection vs the closed form (single-blade clusters) vs projected
-// gradient, and scaling in cluster size and tolerance.
+// gradient, scaling in cluster size and tolerance, and the warm re-solve
+// on serve-churn's cluster. Runs through bench_obs_main, so each run
+// writes BENCH_bench_optimizer_perf.json; CI ratios the warm re-solve's
+// wall timer (optimizer.bench.warm_resolve_seconds) over a 64-queue
+// marginal sweep's (optimizer.bench.sweep64_seconds) against the
+// checked-in bench/baselines/ record.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/closed_form.hpp"
@@ -12,6 +18,8 @@
 #include "core/optimizer.hpp"
 #include "model/cluster.hpp"
 #include "model/paper_configs.hpp"
+#include "obs/obs.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -105,5 +113,54 @@ void BM_ProjectedGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProjectedGradient);
+
+/// servebench's serve-churn cluster: 64 servers, server i with 1 + i % 8
+/// blades, speeds at the midpoints of 64 strata of [0.5, 2.5] paired with
+/// the blade counts by servebench's fixed shuffle (stream 3000017), a 20%
+/// special preload.
+model::Cluster churn_cluster() {
+  constexpr std::size_t n = 64;
+  std::vector<unsigned> sizes(n);
+  std::vector<double> speeds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sizes[i] = 1 + static_cast<unsigned>(i % 8);
+    speeds[i] = 0.5 + 2.0 * (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+  }
+  sim::RngStream pairing(0, 3000017);
+  for (std::size_t i = n; i > 1; --i) std::swap(speeds[i - 1], speeds[pairing.below(i)]);
+  return model::make_cluster(sizes, speeds, 1.0, 0.2);
+}
+
+// The controller's warm re-solve: one workspace threaded through a +-1%
+// chain around serve-churn's 57% load, FCFS (0) or special priority (1).
+// After each re-solve, one {G, dG} evaluation of each of the 64 servers
+// at the rates it returned, the Erlang-kernel work of one Newton round.
+// Each iteration times both, so their ratio (sweeps per warm re-solve)
+// does not depend on the host's speed.
+void BM_WarmReSolveChurn(benchmark::State& state) {
+  const auto cluster = churn_cluster();
+  const auto d =
+      state.range(0) == 0 ? queue::Discipline::Fcfs : queue::Discipline::SpecialPriority;
+  std::vector<queue::BladeQueue> queues;
+  for (const auto& server : cluster.servers()) queues.push_back(server.queue(cluster.rbar(), d));
+  const opt::LoadDistributionOptimizer solver(cluster, d);
+  const double base = 0.57 * cluster.max_generic_rate();
+  opt::SolverWorkspace ws;
+  (void)solver.optimize(base, ws);
+  int tick = 0;
+  for (auto _ : state) {
+    const double lambda = base * (1.0 + 0.01 * ((tick++ % 3) - 1));
+    opt::LoadDistribution sol;
+    {
+      BLADE_OBS_TIMER("optimizer.bench.warm_resolve_seconds");
+      sol = solver.optimize(lambda, ws);
+    }
+    BLADE_OBS_TIMER("optimizer.bench.sweep64_seconds");
+    for (std::size_t i = 0; i < queues.size(); ++i) {
+      benchmark::DoNotOptimize(queues[i].lagrange_marginal_with_derivative(sol.rates[i]));
+    }
+  }
+}
+BENCHMARK(BM_WarmReSolveChurn)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -122,9 +122,11 @@ struct NewtonState {
   std::vector<double> hub;     ///< saturation guards (1 - saturation_margin) * bound
   std::vector<double> g;       ///< g_i at x_i
   std::vector<double> dg;      ///< g'_i at x_i
+  std::vector<double> slope;   ///< m_i/g'_i, as the water-fill capped g'_i
   std::vector<double> next;    ///< the round's step
   std::vector<std::size_t> order;  ///< modelled entries by breakpoint
-  std::vector<std::pair<double, std::size_t>> keyed;  ///< (breakpoint, entry), sorted
+  /// (breakpoint, entry), sorted; the next water-fill starts from this order.
+  std::vector<std::pair<double, std::size_t>> keyed;
 };
 
 }  // namespace detail

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <iomanip>
@@ -300,6 +301,35 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
   return result;
 }
 
+/// Sorts (breakpoint, entry) pairs that arrive in the order the last
+/// water-fill left them: an insertion sort, O(n + shifts) on the nearly
+/// sorted keys of successive rounds and solves. (b_i, i) is a total order
+/// (a breakpoint is finite or -inf), so the permutation is std::sort's. A
+/// carried order that needs more than n ceil(log2 n) shifts is not nearly
+/// sorted, and std::sort takes over.
+inline void sort_from_carried(std::vector<std::pair<double, std::size_t>>& keyed) {
+  const std::size_t n = keyed.size();
+  if (n < 2) return;
+  const auto budget = n * static_cast<std::size_t>(std::bit_width(n - 1));
+  // The pairs' operator<, spelled out: the synthesized three-way form
+  // compiles to slower code.
+  auto before = [](const auto& a, const auto& b) {
+    return a.first < b.first || (a.first == b.first && a.second < b.second);
+  };
+  std::size_t shifts = 0;
+  for (std::size_t k = 1; k < n; ++k) {
+    const auto key = keyed[k];
+    std::size_t j = k;
+    for (; j > 0 && before(key, keyed[j - 1]); --j) keyed[j] = keyed[j - 1];
+    keyed[j] = key;
+    shifts += k - j;
+    if (shifts > budget) {
+      std::sort(keyed.begin(), keyed.end());
+      return;
+    }
+  }
+}
+
 /// One Newton round's linear model, the water-fill. With g_i and g'_i
 /// evaluated at s.x, phi' is the exact root of
 /// sum_i m_i max(0, x_i + (phi - g_i)/g'_i) = lambda', found by
@@ -307,10 +337,11 @@ Expected<double> find_rate_core(const OptimizerOptions& opts, const Obj& obj, st
 /// entry's slope m_i/g'_i is capped at the flattest loaded entry's (its
 /// tangent at zero can be almost flat, or flat, and would pin phi' at its
 /// breakpoint, far below the loaded entries' multiplier), so s.dg leaves
-/// holding the round's slopes. Afterwards s.order's first `active`
-/// entries are the active set, cheapest breakpoint first. A typed error
-/// when a marginal is not finite, a loaded entry has no slope, or no
-/// entry is loaded.
+/// holding the round's g'_i and s.slope their m_i/g'_i. s.keyed leaves
+/// sorted, the next water-fill's starting order, and s.order[0, active)
+/// is the active set, cheapest breakpoint first. A typed error when a
+/// marginal is not finite, a loaded entry has no slope, or no entry is
+/// loaded; s.keyed is then left as it was.
 struct WaterFill {
   double phi = 0.0;          ///< phi', the round's multiplier
   std::size_t active = 0;    ///< s.order[0, active) step
@@ -319,27 +350,35 @@ struct WaterFill {
 
 inline Expected<WaterFill> water_fill(double lambda_total, NewtonState& s) {
   const std::size_t n = s.x.size();
-  auto slope = [&](std::size_t i) { return s.weight[i] / s.dg[i]; };  // m_i/g'_i
+  s.slope.resize(n);
   double loaded_slope = 0.0;  // the flattest loaded entry's
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::isfinite(s.g[i])) return non_finite_marginal_error(i, s.x[i], s.g[i]);
     if (s.x[i] == 0.0) continue;
-    if (!(s.dg[i] > 0.0) || !std::isfinite(slope(i))) {
+    s.slope[i] = s.weight[i] / s.dg[i];
+    if (!(s.dg[i] > 0.0) || !std::isfinite(s.slope[i])) {
       return Error{ErrorCode::NonConvergence, "optimize: no marginal slope at a loaded entry"};
     }
-    loaded_slope = std::max(loaded_slope, slope(i));
+    loaded_slope = std::max(loaded_slope, s.slope[i]);
   }
   if (loaded_slope == 0.0) return Error{ErrorCode::NonConvergence, "optimize: no loaded entry"};
-  // Sorted as (breakpoint, index) pairs, each breakpoint computed once.
-  s.keyed.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
+    if (s.x[i] != 0.0) continue;
     const double least = s.weight[i] / loaded_slope;
-    if (s.x[i] == 0.0 && !(s.dg[i] >= least && std::isfinite(s.dg[i]))) s.dg[i] = least;
-    s.keyed[i] = {s.g[i] - s.dg[i] * s.x[i], i};
+    if (!(s.dg[i] >= least && std::isfinite(s.dg[i]))) s.dg[i] = least;
+    s.slope[i] = s.weight[i] / s.dg[i];
   }
-  std::sort(s.keyed.begin(), s.keyed.end());
-  s.order.resize(n);
-  for (std::size_t k = 0; k < n; ++k) s.order[k] = s.keyed[k].second;
+  // Each breakpoint computed once, in the carried order; a state whose
+  // entry count changed carries none.
+  auto breakpoint = [&](std::size_t i) { return s.g[i] - s.dg[i] * s.x[i]; };
+  if (s.keyed.size() == n) {
+    for (auto& [b, i] : s.keyed) b = breakpoint(i);
+    sort_from_carried(s.keyed);
+  } else {
+    s.keyed.resize(n);
+    for (std::size_t i = 0; i < n; ++i) s.keyed[i] = {breakpoint(i), i};
+    std::sort(s.keyed.begin(), s.keyed.end());
+  }
 
   // Over the k cheapest breakpoints the linearized total is
   // sum m_i x_i + sum (m_i/g'_i)(phi - g_i), so its root is
@@ -349,13 +388,15 @@ inline Expected<WaterFill> water_fill(double lambda_total, NewtonState& s) {
   num::KahanSum mx;
   num::KahanSum w;
   WaterFill fill;
-  fill.flattest = s.order.front();
+  s.order.resize(n);
+  fill.flattest = s.keyed.front().second;
   while (fill.active < n) {
-    const std::size_t i = s.order[fill.active++];
-    wg.add(slope(i) * s.g[i]);
+    const std::size_t i = s.keyed[fill.active].second;
+    s.order[fill.active++] = i;
+    wg.add(s.slope[i] * s.g[i]);
     mx.add(s.weight[i] * s.x[i]);
-    w.add(slope(i));
-    if (slope(i) > slope(fill.flattest)) fill.flattest = i;
+    w.add(s.slope[i]);
+    if (s.slope[i] > s.slope[fill.flattest]) fill.flattest = i;
     fill.phi = (wg.value() + (lambda_total - mx.value())) / w.value();
     if (fill.active < n && s.keyed[fill.active].first >= fill.phi) break;
   }
@@ -371,11 +412,18 @@ inline double newton_target(const NewtonState& s, std::size_t i, double phi) {
 /// Flat plateau: the rate the constraint leaves the flattest active
 /// entry once every other entry takes its s.next, unclamped. Its own
 /// target would divide a rounding error in phi' by its near-zero g'_i.
-inline double plateau_residual(const NewtonState& s, double lambda_total, std::size_t flattest) {
+/// In the same pass, `settled` (when given) reports whether every other
+/// entry's step |s.next_i - s.x_i| is within `step_tolerance`.
+inline double plateau_residual(const NewtonState& s, double lambda_total, std::size_t flattest,
+                               bool* settled = nullptr, double step_tolerance = 0.0) {
   num::KahanSum others;
+  bool all = true;
   for (std::size_t i = 0; i < s.x.size(); ++i) {
-    if (i != flattest) others.add(s.weight[i] * s.next[i]);
+    if (i == flattest) continue;
+    others.add(s.weight[i] * s.next[i]);
+    all = all && std::abs(s.next[i] - s.x[i]) <= step_tolerance;
   }
+  if (settled != nullptr) *settled = all;
   return (lambda_total - others.value()) / s.weight[flattest];
 }
 
@@ -432,7 +480,6 @@ Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, Ne
     if (!std::isfinite(s.hub[i])) return non_finite_bound_error(i);
     s.x[i] = std::isfinite(s.x[i]) ? std::clamp(s.x[i], 0.0, s.hub[i]) : 0.0;
   }
-  auto slope = [&](std::size_t i) { return s.weight[i] / s.dg[i]; };  // m_i/g'_i
   auto trust = [&](std::size_t i) { return s.x[i] + 0.5 * (s.hub[i] - s.x[i]); };
   auto solve_exactly = [&](std::size_t i, double at, double hi) -> std::optional<Error> {
     auto r = exact_at(i, at, 0.0, hi);
@@ -477,22 +524,22 @@ Expected<int> joint_newton(const OptimizerOptions& opts, double lambda_total, Ne
     num::KahanSum assigned;
     num::KahanSum free_slope;
     for (std::size_t i = 0; i < n; ++i) assigned.add(s.weight[i] * s.next[i]);
-    for (const std::size_t i : s.order) free_slope.add(slope(i));
+    for (const std::size_t i : s.order) free_slope.add(s.slope[i]);
     next_phi += (lambda_total - assigned.value()) / free_slope.value();
     for (const std::size_t i : s.order) {
       if (i != flattest) s.next[i] = std::min(newton_target(s, i, next_phi), trust(i));
     }
-    s.next[flattest] =
-        std::clamp(plateau_residual(s, lambda_total, flattest), 0.0, trust(flattest));
+    bool settled = false;
+    s.next[flattest] = std::clamp(
+        plateau_residual(s, lambda_total, flattest, &settled, 0.5 * opts.rate_tolerance), 0.0,
+        trust(flattest));
 
     // A residual of size lambda' is resolved to a few ulps of lambda' (as
     // Brent's test allows 2 eps |b|).
-    bool settled = std::abs(s.next[flattest] - s.x[flattest]) <=
-                   0.5 * opts.rate_tolerance + 4.0 * std::numeric_limits<double>::epsilon() *
-                                                   lambda_total / s.weight[flattest];
-    for (std::size_t i = 0; i < n && settled; ++i) {
-      settled = i == flattest || std::abs(s.next[i] - s.x[i]) <= 0.5 * opts.rate_tolerance;
-    }
+    settled = settled && std::abs(s.next[flattest] - s.x[flattest]) <=
+                             0.5 * opts.rate_tolerance +
+                                 4.0 * std::numeric_limits<double>::epsilon() * lambda_total /
+                                     s.weight[flattest];
     s.x.swap(s.next);
     if (settled) {
       phi = next_phi;

@@ -27,6 +27,16 @@ void check_rho(double rho) {
   }
 }
 
+/// The Erlang-B recurrence, unchecked and uncounted: the Erlang-C kernels
+/// have validated m and rho, so a = m rho is finite and >= 0.
+double erlang_b_recurrence(unsigned m, double a) {
+  double b = 1.0;
+  for (unsigned k = 1; k <= m; ++k) {
+    b = a * b / (static_cast<double>(k) + a * b);
+  }
+  return b;
+}
+
 }  // namespace
 
 double erlang_b(unsigned m, double a) {
@@ -37,11 +47,7 @@ double erlang_b(unsigned m, double a) {
   }
   if (!(a >= 0.0)) throw std::invalid_argument("erlang_b: a must be >= 0");
   BLADE_OBS_COUNT("numerics.erlang_b_evals");
-  double b = 1.0;
-  for (unsigned k = 1; k <= m; ++k) {
-    b = a * b / (static_cast<double>(k) + a * b);
-  }
-  return b;
+  return erlang_b_recurrence(m, a);
 }
 
 double erlang_c(unsigned m, double rho) {
@@ -50,7 +56,7 @@ double erlang_c(unsigned m, double rho) {
   BLADE_OBS_COUNT("numerics.erlang_c_evals");
   if (rho == 0.0) return 0.0;
   const double a = static_cast<double>(m) * rho;
-  const double b = erlang_b(m, a);
+  const double b = erlang_b_recurrence(m, a);
   return b / (1.0 - rho * (1.0 - b));
 }
 
@@ -60,7 +66,7 @@ double erlang_c_drho(unsigned m, double rho) {
   BLADE_OBS_COUNT("numerics.erlang_c_drho_evals");
   if (rho == 0.0) return m == 1 ? 1.0 : 0.0;
   const double a = static_cast<double>(m) * rho;
-  const double b = erlang_b(m, a);
+  const double b = erlang_b_recurrence(m, a);
   // t = T_m / S_1 where T_m = a^m/m!, S_1 = sum_{k<m} a^k/k!.
   // B = T_m/(S_1+T_m)  =>  t = B/(1-B).
   const double t = b / (1.0 - b);
@@ -73,7 +79,6 @@ ErlangCDerivs erlang_c_derivs(unsigned m, double rho) {
   check_m(m);
   check_rho(rho);
   BLADE_OBS_COUNT("numerics.erlang_c_evals");
-  BLADE_OBS_COUNT("numerics.erlang_c_derivs_evals");
   ErlangCDerivs r;
   if (rho == 0.0) {
     // C has an m-th order zero at rho = 0: C(1, rho) = rho exactly, and
@@ -83,7 +88,7 @@ ErlangCDerivs erlang_c_derivs(unsigned m, double rho) {
     return r;
   }
   // One reciprocal each for u and rho serves all three orders.
-  const double b = erlang_b(m, static_cast<double>(m) * rho);
+  const double b = erlang_b_recurrence(m, static_cast<double>(m) * rho);
   const double md = static_cast<double>(m);
   const double one_minus = 1.0 - rho;
   const double t = b / (1.0 - b);

@@ -384,7 +384,7 @@ void Controller::check_drift(double t) {
   if (!(lam < ceiling) || shed_prob_.load(std::memory_order_relaxed) > 0.0) {
     ++stats_.shedding_checks;
     BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Shedding, lam, ceiling, t);
-    resolve(t, 0, solver ? &*solver : nullptr);
+    resolve_on_model(t, lambda_max, started, solver ? &*solver : nullptr);
     return;
   }
 
@@ -423,7 +423,8 @@ void Controller::check_drift(double t) {
   // Fired, unevaluated (loss -1) or on predicted loss, which has a round.
   ++(loss < 0.0 ? stats_.unevaluated_checks : stats_.loss_checks);
   BLADE_OBS_EVENT(ResolveTrigger, obs::Cause::Drift, loss, cfg_.loss_threshold, t);
-  resolve(t, started, solver ? &*solver : nullptr, loss < 0.0 ? nullptr : &round_);
+  resolve_on_model(t, lambda_max, started, solver ? &*solver : nullptr,
+                   loss < 0.0 ? nullptr : &round_);
 }
 
 void Controller::set_mode(Mode m, obs::Cause cause) {
@@ -576,8 +577,15 @@ opt::ShardedOptimizer Controller::make_solver() const {
   return {model::Cluster(std::move(servers), cluster_.rbar()), cfg_.discipline, cfg_.solver, shard};
 }
 
-void Controller::resolve(double t, std::uint64_t started_ns,
-                         const opt::ShardedOptimizer* check_solver, const opt::FirstRound* round) {
+void Controller::resolve(double t) {
+  // Timed from here, so the model's build counts as part of the re-solve.
+  const std::uint64_t started = obs::monotonic_ns();
+  resolve_on_model(t, build_model(t), started);
+}
+
+void Controller::resolve_on_model(double t, double lambda_max, std::uint64_t started_ns,
+                                  const opt::ShardedOptimizer* check_solver,
+                                  const opt::FirstRound* round) {
   ++stats_.resolves;
   BLADE_OBS_COUNT("runtime.resolves");
   BLADE_OBS_TIMER("runtime.resolve_seconds");
@@ -591,15 +599,14 @@ void Controller::resolve(double t, std::uint64_t started_ns,
       stats.last_resolve_seconds = elapsed;
       stats.resolve_seconds_total += elapsed;
     }
-  } resolve_timer{stats_, started_ns != 0 ? started_ns : obs::monotonic_ns()};
+  } resolve_timer{stats_, started_ns};
   reference_tprime_ = -1.0;  // until this solve succeeds
 
   const double lam_hat =
       ewma_[0].count() >= cfg_.min_arrivals ? estimated_lambda(t) : cfg_.initial_lambda;
   BLADE_OBS_GAUGE_SET("runtime.estimated_lambda", lam_hat);
 
-  // Surviving topology and the special preloads the solve will assume.
-  const double lambda_max = build_model(t);
+  // Surviving topology and the special preloads the solve assumes.
   const std::vector<std::size_t>& alive = model_alive_;
   if (alive.empty() || !(lambda_max > 0.0)) {
     solved_lambda_ = lam_hat;

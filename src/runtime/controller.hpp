@@ -378,12 +378,16 @@ class Controller {
   /// round to price, and when the round's predicted loss exceeds
   /// loss_threshold; otherwise counts a skip.
   void check_drift(double t);
-  /// Re-solves at time t. A drift check that fires hands over when it
-  /// started (the re-solve is timed from there), the solver it built, and
-  /// on predicted loss the round it evaluated, which the solve starts from.
-  void resolve(double t, std::uint64_t started_ns = 0,
-               const opt::ShardedOptimizer* check_solver = nullptr,
-               const opt::FirstRound* round = nullptr);
+  /// Re-solves at time t: build_model(t), then resolve_on_model.
+  void resolve(double t);
+  /// Re-solves at time t on the model build_model(t) left, of lambda'_max
+  /// `lambda_max`, timed from `started_ns`. A drift check that fires runs
+  /// it on the model it built, timed from its own start, and hands over
+  /// the solver it built and, on predicted loss, the round it evaluated,
+  /// which the solve starts from.
+  void resolve_on_model(double t, double lambda_max, std::uint64_t started_ns,
+                        const opt::ShardedOptimizer* check_solver = nullptr,
+                        const opt::FirstRound* round = nullptr);
   /// Validated publication: rejects any weight vector AliasTable would
   /// not accept (NaN/negative/all-zero) instead of publishing it.
   /// Returns false and leaves the previous table in place on rejection.

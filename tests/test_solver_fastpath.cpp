@@ -1,6 +1,7 @@
 // Unit tests for the solver hot path: the derivative-returning Erlang
 // kernel, the analytic marginal derivative, the warm-bracketed Newton
-// inner solve and its stop rule, the outer polish, workspace-threaded
+// inner solve and its stop rule, the outer polish, the water-fill's
+// carried sort order, workspace-threaded
 // outer solves, warm-started re-solves
 // (bad starting rates, far seeds, clear(), the evaluation-count gates on
 // serve-churn's cluster, preload jumps, the fallback on an exception),
@@ -11,9 +12,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,6 +33,7 @@
 #include "parallel/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/generators.hpp"
+#include "support/water_fill_oracle.hpp"
 
 namespace {
 
@@ -255,6 +261,164 @@ TEST(StopRule, PolishAfterAnExactBracketingHitTakesAtMostThreeProbes) {
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res.value(), r.probes);
   r.expect_closed("bracketing hit");
+}
+
+// --- the water-fill's carried sort order --------------------------------
+
+/// Random water-fill entries: about one in seven idle, a third of the
+/// idle ones with a g' the cap must raise (tiny, zero, infinite or NaN),
+/// and one in five a copy of an earlier entry, a tied breakpoint at
+/// another index.
+void random_entries(opt::detail::NewtonState& s, std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  s.x.resize(n);
+  s.weight.resize(n);
+  s.g.resize(n);
+  s.dg.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.weight[i] = static_cast<double>(1 + rng() % 4);
+    s.x[i] = u(rng) < 0.15 && n > 1 ? 0.0 : 0.05 + 3.0 * u(rng);
+    s.g[i] = 0.5 + 2.5 * u(rng);
+    s.dg[i] = 0.2 + 4.0 * u(rng);
+    if (s.x[i] == 0.0 && u(rng) < 0.35) {
+      const double flat[] = {1e-12, 0.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+      s.dg[i] = flat[rng() % 4];
+    }
+    if (i > 0 && u(rng) < 0.2) {
+      const std::size_t j = rng() % i;
+      s.x[i] = s.x[j];
+      s.g[i] = s.g[j];
+      s.dg[i] = s.dg[j];
+    }
+  }
+  s.x[0] = std::max(s.x[0], 0.5);  // at least one loaded entry
+}
+
+/// Nudges every entry by up to 1%, as successive Newton rounds and warm
+/// solves do: the breakpoints' order barely changes.
+void perturb_entries(opt::detail::NewtonState& s, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(-0.01, 0.01);
+  for (std::size_t i = 0; i < s.x.size(); ++i) {
+    s.x[i] *= 1.0 + u(rng);
+    s.g[i] *= 1.0 + u(rng);
+    if (std::isfinite(s.dg[i]) && s.dg[i] > 1e-6) s.dg[i] *= 1.0 + u(rng);
+  }
+}
+
+double loaded_total(const opt::detail::NewtonState& s) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < s.x.size(); ++i) total += s.weight[i] * s.x[i];
+  return total;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// One water-fill on `s` against the oracle on a copy of its inputs: the
+/// same multiplier, active set, flattest entry, capped g', sorted pairs
+/// and typed error, bit for bit, and stored slopes m_i/g'_i. After an
+/// error s.keyed must still be a permutation of its entries.
+void expect_water_fill_matches_oracle(opt::detail::NewtonState& s, double lambda_total,
+                                      const std::string& what) {
+  opt::detail::NewtonState o;
+  o.x = s.x;
+  o.weight = s.weight;
+  o.g = s.g;
+  o.dg = s.dg;
+  const auto want = testsupport::water_fill_sorted_afresh(lambda_total, o);
+  const auto got = opt::detail::water_fill(lambda_total, s);
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!want) {
+    EXPECT_EQ(got.error().code, want.error().code) << what;
+    EXPECT_EQ(got.error().context, want.error().context) << what;
+    std::vector<std::size_t> entries;
+    for (const auto& [b, i] : s.keyed) entries.push_back(i);
+    std::sort(entries.begin(), entries.end());
+    std::vector<std::size_t> all(entries.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    EXPECT_EQ(entries, all) << what << ": s.keyed is no longer a permutation";
+    return;
+  }
+  EXPECT_TRUE(same_bits(got.value().phi, want.value().phi)) << what;
+  ASSERT_EQ(got.value().active, want.value().active) << what;
+  EXPECT_EQ(got.value().flattest, want.value().flattest) << what;
+  for (std::size_t k = 0; k < want.value().active; ++k) {
+    ASSERT_EQ(s.order[k], o.order[k]) << what << " position " << k;
+  }
+  ASSERT_EQ(s.keyed.size(), o.keyed.size()) << what;
+  for (std::size_t k = 0; k < o.keyed.size(); ++k) {
+    ASSERT_EQ(s.keyed[k].second, o.keyed[k].second) << what << " position " << k;
+    ASSERT_TRUE(same_bits(s.keyed[k].first, o.keyed[k].first)) << what << " position " << k;
+  }
+  for (std::size_t i = 0; i < s.x.size(); ++i) {
+    ASSERT_TRUE(same_bits(s.dg[i], o.dg[i])) << what << " entry " << i;
+    ASSERT_TRUE(same_bits(s.slope[i], s.weight[i] / s.dg[i])) << what << " entry " << i;
+  }
+}
+
+// Each water-fill sorts its breakpoints starting from the order the
+// previous one left in the state, an insertion sort that hands over to
+// std::sort past n ceil(log2 n) shifts or when the entry count changed.
+// (b_i, i) is a total order, so every call must give the bits of the
+// water-fill that sorts fresh pairs with std::sort: one state through
+// perturbed calls at 1, 2, 7, 64 and 1,000 entries and back, with tied
+// breakpoints and capped idle slopes, a reversed start order (past the
+// budget), and both typed errors.
+TEST(WaterFill, CarriedOrderIsStdSortsOrder) {
+  std::mt19937_64 rng(2026);
+  opt::detail::NewtonState s;
+  int calls = 0;
+  for (const std::size_t n : {1, 2, 7, 64, 1000, 64, 7, 2, 1}) {
+    random_entries(s, n, rng);
+    for (int step = 0; step < 6; ++step) {
+      if (step > 0) perturb_entries(s, rng);
+      const double lambda = loaded_total(s) * (step % 2 == 0 ? 1.003 : 0.997);
+      expect_water_fill_matches_oracle(
+          s, lambda, "n " + std::to_string(n) + " step " + std::to_string(step));
+      ++calls;
+    }
+    if (n < 7) continue;
+
+    // Reversed: breakpoints ascending in the index, then descending, so
+    // the carried order is backwards. Its n (n - 1) / 2 shifts meet the
+    // budget n ceil(log2 n) at 7 entries and exceed it at 64 and 1,000.
+    for (const double sign : {1.0, -1.0}) {
+      for (std::size_t i = 0; i < n; ++i) {
+        s.x[i] = 1.0;
+        s.dg[i] = 1.0;
+        s.g[i] = 2.0 + sign * 1e-3 * static_cast<double>(i);
+      }
+      expect_water_fill_matches_oracle(s, 0.9 * loaded_total(s),
+                                       "n " + std::to_string(n) + " reversed");
+      ++calls;
+    }
+
+    // The typed errors leave the carried order a permutation, and the
+    // calls after them still match.
+    const double inf = std::numeric_limits<double>::infinity();
+    perturb_entries(s, rng);
+    const double g0 = s.g[n / 2];
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf}) {
+      s.g[n / 2] = bad;
+      expect_water_fill_matches_oracle(s, loaded_total(s), "n " + std::to_string(n) + " bad g");
+    }
+    s.g[n / 2] = g0;
+    const double dg0 = s.dg[0];
+    s.x[0] = 1.0;
+    s.dg[0] = 0.0;
+    expect_water_fill_matches_oracle(s, loaded_total(s), "n " + std::to_string(n) + " no slope");
+    s.dg[0] = dg0;
+    const std::vector<double> x = s.x;
+    std::fill(s.x.begin(), s.x.end(), 0.0);
+    expect_water_fill_matches_oracle(s, 1.0, "n " + std::to_string(n) + " nothing loaded");
+    s.x = x;
+    expect_water_fill_matches_oracle(s, loaded_total(s),
+                                     "n " + std::to_string(n) + " after the errors");
+    calls += 5;
+  }
+  EXPECT_EQ(calls, 9 * 6 + 5 * (2 + 5));
 }
 
 // --- workspace-threaded outer solves -------------------------------------
