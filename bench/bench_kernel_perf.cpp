@@ -1,13 +1,21 @@
 // google-benchmark microbenchmarks of the numerical and simulation
 // kernels underneath the optimizer: Erlang C (+ derivative), blade-queue
 // marginals (one queue, and a 64-queue sweep), the future-event list
-// alone, and raw DES event throughput.
+// alone (the hold model, and static-split's event mix), and raw DES
+// event throughput. Runs through bench_obs_main, so each run writes
+// BENCH_bench_kernel_perf.json; CI ratios the event mix's wall timer
+// (sim.bench.serve_mix_seconds) over the same count of exponential
+// draws (sim.bench.draws_seconds) against the checked-in
+// bench/baselines/ record.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "churn_cluster.hpp"
+#include "core/optimizer.hpp"
 #include "model/cluster.hpp"
 #include "numerics/erlang.hpp"
 #include "obs/obs.hpp"
@@ -15,6 +23,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
+#include "util/alias_table.hpp"
 
 namespace {
 
@@ -84,6 +93,94 @@ void BM_EventQueueHold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueHold)->Arg(130)->Arg(4000);
+
+/// static-split's event mix on a bare queue. serve-churn's cluster takes
+/// one generic stream at 70% of its generic capacity, split by the
+/// paper's optimum, and one special stream per server at 20% of that
+/// server's capacity. Each arrival pushes its task's completion (mean
+/// rbar/s_i), then its stream's next arrival; a completion pushes
+/// nothing. Every task enters service at once, so as many completions
+/// are pending as static-split keeps blades busy: about 275 events in
+/// all, as there.
+class ServeMix {
+ public:
+  explicit ServeMix(const model::Cluster& c) : service_mean_(c.mean_service_times()) {
+    const double lambda = 0.7 * c.max_generic_rate();
+    const auto split = opt::LoadDistributionOptimizer(c, queue::Discipline::Fcfs).optimize(lambda);
+    // A fixed route sequence drawn from the split: routing is one load.
+    const util::AliasTable alias(split.rates);
+    for (auto& dest : route_) {
+      const double u1 = rng_.uniform();
+      dest = static_cast<std::uint8_t>(alias.sample(u1, rng_.uniform()));
+    }
+    generic_gap_ = 1.0 / lambda;
+    next_generic();
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      special_gap_.push_back(1.0 / c.server(i).special_rate());
+      next_special(i);
+    }
+  }
+
+  void run(std::size_t events) {
+    for (std::size_t k = 0; k < events; ++k) {
+      auto [t, fn] = q_.pop();
+      now_ = t;
+      fn();
+    }
+  }
+
+  [[nodiscard]] std::size_t pending() const noexcept { return q_.size(); }
+
+ private:
+  void next_generic() {
+    (void)q_.push(now_ + rng_.exponential(generic_gap_), [this] {
+      complete(route_[routed_++ % route_.size()]);
+      next_generic();
+    });
+  }
+  void next_special(std::size_t i) {
+    (void)q_.push(now_ + rng_.exponential(special_gap_[i]), [this, i] {
+      complete(i);
+      next_special(i);
+    });
+  }
+  void complete(std::size_t i) { (void)q_.push(now_ + rng_.exponential(service_mean_[i]), [] {}); }
+
+  sim::EventQueue q_;
+  sim::RngStream rng_{1, 0};
+  double now_ = 0.0;
+  std::vector<double> service_mean_;
+  double generic_gap_ = 0.0;
+  std::vector<double> special_gap_;
+  std::array<std::uint8_t, 4096> route_{};
+  std::size_t routed_ = 0;
+};
+
+// Each iteration times 256 events of the mix under
+// sim.bench.serve_mix_seconds, then as many exponential draws under
+// sim.bench.draws_seconds, so the ratio of the two (CI's gate) does not
+// depend on the host's speed.
+void BM_EventQueueServeMix(benchmark::State& state) {
+  constexpr std::size_t kEvents = 256;
+  ServeMix mix(bench_common::churn_cluster());
+  mix.run(std::size_t{1} << 16);  // past the start-up transient
+  sim::RngStream draws(2, 0);
+  double pending = 0.0;
+  for (auto _ : state) {
+    {
+      BLADE_OBS_TIMER("sim.bench.serve_mix_seconds");
+      mix.run(kEvents);
+    }
+    {
+      BLADE_OBS_TIMER("sim.bench.draws_seconds");
+      for (std::size_t k = 0; k < kEvents; ++k) benchmark::DoNotOptimize(draws.exponential(1.0));
+    }
+    pending += static_cast<double>(mix.pending());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kEvents));
+  state.counters["pending"] = benchmark::Counter(pending, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EventQueueServeMix);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Events per second for a loaded single server; horizon scaled to keep

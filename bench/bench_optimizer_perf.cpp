@@ -10,16 +10,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "churn_cluster.hpp"
 #include "core/closed_form.hpp"
 #include "support/gradient_optimizer.hpp"
 #include "core/optimizer.hpp"
 #include "model/cluster.hpp"
 #include "model/paper_configs.hpp"
 #include "obs/obs.hpp"
-#include "sim/rng.hpp"
 
 namespace {
 
@@ -114,23 +113,6 @@ void BM_ProjectedGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_ProjectedGradient);
 
-/// servebench's serve-churn cluster: 64 servers, server i with 1 + i % 8
-/// blades, speeds at the midpoints of 64 strata of [0.5, 2.5] paired with
-/// the blade counts by servebench's fixed shuffle (stream 3000017), a 20%
-/// special preload.
-model::Cluster churn_cluster() {
-  constexpr std::size_t n = 64;
-  std::vector<unsigned> sizes(n);
-  std::vector<double> speeds(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sizes[i] = 1 + static_cast<unsigned>(i % 8);
-    speeds[i] = 0.5 + 2.0 * (static_cast<double>(i) + 0.5) / static_cast<double>(n);
-  }
-  sim::RngStream pairing(0, 3000017);
-  for (std::size_t i = n; i > 1; --i) std::swap(speeds[i - 1], speeds[pairing.below(i)]);
-  return model::make_cluster(sizes, speeds, 1.0, 0.2);
-}
-
 // The controller's warm re-solve: one workspace threaded through a +-1%
 // chain around serve-churn's 57% load, FCFS (0) or special priority (1).
 // After each re-solve, one {G, dG} evaluation of each of the 64 servers
@@ -138,7 +120,7 @@ model::Cluster churn_cluster() {
 // Each iteration times both, so their ratio (sweeps per warm re-solve)
 // does not depend on the host's speed.
 void BM_WarmReSolveChurn(benchmark::State& state) {
-  const auto cluster = churn_cluster();
+  const auto cluster = bench_common::churn_cluster();
   const auto d =
       state.range(0) == 0 ? queue::Discipline::Fcfs : queue::Discipline::SpecialPriority;
   std::vector<queue::BladeQueue> queues;

@@ -45,6 +45,7 @@ void Engine::drain(double t_end) {
   }
 #if BLADE_OBS_ENABLED
   BLADE_OBS_COUNT_N("sim.events", processed_ - first);
+  queue_.count_pushes();
 #endif
 }
 

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +12,8 @@ namespace {
 constexpr EventId kSlotMask = EventQueue::kMaxPending - 1;
 
 }  // namespace
+
+EventQueue::~EventQueue() { count_pushes(); }
 
 EventId EventQueue::push(double t, std::function<void()> fn) {
   if (std::isnan(t)) throw std::invalid_argument("EventQueue::push: NaN time");
@@ -31,6 +32,13 @@ EventId EventQueue::push(double t, std::function<void()> fn) {
   slots_[slot].id = e.id;
   ++live_;
 
+  if (spent_) {
+    // Replace the popped top; stale entries may surface above `e`.
+    spent_ = false;
+    sift_down(e);
+    while (!live(heap_.front())) remove_top();
+    return e.id;
+  }
   std::size_t i = heap_.size();
   heap_.emplace_back();
   while (i > 0) {
@@ -40,7 +48,6 @@ EventId EventQueue::push(double t, std::function<void()> fn) {
     i = parent;
   }
   heap_[i] = e;
-  BLADE_OBS_COUNT("sim.events_scheduled");
   return e.id;
 }
 
@@ -50,22 +57,29 @@ void EventQueue::cancel(EventId id) {
   vacate(slot);
   slots_[slot].fn = nullptr;
   BLADE_OBS_COUNT("sim.events_cancelled");
+  // A spent top's slot is vacant, so a live id never matches it.
   if (heap_.front().id == id) pop_top();
 }
 
-double EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty queue");
+double EventQueue::next_time() {
+  if (live_ == 0) throw std::logic_error("EventQueue::next_time: empty queue");
+  settle();
   return heap_.front().time;
 }
 
 std::pair<double, std::function<void()>> EventQueue::pop() {
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty queue");
+  if (live_ == 0) throw std::logic_error("EventQueue::pop: empty queue");
+  settle();
   const Entry top = heap_.front();
   const std::size_t slot = top.id & kSlotMask;
   vacate(slot);
-  std::pair<double, std::function<void()>> out{top.time, std::move(slots_[slot].fn)};
-  pop_top();
-  return out;
+  spent_ = true;
+  return {top.time, std::move(slots_[slot].fn)};
+}
+
+void EventQueue::count_pushes() noexcept {
+  BLADE_OBS_COUNT_N("sim.events_scheduled", pushes_ - counted_);
+  counted_ = pushes_;
 }
 
 bool EventQueue::live(const Entry& e) const noexcept {
@@ -78,6 +92,12 @@ void EventQueue::vacate(std::size_t slot) {
   --live_;
 }
 
+void EventQueue::settle() noexcept {
+  if (!spent_) return;
+  spent_ = false;
+  pop_top();
+}
+
 void EventQueue::pop_top() noexcept {
   do {
     remove_top();
@@ -87,20 +107,31 @@ void EventQueue::pop_top() noexcept {
 void EventQueue::remove_top() noexcept {
   const Entry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(last);
+}
+
+void EventQueue::sift_down(const Entry e) noexcept {
+  Entry* const h = heap_.data();
   const std::size_t n = heap_.size();
-  if (n == 0) return;
   std::size_t hole = 0;
   for (std::size_t child = 1; child < n; child = 4 * hole + 1) {
-    const std::size_t end = std::min(child + 4, n);
     std::size_t best = child;
-    for (std::size_t c = child + 1; c < end; ++c) {
-      if (heap_[c].before(heap_[best])) best = c;
+    if (child + 4 <= n) {
+      // The smaller of children 0 and 1, of 2 and 3, then of the two
+      // winners, all by index arithmetic: no branch on a comparison.
+      const std::size_t a = child + h[child + 1].before(h[child]);
+      const std::size_t b = child + 2 + h[child + 3].before(h[child + 2]);
+      best = a + (b - a) * h[b].before(h[a]);
+    } else {
+      for (std::size_t c = child + 1; c < n; ++c) {
+        if (h[c].before(h[best])) best = c;
+      }
     }
-    if (!heap_[best].before(last)) break;
-    heap_[hole] = heap_[best];
+    if (!h[best].before(e)) break;
+    h[hole] = h[best];
     hole = best;
   }
-  heap_[hole] = last;
+  h[hole] = e;
 }
 
 }  // namespace blade::sim

@@ -7,8 +7,22 @@
 // current occupant, so an id whose slot has since been vacated or
 // reused no longer matches it. Cancellation is lazy: cancel() vacates
 // the slot at once and the stale heap entry is dropped when it reaches
-// the top. The top entry is always live, so next_time() is a plain read
-// and each pop() drops stale entries once.
+// the top.
+//
+// Removal is deferred. pop() vacates the top's slot and hands out its
+// callback but leaves the entry at the root, marked spent. Most
+// handlers push at once, and the next push() writes over the spent
+// root and sifts down from there: one heap pass where a removal and an
+// insertion took two. A pop(), or a next_time() with no push in
+// between, first completes the removal. The top is therefore live at
+// all times except between a pop() and the next queue call; size() and
+// empty() count live events only, so they read the same either way.
+// Which entry pops next is the exact (time, id) minimum of the live
+// ones, and ids and slot reuse do not depend on the heap's layout, so
+// the pop sequence, the ids and the arena are those of an eager heap.
+//
+// The sift-down picks the smallest of four children without branching
+// on the comparisons: the two pairs first, then their winners.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +45,12 @@ class EventQueue {
   /// Most pushes over the queue's lifetime.
   static constexpr std::uint64_t kMaxPushes = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
 
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  /// Counts the pushes not yet counted.
+  ~EventQueue();
+
   /// Schedules `fn` at absolute time `t`; returns a cancellable id.
   /// Throws std::invalid_argument for a NaN time (+/-inf are legal) and
   /// std::length_error past kMaxPending pending events or kMaxPushes
@@ -45,20 +65,27 @@ class EventQueue {
   /// Pending (pushed, not yet popped or cancelled) events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-  /// Time of the earliest pending event; requires !empty().
-  [[nodiscard]] double next_time() const;
+  /// Time of the earliest pending event; requires !empty(). Completes
+  /// a pending removal.
+  [[nodiscard]] double next_time();
 
   /// Pops and returns the earliest pending event's (time, callback);
   /// requires !empty().
   [[nodiscard]] std::pair<double, std::function<void()>> pop();
 
+  /// Adds the pushes made since the last call to the
+  /// sim.events_scheduled counter (obs builds): one registry bump per
+  /// call instead of one per push. The destructor counts the rest.
+  void count_pushes() noexcept;
+
  private:
   struct Entry {
     double time;
     EventId id;  ///< insertion sequence << kSlotBits | slot
-    /// Earlier time first; equal times in push order.
+    /// Earlier time first; equal times in push order. Bitwise & and |,
+    /// so the compiler need not branch on either comparison.
     [[nodiscard]] bool before(const Entry& o) const noexcept {
-      return time < o.time || (time == o.time && id < o.id);
+      return (time < o.time) | ((time == o.time) & (id < o.id));
     }
   };
   struct Slot {
@@ -68,16 +95,22 @@ class EventQueue {
 
   [[nodiscard]] bool live(const Entry& e) const noexcept;
   void vacate(std::size_t slot);
+  /// Completes a pending removal, if any.
+  void settle() noexcept;
   /// Removes the top entry, then drops stale entries until the top is
   /// live or the heap is empty.
   void pop_top() noexcept;
   void remove_top() noexcept;
+  /// Writes `e` over the root and moves it down to its place.
+  void sift_down(Entry e) noexcept;
 
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  ///< vacant slots, reused last-in first-out
   std::uint64_t pushes_ = 0;
+  std::uint64_t counted_ = 0;  ///< pushes already added to the counter
   std::size_t live_ = 0;
+  bool spent_ = false;  ///< heap_.front() is the popped top, not yet removed
 };
 
 }  // namespace blade::sim

@@ -185,4 +185,52 @@ TEST(Engine, ScheduleAtRejectsNaN) {
   EXPECT_EQ(e.events_processed(), 5u);
 }
 
+// run_until stops with the last popped entry still at the root when
+// that event cancels the only other one and pushes nothing. The next
+// schedule takes the root's place; the cancelled entry under it
+// surfaces and is dropped, and never fires.
+TEST(Engine, RunUntilStopsWithThePoppedTopUnreplaced) {
+  Engine e;
+  std::vector<double> fired;
+  const auto record = [&] { fired.push_back(e.now()); };
+  EventId later = 0;
+  (void)e.schedule_at(1.0, [&] {
+    record();
+    e.cancel(later);
+  });
+  later = e.schedule_at(5.0, record);
+  e.run_until(3.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0}));
+  EXPECT_DOUBLE_EQ(e.now(), 3.0);
+  (void)e.schedule_at(6.0, record);
+  (void)e.schedule_at(4.0, record);
+  e.run_until(10.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 4.0, 6.0}));
+  EXPECT_EQ(e.events_processed(), 3u);
+}
+
+// A callback cancels the event that would be popped next, then pushes
+// (its push takes the popped root's place) or pushes nothing (the next
+// pop completes the removal). Either way the cancelled event never runs.
+TEST(Engine, CallbackCancelsTheEventThatWouldBeNext) {
+  for (const bool pushes : {true, false}) {
+    Engine e;
+    std::vector<double> fired;
+    const auto record = [&] { fired.push_back(e.now()); };
+    EventId next = 0;
+    (void)e.schedule_at(1.0, [&] {
+      record();
+      e.cancel(next);
+      if (pushes) (void)e.schedule_at(3.0, record);
+    });
+    next = e.schedule_at(2.0, record);
+    (void)e.schedule_at(2.0, record);
+    (void)e.schedule_at(4.0, record);
+    e.run();
+    const std::vector<double> want =
+        pushes ? std::vector<double>{1.0, 2.0, 3.0, 4.0} : std::vector<double>{1.0, 2.0, 4.0};
+    EXPECT_EQ(fired, want) << "pushes " << pushes;
+  }
+}
+
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -84,6 +85,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz, ::testing::Values(1u, 7u, 42u, 1
 // plus +inf, so most pops break a tie. Popped callbacks push and cancel
 // in turn. After every operation the popped sequence, size(), empty()
 // and next_time() must equal the model's.
+//
+// Hold steps are shaped for the queue's deferred removal: the popped
+// callback pushes 0, 1 or 2 events at once, before, at or after its own
+// time, and between the pop and its pushes it may cancel its own id,
+// another live id or the event that would surface next, and may ask
+// next_time(). Until the callback returns only size(), empty() and the
+// popped sequence are checked, so no next_time() completes the removal
+// early; the hold ends with the full check.
 class QueueModelHarness {
  public:
   /// The ids cancel() is called with: pending, already popped, already
@@ -96,12 +105,28 @@ class QueueModelHarness {
   void step() {
     const auto r = rng_.below(10);
     if (r < 4) {
-      push();
+      push(random_time());
     } else if (r < 7) {
       pop();
     } else {
       cancel();
     }
+    check();
+  }
+
+  void hold() {
+    // Keep 100 to 200 events pending, so holds run on a heap four or
+    // more levels deep.
+    if (model_.size() < 100) {
+      while (model_.size() < 200) push(random_time());
+    }
+    if (rng_.below(16) == 0) {
+      // Leave one live event, so this hold pops the last of them over a
+      // heap of stale entries.
+      while (model_.size() > 1) cancel_push(std::prev(model_.end())->second);
+    }
+    holding_ = true;
+    pop();
     check();
   }
 
@@ -114,18 +139,35 @@ class QueueModelHarness {
   }
 
   void check() {
-    ASSERT_EQ(queue_.size(), model_.size());
-    ASSERT_EQ(queue_.empty(), model_.empty());
+    check_counts();
     if (!model_.empty()) {
       ASSERT_EQ(queue_.next_time(), model_.begin()->first.first);
     }
+  }
+
+  /// The checks that leave a pending removal pending.
+  void check_counts() {
+    ASSERT_EQ(queue_.size(), model_.size());
+    ASSERT_EQ(queue_.empty(), model_.empty());
     ASSERT_EQ(fired_, expected_);
   }
+
+  /// Hold-step pushes relative to the popped time.
+  enum When : std::size_t { kBefore, kAt, kAfter, kWhens };
+  /// Hold-step cancels before the first push, and of that push's id.
+  enum HoldCancel : std::size_t { kOwnId, kOtherLive, kWouldSurface, kReplacingPush, kHoldCancels };
 
   std::array<std::size_t, kKinds> cancels{};  ///< cancel() calls by kind
   std::size_t nested_pushes = 0;
   std::size_t nested_cancels = 0;
   std::size_t tied_pops = 0;  ///< pops that left an equal-time event pending
+
+  std::array<std::size_t, 3> holds_by_pushes{};  ///< hold steps by push count
+  std::array<std::size_t, kWhens> hold_pushes{};
+  std::array<std::size_t, kHoldCancels> hold_cancels{};
+  std::size_t hold_queries = 0;     ///< next_time() between a pop and its push
+  std::size_t last_live_holds = 0;  ///< holds that popped the last live event, then pushed
+  std::size_t push_cancel_push = 0;
 
  private:
   enum class State : std::uint8_t { Pending, Popped, Cancelled };
@@ -136,28 +178,104 @@ class QueueModelHarness {
   };
   static constexpr sim::EventId kSlotMask = sim::EventQueue::kMaxPending - 1;
 
-  void push() {
+  double random_time() {
+    return rng_.below(9) == 0 ? std::numeric_limits<double>::infinity()
+                              : 0.5 * static_cast<double>(rng_.below(8));
+  }
+
+  /// Pushes at `t`; returns the push index.
+  std::size_t push(double t) {
     const std::size_t idx = pushed_.size();
-    const double t = rng_.below(9) == 0 ? std::numeric_limits<double>::infinity()
-                                        : 0.5 * static_cast<double>(rng_.below(8));
     const sim::EventId id = queue_.push(t, [this, idx] { fire(idx); });
     pushed_.push_back({id, t, State::Pending});
     model_.emplace(std::pair{t, idx}, idx);
     by_id_.emplace(id, idx);
     live_slots_[id & kSlotMask] = idx;
+    return idx;
   }
 
   void fire(std::size_t idx) {
     fired_.push_back(idx);
+    if (holding_) {
+      holding_ = false;
+      hold_body(idx);
+      return;
+    }
     if (rng_.below(3) == 0) {
       ++nested_pushes;
-      push();
+      push(random_time());
     }
     if (rng_.below(3) == 0) {
       ++nested_cancels;
       cancel();
     }
     check();
+  }
+
+  /// The popped callback of a hold step.
+  void hold_body(std::size_t idx) {
+    check_counts();
+    const bool was_last = model_.empty();
+    switch (rng_.below(5)) {
+      case 0:
+        ++hold_cancels[kOwnId];
+        queue_.cancel(pushed_[idx].id);  // already popped: a no-op
+        break;
+      case 1:
+        if (model_.size() > 1) {
+          ++hold_cancels[kOtherLive];
+          const auto at = static_cast<std::ptrdiff_t>(1 + rng_.below(model_.size() - 1));
+          cancel_push(std::next(model_.begin(), at)->second);
+        }
+        break;
+      case 2:
+        if (!model_.empty()) {
+          ++hold_cancels[kWouldSurface];
+          cancel_push(model_.begin()->second);
+        }
+        break;
+      default:
+        break;
+    }
+    check_counts();
+    if (rng_.below(4) == 0) {
+      ++hold_queries;
+      if (model_.empty()) {
+        EXPECT_THROW((void)queue_.next_time(), std::logic_error);
+      } else {
+        check();
+      }
+    }
+    const auto pushes = rng_.below(3);
+    ++holds_by_pushes[pushes];
+    if (was_last && pushes > 0) ++last_live_holds;
+    const double now = pushed_[idx].time;
+    for (std::uint64_t k = 0; k < pushes; ++k) {
+      const auto when = static_cast<When>(rng_.below(kWhens));
+      ++hold_pushes[when];
+      const std::size_t j = push(when == kBefore ? now - 0.5 : when == kAt ? now : now + 0.5);
+      check_counts();
+      if (k == 0 && rng_.below(4) == 0) {
+        ++hold_cancels[kReplacingPush];
+        cancel_push(j);
+        check_counts();
+      }
+    }
+    if (rng_.below(8) == 0) {
+      ++push_cancel_push;
+      cancel_push(push(random_time()));
+      check_counts();
+      push(random_time());
+    }
+  }
+
+  /// Cancels push `idx` in the queue and, if it is pending, the model.
+  void cancel_push(std::size_t idx) {
+    if (pushed_[idx].state == State::Pending) {
+      model_.erase({pushed_[idx].time, idx});
+      retire(idx, State::Cancelled);
+    }
+    queue_.cancel(pushed_[idx].id);
   }
 
   void pop() {
@@ -182,13 +300,10 @@ class QueueModelHarness {
     if (!id) return;
     ++cancels[kind];
     if (const auto it = by_id_.find(*id); it != by_id_.end()) {
-      const std::size_t idx = it->second;
-      if (pushed_[idx].state == State::Pending) {
-        model_.erase({pushed_[idx].time, idx});
-        retire(idx, State::Cancelled);
-      }
+      cancel_push(it->second);
+    } else {
+      queue_.cancel(*id);
     }
-    queue_.cancel(*id);
   }
 
   void retire(std::size_t idx, State state) {
@@ -245,6 +360,7 @@ class QueueModelHarness {
   std::unordered_map<sim::EventId, std::size_t> live_slots_;  ///< slot -> pending push
   std::vector<std::size_t> fired_;     ///< push indices in the order callbacks ran
   std::vector<std::size_t> expected_;  ///< push indices in the model's pop order
+  bool holding_ = false;               ///< the next callback runs hold_body()
 };
 
 class EventQueueDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -253,6 +369,15 @@ TEST_P(EventQueueDifferential, MatchesOrderedMapModel) {
   QueueModelHarness h(GetParam());
   for (int op = 0; op < 6000; ++op) {
     h.step();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Then hold steps between more of the same, on the heap those left.
+  for (int op = 0; op < 6000; ++op) {
+    if (op % 2 == 0) {
+      h.hold();
+    } else {
+      h.step();
+    }
     if (::testing::Test::HasFatalFailure()) return;
   }
   h.drain();
@@ -264,6 +389,19 @@ TEST_P(EventQueueDifferential, MatchesOrderedMapModel) {
   EXPECT_GE(h.nested_pushes, 500u);
   EXPECT_GE(h.nested_cancels, 500u);
   EXPECT_GE(h.tied_pops, 1000u);
+  // Every shape of hold step really happened.
+  for (std::size_t n = 0; n < h.holds_by_pushes.size(); ++n) {
+    EXPECT_GE(h.holds_by_pushes[n], 800u) << "holds with " << n << " pushes";
+  }
+  for (std::size_t w = 0; w < QueueModelHarness::kWhens; ++w) {
+    EXPECT_GE(h.hold_pushes[w], 800u) << "hold push kind " << w;
+  }
+  for (std::size_t k = 0; k < QueueModelHarness::kHoldCancels; ++k) {
+    EXPECT_GE(h.hold_cancels[k], 400u) << "hold cancel kind " << k;
+  }
+  EXPECT_GE(h.hold_queries, 500u);
+  EXPECT_GE(h.last_live_holds, 50u);
+  EXPECT_GE(h.push_cancel_push, 250u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential, ::testing::Values(1u, 7u, 42u, 1234u),
